@@ -189,6 +189,8 @@ pub(crate) struct CoreScratch {
     pub(crate) ready: ReadySet,
     pub(crate) releases: ReleaseQueue,
     pub(crate) hot: TaskHot,
+    /// Per-task release counters (the index of each task's next job);
+    /// [`CoreEngine::finish`] turns them into record offsets.
     pub(crate) next_index: Vec<u64>,
     pub(crate) due: Vec<usize>,
     /// Per-task flag set by [`OverrunPolicy::SkipNext`]: the task's next
@@ -305,14 +307,17 @@ where
 
         scratch.ready.reset(n);
         scratch.hot.fill(tasks);
+        let hot = &scratch.hot;
         if jittered {
             scratch.releases.reset(
-                tasks
+                hot.phase
                     .iter()
-                    .map(|(id, t)| t.phase() + plan.release_delay(id, 0, t.period())),
+                    .zip(&hot.period)
+                    .enumerate()
+                    .map(|(i, (&phase, &period))| phase + plan.release_delay(TaskId(i), 0, period)),
             );
         } else {
-            scratch.releases.reset(tasks.iter().map(|(_, t)| t.phase()));
+            scratch.releases.reset(hot.phase.iter().copied());
         }
         scratch.next_index.clear();
         scratch.next_index.resize(n, 0);
@@ -607,11 +612,10 @@ where
                 }
                 self.release_epoch += 1;
                 if !fault_shed {
-                    // The dense release array already holds this task's
-                    // advanced instant (set_time above) and the not-yet-
-                    // processed due tasks' current ones, so the plain
-                    // fold-min is exact mid-batch — no staging to fold
-                    // back in.
+                    // The release tree already holds this task's advanced
+                    // instant (set_time above) and the not-yet-processed
+                    // due tasks' current ones, so its root is exact
+                    // mid-batch — no staging to fold back in.
                     let next_arrival = self.scratch.releases.next_arrival();
                     let view = SchedulerView::new(
                         now,
@@ -1054,8 +1058,9 @@ where
         Ok(Step::Continue)
     }
 
-    /// The legacy post-loop: drains incomplete jobs, sorts and
-    /// deduplicates the attribution lists, and assembles the outcome.
+    /// The legacy post-loop: drains incomplete jobs, puts the records in
+    /// `(task, index)` order, sorts and deduplicates the attribution
+    /// lists, and assembles the outcome.
     /// `kernel` is the engine component's event accounting (zeroed on
     /// the direct drive path).
     ///
@@ -1090,10 +1095,14 @@ where
             }
             self.records.push(record);
         }
-        // Unstable sort is safe: `(task, index)` job ids are unique, so
-        // there are no equal keys whose relative order could differ.
-        self.records
-            .sort_unstable_by_key(|r| (r.id.task, r.id.index));
+        let placed = place_records(&mut self.records, &mut self.scratch.next_index);
+        debug_assert!(placed, "a released job left no record, or several");
+        if !placed {
+            // Unstable sort is safe: `(task, index)` job ids are unique, so
+            // there are no equal keys whose relative order could differ.
+            self.records
+                .sort_unstable_by_key(|r| (r.id.task, r.id.index));
+        }
 
         // A recovery episode still open at the horizon is closed there: the
         // latency lower-bounds what a longer horizon would have measured.
@@ -1144,6 +1153,55 @@ where
     }
 }
 
+/// Puts `records` in `(task, index)` order without comparing keys.
+///
+/// Every released job yields exactly one record — a completion, an abort,
+/// a `SkipNext` shed, a weakly-hard skip or a horizon drain — so task
+/// `t`'s records carry the indices `0..released[t]`, and the record of
+/// `(t, index)` belongs at `offset[t] + index`, where `offset` is the
+/// exclusive prefix sum of `released`. `released` (the run's per-task
+/// release counters, dead once it ends) is overwritten with those
+/// offsets. Each swap moves one record into its final slot, so the pass
+/// is linear and allocates nothing.
+///
+/// Returns `false`, leaving `records` permuted but complete, if a record's
+/// slot is out of its task's range or claimed twice: the
+/// one-record-per-release invariant does not hold.
+fn place_records(records: &mut [JobRecord], released: &mut [u64]) -> bool {
+    let mut total: u64 = 0;
+    for count in released.iter_mut() {
+        let offset = total;
+        total += *count;
+        *count = offset;
+    }
+    if total != records.len() as u64 {
+        return false;
+    }
+    let slot_of = |record: &JobRecord| -> Option<usize> {
+        let task = record.id.task.0;
+        let start = *released.get(task)?;
+        let end = released.get(task + 1).copied().unwrap_or(total);
+        let slot = start.checked_add(record.id.index)?;
+        (slot < end).then_some(slot as usize)
+    };
+    for i in 0..records.len() {
+        let Some(mut slot) = slot_of(&records[i]) else {
+            return false;
+        };
+        while slot != i {
+            let Some(next) = slot_of(&records[slot]) else {
+                return false;
+            };
+            if next == slot {
+                return false;
+            }
+            records.swap(i, slot);
+            slot = next;
+        }
+    }
+    true
+}
+
 impl<G, E> EventHandler for CoreEngine<'_, G, E>
 where
     G: Governor,
@@ -1173,5 +1231,85 @@ where
             Step::Done => {}
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(task: usize, index: u64) -> JobRecord {
+        JobRecord {
+            id: JobId {
+                task: TaskId(task),
+                index,
+            },
+            release: 0.0,
+            deadline: 1.0,
+            wcet: 1.0,
+            actual: 1.0,
+            completion: None,
+            wall_time: 0.0,
+            preemptions: 0,
+        }
+    }
+
+    fn ids(records: &[JobRecord]) -> Vec<(usize, u64)> {
+        records.iter().map(|r| (r.id.task.0, r.id.index)).collect()
+    }
+
+    /// Property: placement reproduces the `(task, index)` sort whenever
+    /// each task's records carry exactly the indices `0..released[task]`,
+    /// and otherwise reports failure with every record still present, so
+    /// the fallback sort sees them all. Half the cases rewrite one
+    /// record's id, which leaves a gap, a duplicate, an index past its
+    /// task's count, or (by chance) a valid set.
+    #[test]
+    fn placement_matches_the_sort_or_reports_a_broken_invariant() {
+        crate::rng::check(
+            "placement_matches_the_sort_or_reports_a_broken_invariant",
+            256,
+            |rng| {
+                let tasks = 1 + rng.below(6) as usize;
+                let mut released: Vec<u64> = (0..tasks).map(|_| rng.below(5)).collect();
+                let mut records: Vec<JobRecord> = (0..tasks)
+                    .flat_map(|t| (0..released[t]).map(move |i| record(t, i)))
+                    .collect();
+                let expected = ids(&records);
+                for i in (1..records.len()).rev() {
+                    records.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+                if !records.is_empty() && rng.below(2) == 0 {
+                    let victim = rng.below(records.len() as u64) as usize;
+                    records[victim] = record(rng.below(tasks as u64) as usize, rng.below(6));
+                }
+                let mut sorted = ids(&records);
+                sorted.sort_unstable();
+                let valid = sorted == expected;
+
+                let placed = place_records(&mut records, &mut released);
+                let mut after = ids(&records);
+                if placed != valid {
+                    return Err(format!("placed {placed} but valid {valid}: {after:?}"));
+                }
+                if placed && after != expected {
+                    return Err(format!("placed out of order: {after:?}"));
+                }
+                after.sort_unstable();
+                if after != sorted {
+                    return Err(format!("records lost or duplicated: {after:?}"));
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// A record with an index past its own task's count can land in the
+    /// slot another task left empty, which a bare slot-collision check
+    /// would accept; the per-task range check refuses it.
+    #[test]
+    fn placement_refuses_a_record_in_another_tasks_slot() {
+        let mut records = vec![record(0, 2), record(1, 0), record(0, 0)];
+        assert!(!place_records(&mut records, &mut [1, 1, 1]));
     }
 }

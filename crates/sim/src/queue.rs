@@ -1,12 +1,15 @@
 //! Priority structures for the dispatch loop.
 //!
 //! The simulator's two per-event questions — *which ready job does EDF
-//! dispatch?* and *when is the next release?* — are answered by dense
-//! parallel arrays, not heaps. The ready set and the release set are both
-//! tiny (a handful to a few dozen entries), so a branch-light linear scan
-//! over contiguous `u64`/`f64` words beats heap sift paths and their
-//! pointer-chasing comparisons on every workload we bench, while keeping
-//! the engine's observable behaviour bit-for-bit:
+//! dispatch?* and *when is the next release?* — are answered over dense
+//! arrays, not heaps. The ready set is tiny (a handful of jobs), so a
+//! branch-light linear scan over contiguous `u64` words beats heap sift
+//! paths and their pointer-chasing comparisons. The release set has one
+//! entry per task (a few dozen) and is queried once per event and once
+//! per release, so it carries a min-tree over its dense array: reading
+//! the next arrival is O(1) and an update O(log n) (a fold-min and a scan
+//! per event cost over a quarter of a simple-governor run, DESIGN.md §9).
+//! Both keep the engine's observable behaviour bit-for-bit:
 //!
 //! * [`ReadySet`] keeps the ready jobs in the exact `Vec` discipline the
 //!   engine always had (push on release, `swap_remove` on completion), so
@@ -18,10 +21,12 @@
 //!   finite, so the bit order is the numeric order). EDF selection is a
 //!   linear argmin over that key array: contiguous cache lines, no float
 //!   compares, no lazy-deletion bookkeeping.
-//! * [`ReleaseQueue`] is just the per-task `next_release` vector; the
-//!   next-arrival query folds a minimum over it and the due-scan walks it
-//!   in task order — which is exactly the (ascending task id) order the
-//!   engine releases simultaneous arrivals in, so no sort is needed.
+//! * [`ReleaseQueue`] is an implicit binary min-tree whose leaf level is
+//!   the per-task next-release array: the next-arrival query reads the
+//!   root, a release advance rewrites one leaf-to-root path, and the
+//!   due-scan descends only into subtrees whose minimum is due, leftmost
+//!   first — which yields exactly the (ascending task id) order the engine
+//!   releases simultaneous arrivals in, so no sort is needed.
 //!
 //! Both structures are scratch-friendly: `reset` reuses every allocation,
 //! which is what lets the experiment runner replay thousands of cases
@@ -59,10 +64,9 @@ impl ReadySet {
     pub(crate) fn reset(&mut self, n_tasks: usize) {
         self.jobs.clear();
         self.keys.clear();
-        if self.jobs.capacity() < n_tasks {
-            self.jobs.reserve(n_tasks - self.jobs.capacity());
-            self.keys.reserve(n_tasks - self.keys.capacity());
-        }
+        // Both arrays are empty here, so this guarantees `n_tasks` slots.
+        self.jobs.reserve(n_tasks);
+        self.keys.reserve(n_tasks);
     }
 
     /// The ready jobs, in the engine's canonical (insertion/`swap_remove`)
@@ -146,64 +150,118 @@ impl ReadySet {
     }
 }
 
-/// Per-task next-release instants.
+/// Per-task next-release instants, indexed by an implicit binary min-tree.
 ///
-/// The dense `f64` vector is the single source of truth: the next-arrival
-/// query is a fold-min over it (bit-exact equal to any indexed minimum over
-/// the same values) and the due-scan walks it in ascending task id — the
-/// order the engine releases simultaneous arrivals in. At release-set sizes
-/// (tens of tasks) the scans are cheaper than maintaining a heap, and they
-/// stay exact mid-batch: a due task's slot already holds its advanced time
-/// the moment [`ReleaseQueue::set_time`] runs, with no re-queue step.
+/// `tree` is laid out heap-style over `leaves` (the task count rounded up
+/// to a power of two): `tree[leaves + t]` is task `t`'s next release,
+/// padding leaves hold `+∞`, and each internal node `k` in `1..leaves`
+/// holds `min(tree[2k], tree[2k + 1])`. The leaf level is the dense
+/// per-task array [`SchedulerView`] reads, so the index keeps no second
+/// copy of the times. The root is the next arrival — the same value a
+/// fold-min over the leaves gives, since `min` only ever returns one of
+/// its operands — and it stays exact mid-batch: a due task's advanced time
+/// reaches the root the moment [`ReleaseQueue::set_time`] runs, with no
+/// re-queue step. Reading the root is O(1), an update O(log n), and the
+/// due scan O(log n) per due task it reports.
+///
+/// [`SchedulerView`]: crate::governor::SchedulerView
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ReleaseQueue {
-    next_release: Vec<f64>,
+    tree: Vec<f64>,
+    /// Index of task 0's leaf: the task count rounded up to a power of two.
+    leaves: usize,
+    /// The task count; the leaves past it are padding.
+    tasks: usize,
 }
 
 impl ReleaseQueue {
-    /// Resets to the given first-release instants (one per task).
-    pub(crate) fn reset(&mut self, phases: impl Iterator<Item = f64>) {
-        self.next_release.clear();
-        self.next_release.extend(phases);
+    /// Resets to the given first-release instants (one per task) and
+    /// rebuilds the tree bottom-up.
+    pub(crate) fn reset(&mut self, phases: impl ExactSizeIterator<Item = f64>) {
+        self.tasks = phases.len();
+        self.leaves = self.tasks.next_power_of_two();
+        self.tree.clear();
+        self.tree.reserve(2 * self.leaves);
+        // Internal nodes (and the unused slot 0) are rebuilt below.
+        self.tree.resize(self.leaves, f64::INFINITY);
+        self.tree.extend(phases);
+        self.tree.resize(2 * self.leaves, f64::INFINITY);
+        for k in (1..self.leaves).rev() {
+            self.tree[k] = self.tree[2 * k].min(self.tree[2 * k + 1]);
+        }
     }
 
     /// The per-task next-release instants (what [`SchedulerView`] exposes).
     ///
     /// [`SchedulerView`]: crate::governor::SchedulerView
     pub(crate) fn times(&self) -> &[f64] {
-        &self.next_release
+        &self.tree[self.leaves..self.leaves + self.tasks]
     }
 
     /// The next release instant of `task`.
     pub(crate) fn time(&self, task: usize) -> f64 {
-        self.next_release[task]
+        debug_assert!(task < self.tasks, "task {task} out of range");
+        self.tree[self.leaves + task]
     }
 
     /// The earliest next release over all tasks (infinite when empty).
-    /// Always exact, including mid-batch: advanced times are visible the
-    /// moment they are set.
     pub(crate) fn next_arrival(&self) -> f64 {
-        self.next_release
-            .iter()
-            .fold(f64::INFINITY, |min, &time| min.min(time))
+        self.tree.get(1).copied().unwrap_or(f64::INFINITY)
     }
 
     /// Collects every task due at `now` (within event tolerance) with a
     /// release strictly before `horizon` into `due`, in ascending task id —
     /// the order the original engine released simultaneous arrivals in.
     /// The caller advances each due task via [`ReleaseQueue::set_time`].
+    ///
+    /// A subtree holds a due leaf exactly when its minimum is due, so the
+    /// walk never enters a subtree without one: from a due node it
+    /// descends to the leftmost due leaf (the right child is due whenever
+    /// the left is not), then moves on to the next subtree in pre-order
+    /// whose minimum is due.
     pub(crate) fn pop_due(&self, now: f64, horizon: f64, due: &mut Vec<usize>) {
         due.clear();
-        for (task, &time) in self.next_release.iter().enumerate() {
-            if time <= now + TIME_EPS && time < horizon {
-                due.push(task);
+        let limit = now + TIME_EPS;
+        // Non-short-circuit `&`: the descent below stays branch-free.
+        let is_due = |k: usize| {
+            let time = self.tree[k];
+            (time <= limit) & (time < horizon)
+        };
+        if self.tree.len() < 2 || !is_due(1) {
+            return;
+        }
+        let mut k = 1;
+        loop {
+            while k < self.leaves {
+                k = 2 * k + usize::from(!is_due(2 * k));
+            }
+            // Padding leaves are +∞, never before the horizon.
+            due.push(k - self.leaves);
+            // Climb past every right child, then step to the right
+            // sibling; climbing past the root ends the walk.
+            loop {
+                k >>= k.trailing_ones();
+                if k == 0 {
+                    return;
+                }
+                k += 1;
+                if is_due(k) {
+                    break;
+                }
             }
         }
     }
 
-    /// Updates `task`'s next release.
+    /// Updates `task`'s next release and the minima on its path to the
+    /// root.
     pub(crate) fn set_time(&mut self, task: usize, time: f64) {
-        self.next_release[task] = time;
+        debug_assert!(task < self.tasks, "task {task} out of range");
+        let mut k = self.leaves + task;
+        self.tree[k] = time;
+        while k > 1 {
+            k >>= 1;
+            self.tree[k] = self.tree[2 * k].min(self.tree[2 * k + 1]);
+        }
     }
 }
 
@@ -326,6 +384,106 @@ mod tests {
         rq.pop_due(0.0, 0.0, &mut due);
         assert!(due.is_empty());
         assert_eq!(rq.next_arrival(), 0.0);
+    }
+
+    /// The reference the release tree must reproduce: the fold-min over
+    /// the dense per-task array it replaced...
+    fn fold_min(times: &[f64]) -> f64 {
+        times.iter().fold(f64::INFINITY, |min, &time| min.min(time))
+    }
+
+    /// ...and that array's ascending due scan.
+    fn linear_due(times: &[f64], now: f64, horizon: f64) -> Vec<usize> {
+        (0..times.len())
+            .filter(|&task| times[task] <= now + TIME_EPS && times[task] < horizon)
+            .collect()
+    }
+
+    /// Compares every query of `rq` against the reference over `times`.
+    fn agrees(
+        rq: &ReleaseQueue,
+        times: &[f64],
+        now: f64,
+        horizon: f64,
+        due: &mut Vec<usize>,
+    ) -> Result<(), String> {
+        if rq.times() != times {
+            return Err(format!("leaves {:?} != {:?}", rq.times(), times));
+        }
+        if rq.next_arrival().to_bits() != fold_min(times).to_bits() {
+            return Err(format!(
+                "next arrival {} != fold-min {}",
+                rq.next_arrival(),
+                fold_min(times)
+            ));
+        }
+        rq.pop_due(now, horizon, due);
+        let expected = linear_due(times, now, horizon);
+        if *due != expected {
+            return Err(format!(
+                "due at {now} (horizon {horizon}): {due:?} != {expected:?}"
+            ));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn ready_set_reset_reserves_every_task() {
+        let mut ready = ReadySet::default();
+        ready.reset(8);
+        for task in 0..8 {
+            ready.push(job(task, 0, 1.0));
+        }
+        ready.reset(32);
+        assert!(ready.jobs.capacity() >= 32);
+        assert!(ready.keys.capacity() >= 32);
+    }
+
+    /// Property: driven the way the engine drives it — batches popped at
+    /// the next arrival (or past it, so tasks owe several releases and
+    /// catch up one `set_time` at a time), horizon clipping, and arbitrary
+    /// overwrites — the tree's root, due list and leaves equal the fold-min
+    /// and linear scan after every update. Task counts 1–70 cross several
+    /// powers of two, one queue is reset across all cases of every size,
+    /// and times sit on a coarse grid so ties and multi-task batches are
+    /// common.
+    #[test]
+    fn release_tree_matches_fold_min_and_linear_scan() {
+        let mut rq = ReleaseQueue::default();
+        let mut due = Vec::new();
+        let mut batch = Vec::new();
+        crate::rng::check(
+            "release_tree_matches_fold_min_and_linear_scan",
+            256,
+            |rng| {
+                let n = 1 + rng.below(70) as usize;
+                let mut times: Vec<f64> = (0..n).map(|_| rng.below(16) as f64 * 0.25).collect();
+                let periods: Vec<f64> = (0..n).map(|_| (1 + rng.below(8)) as f64 * 0.25).collect();
+                let horizon = rng.below(40) as f64 * 0.25;
+                rq.reset(times.iter().copied());
+                let mut now = 0.0;
+                agrees(&rq, &times, now, horizon, &mut due)?;
+                for _ in 0..48 {
+                    if rng.below(4) == 0 {
+                        let task = rng.below(n as u64) as usize;
+                        times[task] = rng.below(48) as f64 * 0.25;
+                        rq.set_time(task, times[task]);
+                        agrees(&rq, &times, now, horizon, &mut due)?;
+                        continue;
+                    }
+                    now = (fold_min(&times) + rng.below(4) as f64 * 0.25).min(horizon);
+                    agrees(&rq, &times, now, horizon, &mut batch)?;
+                    for &task in &batch {
+                        while times[task] <= now + TIME_EPS && times[task] < horizon {
+                            times[task] += periods[task];
+                            rq.set_time(task, times[task]);
+                            agrees(&rq, &times, now, horizon, &mut due)?;
+                        }
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     /// Property: after any sequence of releases and completions, the

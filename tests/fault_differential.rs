@@ -88,6 +88,28 @@ fn job_signature(out: &SimOutcome) -> Vec<(usize, u64, u64, u64, u64, u64)> {
     sig
 }
 
+/// `out.jobs` is strictly increasing in `(task, index)`, and each task's
+/// indices run `0..n` with no gap: exactly one record per released job,
+/// in id order, however the engine pushed them (completions, aborts,
+/// shed releases and horizon drains all arrive out of id order).
+fn assert_records_in_id_order(out: &SimOutcome, name: &str) {
+    let mut prev: Option<(usize, u64)> = None;
+    for r in &out.jobs {
+        let (task, index) = (r.id.task.0, r.id.index);
+        let next_in_order = match prev {
+            Some((p_task, p_index)) if p_task == task => index == p_index + 1,
+            Some((p_task, _)) => task > p_task && index == 0,
+            None => index == 0,
+        };
+        assert!(
+            next_in_order,
+            "{name}: record {:?} follows {:?} out of (task, index) order",
+            r.id, prev
+        );
+        prev = Some((task, index));
+    }
+}
+
 fn run_governor(case: &WorkloadCase, plan: &FaultPlan, name: &str) -> Result<SimOutcome, String> {
     let sim = Simulator::new(
         case.tasks.clone(),
@@ -145,6 +167,7 @@ fn in_contract_plans_never_miss_and_agree_on_the_job_stream() {
 
             for name in jitter_safe_governors() {
                 let outcome = run_governor(&case, &plan, name)?;
+                assert_records_in_id_order(&outcome, name);
                 assert_eq!(outcome.miss_count(), 0, "{} missed in-contract", name);
                 assert_eq!(
                     &job_signature(&outcome),
@@ -199,12 +222,12 @@ fn overruns_degrade_gracefully_and_only_where_injected() {
                 },
                 seed,
             );
-            let plan = FaultPlan::new(fault_seed)
+            let declared = FaultPlan::new(fault_seed)
                 .with_overrun(overrun_p, factor)
                 .expect("valid channel")
                 .with_release_jitter(jitter_p, jitter_frac)
-                .expect("valid channel")
-                .with_policy_override(OverrunPolicy::CompleteAtMax);
+                .expect("valid channel");
+            let plan = declared.with_policy_override(OverrunPolicy::CompleteAtMax);
 
             let reference = run_governor(&case, &plan, "no-dvs")?;
             let ref_sig = job_signature(&reference);
@@ -218,6 +241,17 @@ fn overruns_degrade_gracefully_and_only_where_injected() {
 
             for name in jitter_safe_governors() {
                 let outcome = run_governor(&case, &plan, name)?;
+                assert_records_in_id_order(&outcome, name);
+                // A governor's own policy, where it differs from the
+                // override (`dra` aborts, `feedback-edf` sheds the next
+                // release), pushes records in yet another order.
+                let policy = make_governor(name)
+                    .expect("governor resolves")
+                    .overrun_policy();
+                if policy != OverrunPolicy::CompleteAtMax {
+                    let own = run_governor(&case, &declared, name)?;
+                    assert_records_in_id_order(&own, name);
+                }
                 assert_eq!(
                     outcome.unattributed_misses(),
                     0,
@@ -276,6 +310,7 @@ fn periodic_arrivals_cover_every_governor() {
 
         for name in GOVERNORS {
             let outcome = run_governor(&case, &plan, name)?;
+            assert_records_in_id_order(&outcome, name);
             assert_eq!(
                 outcome.unattributed_misses(),
                 0,

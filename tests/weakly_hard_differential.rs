@@ -122,6 +122,28 @@ fn job_signature(out: &SimOutcome) -> Vec<(usize, u64, u64, u64, u64, u64)> {
     sig
 }
 
+/// `out.jobs` is strictly increasing in `(task, index)`, and each task's
+/// indices run `0..n` with no gap: exactly one record per released job,
+/// in id order, however the engine pushed them (completions,
+/// weakly-hard skips and horizon drains all arrive out of id order).
+fn assert_records_in_id_order(out: &SimOutcome, name: &str) {
+    let mut prev: Option<(usize, u64)> = None;
+    for r in &out.jobs {
+        let (task, index) = (r.id.task.0, r.id.index);
+        let next_in_order = match prev {
+            Some((p_task, p_index)) if p_task == task => index == p_index + 1,
+            Some((p_task, _)) => task > p_task && index == 0,
+            None => index == 0,
+        };
+        assert!(
+            next_in_order,
+            "{name}: record {:?} follows {:?} out of (task, index) order",
+            r.id, prev
+        );
+        prev = Some((task, index));
+    }
+}
+
 fn run_governor(
     tasks: &TaskSet,
     exec: &ExecutionModel,
@@ -207,6 +229,7 @@ fn in_contract_mixed_sets_meet_contracts_and_agree() {
 
             for name in weakly_hard_safe_governors() {
                 let outcome = run_governor(&tasks, &exec, name, SkipPolicy::Greedy)?;
+                assert_records_in_id_order(&outcome, name);
                 assert_eq!(outcome.miss_count(), 0, "{} missed in-contract", name);
                 assert_eq!(
                     &job_signature(&outcome),
@@ -258,6 +281,7 @@ fn skip_policies_replay_bit_identically_and_stay_in_contract() {
             for name in ["st-edf", "cc-edf"] {
                 let a = run_governor(&tasks, &exec, name, policy)?;
                 let b = run_governor(&tasks, &exec, name, policy)?;
+                assert_records_in_id_order(&a, name);
                 assert_eq!(&a.jobs, &b.jobs, "{}'s job records did not replay", name);
                 assert_eq!(
                     &a.models, &b.models,
