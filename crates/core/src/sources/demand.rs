@@ -5,13 +5,14 @@ use stadvs_sim::{ActiveJob, AnalysisStats, SchedulerView, TIME_EPS};
 use crate::sources::ReclaimedPool;
 
 /// Claim sentinel marking a tombstoned sequence event (real claims are
-/// never negative). The sweep skips these wholesale.
+/// never negative). The sweep skips these wholesale; a tombstone keeps
+/// its event's time, so the sequence stays sorted.
 const TOMBSTONE: f64 = -1.0;
 
-/// Tombstone count that triggers a compaction pass on the next repair.
-/// Low enough that the sweep's dead-event overhead stays negligible
-/// (each skip is one compare against a just-loaded claim), high enough
-/// to amortize the three-array copy-down.
+/// Tombstone count that triggers a compaction pass on the next in-place
+/// repair. Low enough that the sweep's dead-event overhead stays
+/// negligible (each skip is one compare against a just-loaded claim),
+/// high enough to amortize the three-array copy-down.
 const STALE_COMPACT: usize = 32;
 
 /// Look-ahead slack analysis over the **canonical claims** of everything in
@@ -73,17 +74,21 @@ const STALE_COMPACT: usize = 32;
 ///   invalidation key for the ready portion.
 /// * **the cached event sequence** — the merged periodic (task-stream)
 ///   events are kept between dispatches in exactly tournament-merge
-///   order and *repaired* when the release outlook moves (tombstoned
-///   slide drops on-lattice, a regenerate-and-splice merge off-lattice;
-///   see [`ensure_seq`](DemandAnalysis::ensure_seq) and
-///   [`repair_seq`](DemandAnalysis::repair_seq)). The per-dispatch sweep
-///   then merges only the few ready/ledger singletons over this
-///   sequence ([`sweep_overlay`](DemandAnalysis::sweep_overlay)) instead
-///   of re-running the full tournament merge.
+///   order and *repaired* when the release outlook moves: tombstoned
+///   slide drops on-lattice; off-lattice, the moved chain is re-stamped
+///   in its own slots when that keeps the order, and regenerated and
+///   spliced in otherwise (see [`ensure_seq`](DemandAnalysis::ensure_seq)
+///   and [`repair_seq`](DemandAnalysis::repair_seq)). Every repair keeps
+///   the sequence's times non-decreasing, tombstones included. The
+///   per-dispatch sweep then merges only the few ready/ledger singletons
+///   over this sequence ([`sweep_overlay`](DemandAnalysis::sweep_overlay)),
+///   a binary search and a plain loop per run of sequence events between
+///   two singletons, instead of re-running the full tournament merge.
 /// * **early-exit pruning** — the checkpoint sweep stops as soon as no
 ///   later checkpoint can change the result (soundness argued at
 ///   [`prune_safety`]); a non-positive tail bound skips the sweep
-///   entirely.
+///   entirely. Events before the dispatched job's deadline cannot bind,
+///   so the sweep only accumulates them ([`Sweep`]).
 /// * **scratch layout** — the sweep reads dense per-event `f64` arrays
 ///   (times and denormalized claims); the from-scratch path's merge loop
 ///   touches a dense `claims` array keyed by stream index, its
@@ -91,7 +96,8 @@ const STALE_COMPACT: usize = 32;
 ///   is re-written), and nothing is re-zeroed.
 ///
 /// In debug builds every pruned, cached analysis is re-checked against a
-/// from-scratch unpruned sweep and must match **bit-identically**.
+/// from-scratch unpruned sweep and must match **bit-identically**, and
+/// every sequence update re-checks the sequence's order invariants.
 #[derive(Debug, Clone)]
 pub struct DemandAnalysis {
     horizon_periods: f64,
@@ -133,13 +139,14 @@ pub struct DemandAnalysis {
     /// Claim attached to each cached event (`cache.claim[seq_task[i]]`,
     /// denormalized so the sweep reads one dense array; task claims are
     /// fixed between cache rebuilds, which also invalidate the sequence).
-    /// A **negative** claim marks a tombstone: an event the slide repair
-    /// dropped in place (real claims are never negative). The sweep skips
-    /// tombstones wholesale — no group roll, no accumulation — so the
-    /// swept stream is exactly the compacted one. [`compact_seq`]
+    /// A **negative** claim marks a tombstone: an event an in-place repair
+    /// dropped (real claims are never negative). Tombstones keep their
+    /// times, and `seq_times` is non-decreasing over them too. The sweep
+    /// skips tombstones wholesale — no group roll, no accumulation — so
+    /// the swept stream is exactly the compacted one. [`compact_seq`]
     /// (DemandAnalysis::compact_seq) reclaims them once `seq_stale` grows.
     seq_claim: Vec<f64>,
-    /// Double buffers for the in-place-impossible repair merge.
+    /// Double buffers for the splice repair (moves that reorder events).
     seq_times_spare: Vec<f64>,
     seq_task_spare: Vec<usize>,
     seq_claim_spare: Vec<f64>,
@@ -156,18 +163,33 @@ pub struct DemandAnalysis {
     seq_stale: usize,
     /// Scratch: ready-job singletons sorted by `(deadline, position)`.
     ready_sorted: Vec<ReadyEvent>,
-    /// Scratch: per-task changed flags for the repair merge.
+    /// Scratch: per-task changed flags for the splice repair.
     changed: Vec<bool>,
-    /// Scratch: indices of the changed tasks (the repair merge's argmin
-    /// only competes these — untouched chains are pending beyond the old
+    /// Scratch: indices of the changed tasks (the splice's argmin only
+    /// competes these — untouched chains are pending beyond the old
     /// coverage bound and cannot precede any kept event).
     changed_idx: Vec<usize>,
     /// Scratch: per-task lead-event drop counts for the slide fast path.
     drops: Vec<u32>,
-    /// Scratch: regenerated `(time, task)` events of the general repair.
+    /// Scratch: regenerated `(time, task)` events of a re-stamp or splice.
     new_events: Vec<(f64, usize)>,
+    /// Scratch: sequence positions of the re-stamped task's live events.
+    slots: Vec<usize>,
     analyses: u64,
     events_swept: u64,
+    /// Repairs per [`RepairPath`] (unit tests assert every path ran).
+    #[cfg(test)]
+    repair_counts: [u64; 4],
+}
+
+/// The ways [`DemandAnalysis::repair_seq`] can update the cached
+/// sequence (compaction follows a slide or a re-stamp).
+#[derive(Debug, Clone, Copy)]
+enum RepairPath {
+    Slide,
+    Restamp,
+    Splice,
+    Compact,
 }
 
 /// Generator state of one task's deadline chain in the cached sequence.
@@ -374,6 +396,142 @@ fn finish(min_slack: f64, binding_claims: f64) -> DemandSlack {
     }
 }
 
+/// Running state of one overlay sweep
+/// ([`DemandAnalysis::sweep_overlay`]).
+///
+/// Events are grouped as the reference groups them: an event later than
+/// the open group's gate `d + TIME_EPS` closes that group and opens one at
+/// its own time `d`. A sweep has two phases, split at the first group whose
+/// gate reaches the dispatched job's deadline (gates only grow). Before
+/// it no checkpoint binds, so events only accumulate and open groups.
+/// From it on every event binds: `d − now` is computed once per group,
+/// and the full-stop prune is tested at group boundaries only while it is
+/// armed (`min_slack <= tail_bound`, re-checked when the minimum moves;
+/// the first binding event always moves it off `+∞`, so the flag is exact
+/// at every boundary where the reference tests the prune).
+///
+/// Checkpoint candidates are evaluated after **every** binding event with
+/// the open group's head `d`: a mid-group candidate shares `d` with its
+/// group's final candidate but carries strictly smaller claims (every
+/// claim is positive), so it is strictly larger and can never win the
+/// strict-minimum update — the minimum and its binding claims land on
+/// exactly the group-end values the grouped reference computes. The
+/// `vmax` full-stop check runs at group boundaries only (mid-group it
+/// could miss the open group's own end checkpoint); the zero-slack stop
+/// may fire mid-group because [`finish`] canonicalizes every non-positive
+/// minimum to the same `(0, 0)` result.
+#[derive(Debug)]
+struct Sweep {
+    deadline: f64,
+    now: f64,
+    vmax: f64,
+    tail_bound: f64,
+    tail_abs: f64,
+    n_tasks: usize,
+    events: u64,
+    claims: f64,
+    min_slack: f64,
+    binding_claims: f64,
+    /// The open group's head time `d` (phase two only).
+    d: f64,
+    /// `d − now` of the open group (phase two only).
+    window: f64,
+    /// `d + TIME_EPS` of the open group.
+    gate: f64,
+    /// A binding group has opened (phase two).
+    binding: bool,
+    /// `min_slack <= tail_bound` in phase two: the full-stop prune may fire.
+    armed: bool,
+}
+
+impl Sweep {
+    /// Sweeps a run of events in merge order; `true` when the sweep stops
+    /// (the prune fired at a group boundary, or the minimum reached zero).
+    /// With `SEQ` the run is cached sequence events, whose negative claims
+    /// mark tombstones: those are skipped wholesale — no group roll, no
+    /// accumulation — so the swept stream is exactly the compacted one.
+    /// Singletons are swept as one-event runs without it.
+    fn run<const SEQ: bool>(&mut self, times: &[f64], claims: &[f64]) -> bool {
+        let mut i = 0;
+        if !self.binding {
+            // Phase one: nothing binds and no closing group can prune.
+            // Stop before the event that opens the first binding group.
+            while i < times.len() {
+                let claim = claims[i];
+                if !(SEQ && claim < 0.0) {
+                    let t = times[i];
+                    if t > self.gate {
+                        let gate = t + TIME_EPS;
+                        if gate >= self.deadline {
+                            self.binding = true;
+                            break;
+                        }
+                        self.gate = gate;
+                    }
+                    self.events += 1;
+                    self.claims += claim;
+                }
+                i += 1;
+            }
+        }
+        // Phase two, on locals so the loop state stays in registers.
+        let (now, vmax, tail_bound) = (self.now, self.vmax, self.tail_bound);
+        let mut events = self.events;
+        let mut acc = self.claims;
+        let mut min_slack = self.min_slack;
+        let mut binding_claims = self.binding_claims;
+        let (mut d, mut window, mut gate) = (self.d, self.window, self.gate);
+        let mut armed = self.armed;
+        let mut stop = false;
+        for (&t, &claim) in times[i..].iter().zip(&claims[i..]) {
+            if SEQ && claim < 0.0 {
+                continue;
+            }
+            if t > gate {
+                // The closed group's checkpoint minimum is final here.
+                if armed
+                    && d >= vmax
+                    && min_slack
+                        <= tail_bound
+                            - prune_safety(events, self.n_tasks, window, acc, self.tail_abs)
+                {
+                    stop = true;
+                    break;
+                }
+                d = t;
+                window = t - now;
+                gate = t + TIME_EPS;
+            }
+            events += 1;
+            acc += claim;
+            let slack = window - acc;
+            if slack < min_slack {
+                min_slack = slack;
+                binding_claims = acc;
+                // Zero slack is absorbing, so the stop is checked only
+                // when the minimum moved.
+                if slack <= 0.0 {
+                    stop = true;
+                    break;
+                }
+                armed = slack <= tail_bound;
+            }
+        }
+        self.events = events;
+        self.claims = acc;
+        self.min_slack = min_slack;
+        self.binding_claims = binding_claims;
+        (self.d, self.window, self.gate) = (d, window, gate);
+        self.armed = armed;
+        stop
+    }
+
+    /// The sweep's result and visited-event count.
+    fn result(&self) -> (DemandSlack, u64) {
+        (finish(self.min_slack, self.binding_claims), self.events)
+    }
+}
+
 impl DemandAnalysis {
     /// Creates the analysis with the given look-ahead horizon in units of
     /// the task set's maximum period.
@@ -412,8 +570,11 @@ impl DemandAnalysis {
             changed_idx: Vec::new(),
             drops: Vec::new(),
             new_events: Vec::new(),
+            slots: Vec::new(),
             analyses: 0,
             events_swept: 0,
+            #[cfg(test)]
+            repair_counts: [0; 4],
         }
     }
 
@@ -597,24 +758,18 @@ impl DemandAnalysis {
     /// overlaying the per-dispatch singletons (sorted ready deadlines,
     /// ledger tags) with a merge whose tie-breaks reproduce the tournament
     /// merge's stream registration order (ready < tasks < ledger, then
-    /// position). The hot loop is the sequence-event path — one boundary
-    /// compare against each singleton cursor — and drops to a full
-    /// three-way pick only when a singleton actually pops (a handful per
-    /// analysis).
+    /// position).
     ///
-    /// Checkpoint candidates are evaluated after **every** event with the
-    /// current group head `d`: a mid-group candidate shares `d` with its
-    /// group's final candidate but carries strictly smaller claims (every
-    /// claim is positive), so it is strictly larger and can never win the
-    /// strict-minimum update — the minimum and its binding claims land on
-    /// exactly the group-end values the grouped reference computes. The
-    /// `vmax` full-stop check runs at group boundaries only (mid-group it
-    /// could miss the open group's own end checkpoint); the zero-slack
-    /// stop may fire mid-group because [`finish`] canonicalizes every
-    /// non-positive minimum to the same `(0, 0)` result. Event pops,
-    /// claim accumulation order and checkpoint arithmetic are exactly
-    /// those of [`sweep_reference`](DemandAnalysis::sweep_reference), so
-    /// results are bit-identical; the prune early-exits (sound per
+    /// The merge is block-wise: the cached sequence is sorted by time,
+    /// tombstones included (see [`repair_seq`](DemandAnalysis::repair_seq)),
+    /// so one binary search finds the whole run of sequence events that
+    /// pops before the next ready and ledger singletons (`t < tr && t <=
+    /// tl`: ready singletons win time ties, task streams win ledger ties).
+    /// [`Sweep::run`] sweeps that run in a plain loop, then the singleton
+    /// pops as a one-event run. Event order, claim accumulation order and
+    /// checkpoint arithmetic are exactly those of
+    /// [`sweep_reference`](DemandAnalysis::sweep_reference), so results
+    /// are bit-identical; the prune early-exits (sound per
     /// [`prune_safety`]) only cut the visit count.
     fn sweep_overlay(
         &self,
@@ -629,7 +784,6 @@ impl DemandAnalysis {
         // sequence is sorted, so one partition point replaces the per-event
         // horizon clip.
         let h_gate = horizon + TIME_EPS;
-        let vmax = self.cache.vmax;
         let till = self.seq_times.partition_point(|&t| t <= h_gate);
         let seq_times = &self.seq_times[..till];
         let seq_claim = &self.seq_claim[..till];
@@ -637,146 +791,55 @@ impl DemandAnalysis {
         let tags = &self.cache.ledger_tags[..];
         let amounts = &self.cache.ledger_amounts[..];
 
-        let mut r = 0usize;
-        let mut p = 0usize;
-        let mut l = 0usize;
-        let mut tr = ready.first().map_or(f64::INFINITY, |e| e.deadline);
-        let mut tp = seq_times.first().copied().unwrap_or(f64::INFINITY);
-        let mut tl = tags.first().map_or(f64::INFINITY, |&t| t.min(horizon));
-
-        let mut events: u64 = 0;
-        let mut claims = 0.0;
-        let mut min_slack = f64::INFINITY;
-        let mut binding_claims = f64::INFINITY;
-        // Open-group state; the sentinel gate keeps the first event from
-        // triggering a (guarded-out) boundary checkpoint.
-        let mut d = f64::NAN;
-        let mut gate = f64::NEG_INFINITY;
+        let mut sweep = Sweep {
+            deadline: job.deadline,
+            now,
+            vmax: self.cache.vmax,
+            tail_bound,
+            tail_abs,
+            n_tasks,
+            events: 0,
+            claims: 0.0,
+            min_slack: f64::INFINITY,
+            binding_claims: f64::INFINITY,
+            d: f64::NAN,
+            window: f64::NAN,
+            // The sentinel gate makes the first event open a group without
+            // a (guarded-out) boundary checkpoint.
+            gate: f64::NEG_INFINITY,
+            binding: false,
+            armed: false,
+        };
+        let (mut p, mut r, mut l) = (0usize, 0usize, 0usize);
         loop {
-            // Hot path: the next event is a sequence event. Strict `<`
-            // against the ready cursor (ready singletons win time ties),
-            // `<=` against the ledger cursor (task streams win those).
-            while tp < tr && tp <= tl {
-                let t = tp;
-                let c = seq_claim[p];
-                p += 1;
-                tp = if p < till {
-                    seq_times[p]
-                } else {
-                    f64::INFINITY
-                };
-                if c < 0.0 {
-                    // Tombstone (slide-dropped event awaiting compaction):
-                    // it neither opens a group nor accumulates, so the
-                    // stream swept is exactly the compacted one.
-                    continue;
-                }
-                if t > gate {
-                    // Previous group closed: its checkpoint minimum is
-                    // final, so the full-stop prune may fire (see above).
-                    if gate >= job.deadline
-                        && d >= vmax
-                        && min_slack <= tail_bound
-                        && min_slack
-                            <= tail_bound - prune_safety(events, n_tasks, d - now, claims, tail_abs)
-                    {
-                        return (finish(min_slack, binding_claims), events);
-                    }
-                    d = t;
-                    gate = t + TIME_EPS;
-                }
-                events += 1;
-                claims += c;
-                if gate >= job.deadline {
-                    let slack = (d - now) - claims;
-                    if slack < min_slack {
-                        min_slack = slack;
-                        binding_claims = claims;
-                        // Zero slack is absorbing and canonicalized by
-                        // `finish` wherever in the group it shows up, so
-                        // the stop only needs checking when the minimum
-                        // moved.
-                        if min_slack <= 0.0 {
-                            return (finish(min_slack, binding_claims), events);
-                        }
-                    }
-                }
+            let tr = ready.get(r).map_or(f64::INFINITY, |e| e.deadline);
+            let tl = tags.get(l).map_or(f64::INFINITY, |&t| t.min(horizon));
+            let q = p + seq_times[p..].partition_point(|&t| t < tr && t <= tl);
+            if sweep.run::<true>(&seq_times[p..q], &seq_claim[p..q]) {
+                return sweep.result();
             }
-            // Slow path: a singleton pops (or everything is exhausted).
-            let (t, src) = if tr <= tp {
-                if tr <= tl {
-                    (tr, 0u8)
-                } else {
-                    (tl, 2)
+            p = q;
+            // The sequence is exhausted or its next event loses to a
+            // singleton: pop the earlier singleton, ready first on ties.
+            let stop = if tr <= tl {
+                if !tr.is_finite() {
+                    break;
                 }
-            } else if tp <= tl {
-                (tp, 1)
+                r += 1;
+                sweep.run::<false>(&[tr], &[ready[r - 1].claim])
             } else {
-                (tl, 2)
+                l += 1;
+                sweep.run::<false>(&[tl], &[amounts[l - 1]])
             };
-            if !t.is_finite() {
-                break;
-            }
-            if src == 1 && seq_claim[p] < 0.0 {
-                // Tombstone: drop it before it can open a group.
-                p += 1;
-                tp = if p < till {
-                    seq_times[p]
-                } else {
-                    f64::INFINITY
-                };
-                continue;
-            }
-            if t > gate {
-                if gate >= job.deadline
-                    && d >= vmax
-                    && min_slack <= tail_bound
-                    && min_slack
-                        <= tail_bound - prune_safety(events, n_tasks, d - now, claims, tail_abs)
-                {
-                    return (finish(min_slack, binding_claims), events);
-                }
-                d = t;
-                gate = t + TIME_EPS;
-            }
-            events += 1;
-            match src {
-                0 => {
-                    claims += ready[r].claim;
-                    r += 1;
-                    tr = ready.get(r).map_or(f64::INFINITY, |e| e.deadline);
-                }
-                1 => {
-                    claims += seq_claim[p];
-                    p += 1;
-                    tp = if p < till {
-                        seq_times[p]
-                    } else {
-                        f64::INFINITY
-                    };
-                }
-                _ => {
-                    claims += amounts[l];
-                    l += 1;
-                    tl = tags.get(l).map_or(f64::INFINITY, |&t| t.min(horizon));
-                }
-            }
-            if gate >= job.deadline {
-                let slack = (d - now) - claims;
-                if slack < min_slack {
-                    min_slack = slack;
-                    binding_claims = claims;
-                    if min_slack <= 0.0 {
-                        return (finish(min_slack, binding_claims), events);
-                    }
-                }
+            if stop {
+                return sweep.result();
             }
         }
-        if tail_bound < min_slack {
-            min_slack = tail_bound;
-            binding_claims = claims; // everything outstanding binds the tail
+        if tail_bound < sweep.min_slack {
+            sweep.min_slack = tail_bound;
+            sweep.binding_claims = sweep.claims; // everything outstanding binds the tail
         }
-        (finish(min_slack, binding_claims), events)
+        sweep.result()
     }
 
     /// From-scratch checkpoint sweep: registers every event stream (ready
@@ -905,6 +968,47 @@ impl DemandAnalysis {
             self.seq_horizon = horizon;
             self.extend_seq(horizon);
         }
+        #[cfg(debug_assertions)]
+        self.check_seq();
+    }
+
+    /// Debug self-check of the cached sequence's invariants: times
+    /// non-decreasing with tombstones included, live events strictly
+    /// increasing in `(time, task)` with their task's claim, the stale
+    /// count exact, and every chain pending beyond the coverage bound.
+    #[cfg(debug_assertions)]
+    fn check_seq(&self) {
+        let bound = self.seq_horizon + TIME_EPS;
+        let mut stale = 0;
+        let mut prev: Option<(f64, usize)> = None;
+        for (p, (&t, &task)) in self.seq_times.iter().zip(&self.seq_task).enumerate() {
+            assert!(
+                p == 0 || self.seq_times[p - 1] <= t,
+                "sequence times decrease at slot {p}"
+            );
+            assert!(t <= bound, "slot {p} lies beyond the coverage bound");
+            if task == usize::MAX {
+                assert!(self.seq_claim[p] < 0.0, "tombstone {p} carries a claim");
+                stale += 1;
+                continue;
+            }
+            assert_eq!(
+                self.seq_claim[p].to_bits(),
+                self.cache.claim[task].to_bits(),
+                "slot {p} carries a stale claim"
+            );
+            if let Some((u, v)) = prev {
+                // xtask:allow(float-eq): bit-equal times tie-break by task index
+                let ordered = u < t || (u.to_bits() == t.to_bits() && v < task);
+                assert!(ordered, "live events out of (time, task) order at slot {p}");
+            }
+            prev = Some((t, task));
+        }
+        assert_eq!(stale, self.seq_stale, "stale count drifted");
+        assert!(
+            self.chains.iter().all(|c| c.next > bound),
+            "a chain's pending event lies inside the coverage bound"
+        );
     }
 
     /// Copies the live events down over the tombstones (all three arrays)
@@ -957,6 +1061,12 @@ impl DemandAnalysis {
 
     /// Repairs the cached sequence after the release outlook moved.
     ///
+    /// Every path keeps the sequence's times **non-decreasing, tombstones
+    /// included** — the block merge of
+    /// [`sweep_overlay`](DemandAnalysis::sweep_overlay) binary-searches
+    /// them — and its live events in strictly increasing `(time, task)`
+    /// order, the tournament merge's.
+    ///
     /// **Slide fast path**: when every moved release basis advanced along
     /// its chain's additive lattice (`release += period`, bit-checked),
     /// the regenerated chain is the old one minus its leading events — all
@@ -966,16 +1076,21 @@ impl DemandAnalysis {
     /// doc), steps the saved chain state over any drops beyond the
     /// emitted prefix, and compacts once enough tombstones pile up.
     ///
-    /// **General path** (basis moved off-lattice, e.g. a sporadic delay):
-    /// regenerates the changed chains from their new bases as one merged
-    /// stream (argmin over the changed chains), and splices it past the
-    /// kept events in one two-way pass into the spare buffers (then
-    /// swaps, dropping tombstones for free). Untouched chains are pending
-    /// beyond the old coverage bound, so they cannot precede any kept
-    /// event and never enter the merge.
+    /// **General path** (a basis moved off the chain's lattice). The
+    /// engine computes a release as `phase + index·period` while a chain
+    /// steps `release += period`, so periodic releases miss the slide by
+    /// an ulp as often as not; jitter and sporadic gaps move it further.
+    /// Each changed task is first re-stamped in place
+    /// ([`restamp`](DemandAnalysis::restamp)); from the first task that
+    /// cannot be, the rest are regenerated from their new bases as one
+    /// merged stream (argmin over those chains) and spliced past the kept
+    /// events in one two-way pass into the spare buffers (then swapped,
+    /// dropping tombstones for free). Untouched and re-stamped chains are
+    /// pending beyond the old coverage bound, so they cannot precede any
+    /// kept event and never enter the merge.
     ///
-    /// Both paths also extend coverage to `horizon` when it moved past the
-    /// cached one.
+    /// Every path also extends coverage to `horizon` when it moved past
+    /// the cached one.
     fn repair_seq(&mut self, horizon: f64) {
         let n = self.cache.n_tasks;
         // Slide detection: walk each moved basis forward along the old
@@ -1028,6 +1143,7 @@ impl DemandAnalysis {
             return;
         }
         if slide_ok {
+            self.count_repair(RepairPath::Slide);
             if total_drops == 1 {
                 // Overwhelmingly common: one task released one job. Its
                 // earliest remaining event (if emitted) leads the drop.
@@ -1071,24 +1187,32 @@ impl DemandAnalysis {
                     }
                 }
             }
-            if self.seq_stale >= STALE_COMPACT {
-                self.compact_seq();
-            }
-            if horizon > self.seq_horizon {
-                self.seq_horizon = horizon;
-                self.extend_seq(horizon);
-            }
+            self.finish_in_place(horizon);
             return;
         }
-        // General repair: regenerate each changed chain from its new basis
-        // up to the old coverage bound, sort the regenerated events once,
-        // and splice them into the kept events in a single two-way pass
-        // (then extend if the horizon also moved — the regenerated chains
-        // are already stepped past the bound, so the extension's argmin
-        // interleaves every chain correctly). Ties are only possible
-        // across distinct tasks and go to the lower task index, as the
-        // packed keys of the tournament merge would.
         let old_bound = self.seq_horizon + TIME_EPS;
+        let mut restamped = 0;
+        while restamped < self.changed_idx.len()
+            && self.restamp(self.changed_idx[restamped], old_bound)
+        {
+            self.changed[self.changed_idx[restamped]] = false;
+            restamped += 1;
+        }
+        if restamped == self.changed_idx.len() {
+            self.count_repair(RepairPath::Restamp);
+            self.finish_in_place(horizon);
+            return;
+        }
+        self.count_repair(RepairPath::Splice);
+        self.changed_idx.drain(..restamped);
+        // Splice: regenerate each remaining changed chain from its new
+        // basis up to the old coverage bound, sort the regenerated events
+        // once, and splice them into the kept events in a single two-way
+        // pass (then extend if the horizon also moved — the regenerated
+        // chains are already stepped past the bound, so the extension's
+        // argmin interleaves every chain correctly). Ties are only
+        // possible across distinct tasks and go to the lower task index,
+        // as the packed keys of the tournament merge would.
         self.new_events.clear();
         for &i in &self.changed_idx {
             self.chains[i] = TaskChain {
@@ -1156,6 +1280,144 @@ impl DemandAnalysis {
         let target = self.seq_horizon.max(horizon);
         self.seq_horizon = target;
         self.extend_seq(target);
+    }
+
+    /// Counts a repair path in unit-test builds.
+    #[inline]
+    fn count_repair(&mut self, path: RepairPath) {
+        #[cfg(test)]
+        {
+            let k = match path {
+                RepairPath::Slide => 0,
+                RepairPath::Restamp => 1,
+                RepairPath::Splice => 2,
+                RepairPath::Compact => 3,
+            };
+            self.repair_counts[k] += 1;
+        }
+        #[cfg(not(test))]
+        let _ = path;
+    }
+
+    /// Ends an in-place repair (slide or re-stamp): compacts once enough
+    /// tombstones piled up, then extends coverage to `horizon`.
+    fn finish_in_place(&mut self, horizon: f64) {
+        if self.seq_stale >= STALE_COMPACT {
+            self.count_repair(RepairPath::Compact);
+            self.compact_seq();
+        }
+        if horizon > self.seq_horizon {
+            self.seq_horizon = horizon;
+            self.extend_seq(horizon);
+        }
+    }
+
+    /// Re-stamps task `i`'s chain in place after its basis moved: its
+    /// events up to the coverage bound `bound` are regenerated from the
+    /// new basis and overwrite the task's own slots, in order. Slots whose
+    /// event lies more than half a period before the new first event are
+    /// the leading drops, and slots left over at the end (a last event
+    /// that crossed the bound) drop too; both become tombstones that keep
+    /// their times.
+    ///
+    /// The rewrite is taken only if the result stays sorted: each
+    /// re-stamped event must keep `(time, task)` order against its nearest
+    /// live neighbour of another task on either side, and time order
+    /// against every tombstone in between (the task's own dropped slots
+    /// count as tombstones). Neighbours of the same task are re-stamped in
+    /// order and increase by construction. Returns `false`, having changed
+    /// nothing, when the check fails or the new chain has more events
+    /// than the old one kept — the caller then splices.
+    fn restamp(&mut self, i: usize, bound: f64) -> bool {
+        let period = self.cache.period[i];
+        let drel = self.cache.drel[i];
+        let mut chain = TaskChain {
+            release: self.cache.release[i],
+            next: self.cache.next_deadline[i],
+        };
+        self.new_events.clear();
+        while chain.next <= bound {
+            self.new_events.push((chain.next, i));
+            chain.release += period;
+            chain.next = chain.release + drel;
+        }
+        self.slots.clear();
+        self.slots.extend(
+            self.seq_task
+                .iter()
+                .enumerate()
+                .filter_map(|(p, &t)| (t == i).then_some(p)),
+        );
+        let times = &self.seq_times;
+        let tasks = &self.seq_task;
+        let lead = match self.new_events.first() {
+            Some(&(first, _)) => {
+                let cut = first - 0.5 * period;
+                self.slots.partition_point(|&p| times[p] < cut)
+            }
+            None => self.slots.len(),
+        };
+        let fresh = self.new_events.len();
+        let Some(trail) = self.slots.len().checked_sub(lead + fresh) else {
+            return false;
+        };
+        let kept = &self.slots[lead..lead + fresh];
+        for (j, (&slot, &(t, _))) in kept.iter().zip(&self.new_events).enumerate() {
+            // Left, to the nearest live event of another task. The task's
+            // own slots left of its first re-stamped one are leading drops
+            // (tombstones to be); any later one stops at its predecessor.
+            let mut p = slot;
+            while p > 0 {
+                p -= 1;
+                let task = tasks[p];
+                let u = times[p];
+                if task == i && j > 0 {
+                    break;
+                }
+                if task == i || task == usize::MAX {
+                    if u > t {
+                        return false;
+                    }
+                    continue;
+                }
+                // xtask:allow(float-eq): bit-equal times tie-break by task index
+                if !(u < t || (u.to_bits() == t.to_bits() && task < i)) {
+                    return false;
+                }
+                break;
+            }
+            // Right, likewise: only the last re-stamped slot sees the
+            // task's trailing drops; any other stops at its successor.
+            let last = j + 1 == fresh;
+            for p in slot + 1..tasks.len() {
+                let task = tasks[p];
+                let u = times[p];
+                if task == i && !last {
+                    break;
+                }
+                if task == i || task == usize::MAX {
+                    if t > u {
+                        return false;
+                    }
+                    continue;
+                }
+                // xtask:allow(float-eq): bit-equal times tie-break by task index
+                if !(t < u || (t.to_bits() == u.to_bits() && i < task)) {
+                    return false;
+                }
+                break;
+            }
+        }
+        for (&slot, &(t, _)) in kept.iter().zip(&self.new_events) {
+            self.seq_times[slot] = t;
+        }
+        for &slot in self.slots[..lead].iter().chain(&self.slots[lead + fresh..]) {
+            self.seq_task[slot] = usize::MAX;
+            self.seq_claim[slot] = TOMBSTONE;
+        }
+        self.seq_stale += lead + trail;
+        self.chains[i] = chain;
+        true
     }
 
     /// Refreshes the cached layers that are out of date (see
@@ -1455,6 +1717,148 @@ mod tests {
         assert!(merged.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
+    /// Points the analysis's task and release-outlook cache layers at
+    /// the given tasks, as `refresh_cache` would.
+    fn load_outlook(
+        analysis: &mut DemandAnalysis,
+        claim: &[f64],
+        period: &[f64],
+        drel: &[f64],
+        release: &[f64],
+        epoch: u64,
+    ) {
+        let cache = &mut analysis.cache;
+        cache.n_tasks = claim.len();
+        cache.claim = claim.to_vec();
+        cache.period = period.to_vec();
+        cache.drel = drel.to_vec();
+        cache.release = release.to_vec();
+        cache.next_deadline = release.iter().zip(drel).map(|(r, d)| r + d).collect();
+        cache.release_epoch = epoch;
+    }
+
+    /// The live `(time, task, claim)` triples of the cached sequence, as
+    /// bits, and each chain's pending `(release, next)` state.
+    type SeqBits = (Vec<(u64, usize, u64)>, Vec<(u64, u64)>);
+
+    fn seq_bits(analysis: &DemandAnalysis) -> SeqBits {
+        let live = (0..analysis.seq_task.len())
+            .filter(|&p| analysis.seq_task[p] != usize::MAX)
+            .map(|p| {
+                (
+                    analysis.seq_times[p].to_bits(),
+                    analysis.seq_task[p],
+                    analysis.seq_claim[p].to_bits(),
+                )
+            })
+            .collect();
+        let chains = analysis
+            .chains
+            .iter()
+            .map(|c| (c.release.to_bits(), c.next.to_bits()))
+            .collect();
+        (live, chains)
+    }
+
+    /// Every repair of the cached sequence must leave exactly what a fresh
+    /// build from the current release bases gives: the same live `(time,
+    /// task, claim)` triples and chain states, bit for bit, with times
+    /// non-decreasing over tombstones too (the block sweep binary-searches
+    /// them). The moves cover on-lattice slides (`release + period`),
+    /// ulp-off-lattice moves (`phase + k·period`, the engine's release
+    /// arithmetic), sporadic gaps in `(T, 2T)`, multi-task batches, twin
+    /// tasks whose events tie bit-for-bit, horizon growth, and runs of
+    /// drops long enough to compact; every repair path must run.
+    #[test]
+    fn repaired_sequence_matches_a_fresh_build() {
+        let mut counts = [0u64; 4];
+        stadvs_sim::rng::check("repaired_sequence_matches_a_fresh_build", 128, |rng| {
+            let n = 1 + rng.below(6) as usize;
+            let (mut claim, mut period, mut drel, mut phase) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            for i in 0..n {
+                if i > 0 && rng.below(4) == 0 {
+                    let j = rng.below(i as u64) as usize;
+                    period.push(period[j]);
+                    drel.push(drel[j]);
+                    phase.push(phase[j]);
+                } else {
+                    let t = rng.range_f64(1.0, 16.0);
+                    period.push(t);
+                    drel.push(t * rng.range_f64(0.5, 1.0));
+                    phase.push(rng.range_f64(0.0, t));
+                }
+                claim.push(rng.range_f64(0.01, 1.0));
+            }
+            let max_period = period.iter().copied().fold(0.0, f64::max);
+            let mut index = vec![0u64; n];
+            let mut basis = phase.clone();
+            let mut analysis = DemandAnalysis::default();
+            let mut horizon = 0.0;
+            for epoch in 0..48u64 {
+                if epoch > 0 {
+                    let batch = rng.below(4) == 0;
+                    let first = rng.below(n as u64) as usize;
+                    for i in 0..n {
+                        if i != first && !(batch && rng.below(2) == 0) {
+                            continue;
+                        }
+                        match rng.below(16) {
+                            0..=5 => {
+                                for _ in 0..=rng.below(3) {
+                                    basis[i] += period[i];
+                                    index[i] += 1;
+                                }
+                            }
+                            6..=14 => {
+                                index[i] += 1 + rng.below(2);
+                                basis[i] = phase[i] + index[i] as f64 * period[i];
+                            }
+                            _ => {
+                                basis[i] += period[i] * rng.range_f64(1.0, 2.0);
+                                phase[i] = basis[i];
+                                index[i] = 0;
+                            }
+                        }
+                    }
+                }
+                let floor = (0..n).map(|i| basis[i] + drel[i]).fold(0.0, f64::max);
+                let growth = if rng.below(2) == 0 {
+                    0.0
+                } else {
+                    rng.range_f64(0.0, max_period)
+                };
+                horizon = (horizon + growth).max(floor);
+                load_outlook(&mut analysis, &claim, &period, &drel, &basis, epoch);
+                analysis.ensure_seq(horizon);
+
+                let mut fresh = DemandAnalysis {
+                    cache: analysis.cache.clone(),
+                    ..DemandAnalysis::default()
+                };
+                fresh.ensure_seq(analysis.seq_horizon);
+                if seq_bits(&analysis) != seq_bits(&fresh) {
+                    return Err(format!(
+                        "epoch {epoch}: repaired sequence differs from a fresh build"
+                    ));
+                }
+                if !analysis.seq_times.windows(2).all(|w| w[0] <= w[1]) {
+                    return Err(format!("epoch {epoch}: sequence times decrease"));
+                }
+            }
+            for (total, k) in counts.iter_mut().zip(analysis.repair_counts) {
+                *total += k;
+            }
+            Ok(())
+        });
+        let [slides, restamps, splices, compactions] = counts;
+        assert!(
+            slides > 0 && restamps > 0 && splices > 0 && compactions > 0,
+            "a repair path never ran: {slides} slides, {restamps} re-stamps, \
+             {splices} splices, {compactions} compactions"
+        );
+    }
+
     #[test]
     fn horizon_validation() {
         assert_eq!(DemandAnalysis::default().horizon_periods(), 0.25);
@@ -1705,7 +2109,8 @@ mod tests {
             );
             assert_eq!(
                 probe.violations, 0,
-                "seed {seed}: tail bound certified more slack than a 16-period window                  in {}/{} dispatches",
+                "seed {seed}: tail bound certified more slack than a 16-period window \
+                 in {}/{} dispatches",
                 probe.violations, probe.checks
             );
         }

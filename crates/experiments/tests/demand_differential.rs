@@ -13,7 +13,11 @@
 //! matrix, comparing the two analyzers at **every** dispatch. The fault
 //! plans matter: release jitter moves release bases off the periodic
 //! lattice (forcing the general sequence repair), and overruns exercise
-//! the ledger-clear invalidation path.
+//! the ledger-clear invalidation path. The workloads are a 6-task
+//! synthetic set, the avionics reference set, and a 12-task set with a
+//! 1000:1 period spread, whose long, dense cached sequences give every
+//! in-place re-stamp of a moved chain many neighbours to stay ordered
+//! against.
 
 use stadvs_core::sources::{DemandAnalysis, ReclaimedPool};
 use stadvs_experiments::WorkloadCase;
@@ -22,7 +26,7 @@ use stadvs_sim::{
     ActiveJob, FaultPlan, Governor, JobRecord, SchedulerView, SimConfig, SimScratch, Simulator,
     TaskSet,
 };
-use stadvs_workload::{reference, DemandPattern};
+use stadvs_workload::{reference, DemandPattern, PeriodGenerator, TaskSetSpec};
 
 /// Test governor replaying the st-edf hook sequence, running both
 /// analyzers at every dispatch and asserting their agreement in place.
@@ -149,10 +153,25 @@ fn incremental_analysis_matches_oracle_across_seeds_workloads_and_faults() {
             DemandPattern::Uniform { min: 0.5, max: 1.0 },
             seed,
         );
+        let wide_tasks = TaskSetSpec::new(12, 0.75)
+            .expect("valid spec")
+            .with_periods(PeriodGenerator::LogUniform {
+                min: 0.001,
+                max: 1.0,
+            })
+            .with_seed(seed)
+            .generate()
+            .expect("generation succeeds");
+        let wide = WorkloadCase::fixed(
+            wide_tasks,
+            DemandPattern::Uniform { min: 0.3, max: 1.0 },
+            seed,
+        );
         for (plan_name, plan) in fault_plans(seed ^ 0xD1FF) {
             for (workload, case, horizon) in [
                 ("synthetic", &synthetic, 12.0),
                 ("avionics", &avionics, avionics_horizon),
+                ("wide", &wide, 0.5),
             ] {
                 let label = format!("seed {seed} / {workload} / {plan_name}");
                 let (checked, pruned) = run_case(label, case, horizon, &plan);
