@@ -1,10 +1,10 @@
 //! `budget` — partitioned EDF-DVS under a shared platform power cap.
 //!
-//! The payoff demonstrator for the component/typed-event simulation
-//! kernel: a platform-level budget component (a [`stadvs_sim::BudgetLedger`]
-//! owned by the kernel's shared state) observes every core's speed grant
-//! and throttles requests whose aggregate active draw would exceed a
-//! global cap — a coupling between per-core engines that the old
+//! The payoff demonstrator for stepping all cores in one global order: a
+//! platform-level [`stadvs_sim::BudgetLedger`], lent to every core
+//! engine's step by the platform's drive loop, observes every core's
+//! speed grant and throttles requests whose aggregate active draw would
+//! exceed a global cap — a coupling between per-core engines that the old
 //! independently-stepped per-core loops could not express.
 //!
 //! Union workloads of five tasks per core at a worst-case utilization of

@@ -3,9 +3,10 @@
 //! Pins the shared-power-cap sweep's entire quick-run artifact — the CSV
 //! grid *and* the notes — byte-for-byte. The budgeted platform path is
 //! deterministic end to end (seeded workloads, fixed-order grant
-//! arbitration inside the kernel's shared ledger, stable event ordering),
-//! so two consecutive runs must agree exactly, and any change to the
-//! kernel's delivery order or the ledger's bisection shows up here as a
+//! arbitration inside the shared ledger the drive loop lends to each
+//! core's step, a total `(time, seq, core)` step order), so two
+//! consecutive runs must agree exactly, and any change to the drive
+//! loop's step order or the ledger's bisection shows up here as a
 //! readable CSV diff.
 //!
 //! Regenerate (after an intentional semantic change) with:
@@ -30,7 +31,7 @@ fn budget_sweep_matches_committed_csv() {
 }
 
 /// Two consecutive in-process runs must agree byte-for-byte — the
-/// acceptance bar for the budgeted kernel path's determinism.
+/// acceptance bar for the budgeted platform path's determinism.
 #[test]
 fn budget_sweep_is_deterministic_across_consecutive_runs() {
     assert_eq!(render(), render());

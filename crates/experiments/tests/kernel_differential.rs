@@ -1,87 +1,62 @@
-//! Differential pinning of the simulation kernel facade.
+//! Pins the simulators' event accounting and the kernel's ordering.
 //!
-//! [`Simulator::run_faulted_with_scratch`] is a thin facade over the
-//! component/typed-event kernel: the legacy scheduler loop, re-expressed
-//! as a `CoreEngine` component woken by self-scheduled events. Its
-//! contract is that the kernel is **unobservable** — every outcome field
-//! (job records, full traces, energy bits, switch counts, fault and model
-//! reports) must be bit-identical to the kernel-less oracle drive
-//! (`Simulator::run_faulted_direct`), which steps the very same engine in
-//! a bare loop. The only permitted difference is [`SimOutcome::kernel`],
-//! the event accounting the oracle cannot produce.
+//! Every [`SimOutcome::kernel`] counter — the per-kind `emitted` and
+//! `handled` counts of each core engine — is pinned against a fixture,
+//! `tests/golden/kernel_accounting.csv`, with one row per run and core:
+//! the counters, the step count, the switch count, the total-energy bits,
+//! completed jobs and misses. The matrix crosses seeds × the full capable
+//! lineup × {fault-free, overrun + release jitter, mixed task models} on
+//! one core, plus 4-core WFD platforms, with log-uniform and with
+//! harmonic periods, uncapped and under shared power caps that throttle.
+//! Jitter moves releases off the periodic lattice, overruns drive the
+//! fault notes, the model mix drives (m,k) skips and frame boundaries,
+//! and the caps drive budget notes. On a platform the
+//! order in which cores reach the shared budget ledger decides who is
+//! throttled, and that order breaks bit-tied wake times on each core's
+//! sequence number — which every note consumes — so a drive loop that
+//! stamped or ordered wakes differently shows up here as a row diff.
 //!
-//! The matrix crosses seeds × the full capable lineup × {fault-free,
-//! overrun + release jitter, mixed task models}: jitter moves releases
-//! off the periodic lattice, overruns exercise the fault/recovery event
-//! paths, and the mixed model mix drives (m,k) skips, sporadic gaps, and
-//! frame boosts through the kernel's note events.
+//! Regenerate (after an intentional change to the accounting) with:
 //!
-//! A second harness pins the kernel's determinism contract directly: the
-//! delivery order of a fixed event set is invariant to the order in which
-//! components hand their events to the queue (the `(time, seq, source)`
-//! key is a total order, so heap insertion order is unobservable).
+//! ```text
+//! STADVS_BLESS=1 cargo test -p stadvs-experiments --test kernel_differential
+//! ```
+//!
+//! The remaining harnesses pin the [`Kernel`]'s own determinism
+//! contract: the delivery order of a fixed event set is invariant to the
+//! order in which components hand their events to the queue (the
+//! `(time, seq, source)` key is a total order, so insertion order is
+//! unobservable), and equals the heap model through the wheel's overflow
+//! rail.
+
+use std::fmt::Write as _;
 
 use stadvs_experiments::{
-    capable_lineup, jitter_safe_lineup, make_governor, required_caps, WorkloadCase, STANDARD_LINEUP,
+    capable_lineup, golden, jitter_safe_lineup, make_governor, required_caps, PlatformWorkload,
+    WorkloadCase, STANDARD_LINEUP,
 };
-use stadvs_power::Processor;
+use stadvs_power::{Platform, Processor};
 use stadvs_sim::rng::check;
 use stadvs_sim::{
-    ComponentCtx, ComponentId, EventHandler, EventKind, FaultPlan, Kernel, KernelStats, SimConfig,
-    SimError, SimEvent, SimScratch, Simulator, TaskSet,
+    ComponentCtx, ComponentId, EventHandler, EventKind, FaultPlan, Kernel, PlatformScratch,
+    PlatformSim, SimConfig, SimError, SimEvent, SimOutcome, SimScratch, Simulator, TaskSet,
+    EVENT_KINDS,
 };
-use stadvs_workload::{DemandPattern, ExecutionModel, ModelMix, TaskSetSpec};
+use stadvs_workload::{
+    partitioner_by_name, DemandPattern, ExecutionModel, ModelMix, PeriodGenerator, TaskSetSpec,
+};
 
-/// Builds the shared test configuration: traces on, so the comparison
-/// covers every segment the run produced, not just the aggregates.
+const FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/kernel_accounting.csv"
+);
+
+/// Builds the shared test configuration: traces on, so the runs take
+/// the trace-recording path too.
 fn config(horizon: f64) -> SimConfig {
     SimConfig::new(horizon)
         .expect("test horizon is valid")
         .with_trace(true)
-}
-
-/// Runs one (task set, exec, governor, plan) case through both drive
-/// paths with fresh governors and scratches, and asserts bit-identity of
-/// everything except the kernel accounting.
-fn assert_facade_matches_direct(
-    label: &str,
-    tasks: &TaskSet,
-    exec: &ExecutionModel,
-    name: &str,
-    horizon: f64,
-    plan: &FaultPlan,
-) {
-    let sim = Simulator::new(
-        tasks.clone(),
-        Processor::ideal_continuous(),
-        config(horizon),
-    )
-    .expect("test task sets are feasible");
-    let mut facade_gov = make_governor(name).expect("lineup names resolve");
-    let facade = sim
-        .run_faulted_with_scratch(facade_gov.as_mut(), exec, plan, &mut SimScratch::new())
-        .expect("facade run succeeds");
-    let mut direct_gov = make_governor(name).expect("lineup names resolve");
-    let direct = sim
-        .run_faulted_direct(direct_gov.as_mut(), exec, plan, &mut SimScratch::new())
-        .expect("direct run succeeds");
-
-    // The kernel must have actually driven the facade run...
-    assert!(
-        facade.kernel.handled_total() > 0,
-        "{label}/{name}: facade run saw no kernel events"
-    );
-    // ...and the oracle path reports zeroed accounting by construction.
-    assert_eq!(direct.kernel, KernelStats::default(), "{label}/{name}");
-
-    // Everything else is bit-identical: job records, trace segments,
-    // energy bits, switches, event counts, fault and model reports.
-    let mut masked = facade.clone();
-    masked.kernel = KernelStats::default();
-    assert_eq!(
-        masked, direct,
-        "{label}/{name}: facade diverged from the direct oracle"
-    );
 }
 
 /// The fault-plan axis: fault-free and overrun + release jitter combined
@@ -100,9 +75,72 @@ fn fault_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-#[test]
-fn facade_matches_direct_oracle_across_seeds_lineup_and_faults() {
-    let mut cases = 0usize;
+/// The fixture's header: every counter column is named after its
+/// [`EventKind`] label.
+fn header() -> String {
+    let mut out = String::from("label,governor,core");
+    for prefix in ["emitted", "handled"] {
+        for kind in EventKind::ALL {
+            write!(out, ",{prefix}_{}", kind.label()).expect("string write");
+        }
+    }
+    out.push_str(",events,switches,energy_bits,completed,misses\n");
+    out
+}
+
+/// Appends one fixture row for one core's outcome.
+fn push_row(out: &mut String, label: &str, core: usize, outcome: &SimOutcome) {
+    write!(out, "{label},{},{core}", outcome.governor).expect("string write");
+    for counts in [outcome.kernel.emitted, outcome.kernel.handled] {
+        for count in counts {
+            write!(out, ",{count}").expect("string write");
+        }
+    }
+    writeln!(
+        out,
+        ",{},{},{:016x},{},{}",
+        outcome.events,
+        outcome.switches,
+        outcome.total_energy().to_bits(),
+        outcome.completed_jobs(),
+        outcome.miss_count()
+    )
+    .expect("string write");
+}
+
+/// Runs one uniprocessor case and appends its row.
+fn uni_row(
+    out: &mut String,
+    label: &str,
+    tasks: &TaskSet,
+    exec: &ExecutionModel,
+    name: &str,
+    plan: &FaultPlan,
+    scratch: &mut SimScratch,
+) {
+    let sim = Simulator::new(tasks.clone(), Processor::ideal_continuous(), config(12.0))
+        .expect("test task sets are feasible");
+    let mut governor = make_governor(name).expect("lineup names resolve");
+    let outcome = sim
+        .run_faulted_with_scratch(governor.as_mut(), exec, plan, scratch)
+        .unwrap_or_else(|e| panic!("{label}/{name}: run failed: {e}"));
+    push_row(out, label, 0, &outcome);
+}
+
+/// The shared caps of the platform rows, in watts of aggregate active
+/// draw (`None` runs without a ledger). Four cores at full speed draw
+/// 4 W on the normalized cubic model, so every cap here can bind.
+const PLATFORM_CAPS: &[(&str, Option<f64>)] = &[
+    ("uncapped", None),
+    ("2.5W", Some(2.5)),
+    ("1.5W", Some(1.5)),
+    ("1W", Some(1.0)),
+];
+
+/// Renders the whole accounting matrix as the fixture's text.
+fn render() -> String {
+    let mut out = header();
+    let mut scratch = SimScratch::new();
     for seed in [11u64, 23, 47] {
         let case =
             WorkloadCase::synthetic(6, 0.75, DemandPattern::Uniform { min: 0.3, max: 1.0 }, seed);
@@ -110,17 +148,19 @@ fn facade_matches_direct_oracle_across_seeds_lineup_and_faults() {
             // Jitter is delay-only; governors that cannot absorb it are
             // excluded exactly as the experiment runner excludes them.
             for name in jitter_safe_lineup(STANDARD_LINEUP, &plan) {
-                let label = format!("seed {seed}/{plan_name}");
-                assert_facade_matches_direct(&label, &case.tasks, &case.exec, name, 12.0, &plan);
-                cases += 1;
+                let label = format!("uni/seed{seed}/{plan_name}");
+                uni_row(
+                    &mut out,
+                    &label,
+                    &case.tasks,
+                    &case.exec,
+                    name,
+                    &plan,
+                    &mut scratch,
+                );
             }
         }
     }
-    assert!(cases >= 30, "matrix too small: {cases} cases");
-}
-
-#[test]
-fn facade_matches_direct_oracle_under_mixed_task_models() {
     let mix = ModelMix::new()
         .with_weakly_hard(2, 1, 3)
         .expect("mix literals valid")
@@ -128,7 +168,6 @@ fn facade_matches_direct_oracle_under_mixed_task_models() {
         .expect("mix literals valid")
         .with_frame(1, 0.5)
         .expect("mix literals valid");
-    let mut cases = 0usize;
     for seed in [11u64, 23, 47] {
         let tasks = TaskSetSpec::new(6, 0.6)
             .expect("test parameters are valid")
@@ -141,12 +180,132 @@ fn facade_matches_direct_oracle_under_mixed_task_models() {
             .expect("test pattern is valid")
             .with_seed(seed ^ 0x5EED);
         for name in capable_lineup(STANDARD_LINEUP, required_caps(&tasks)) {
-            let label = format!("seed {seed}/mixed-models");
-            assert_facade_matches_direct(&label, &tasks, &exec, name, 12.0, &FaultPlan::NONE);
-            cases += 1;
+            let label = format!("uni/seed{seed}/mixed-models");
+            uni_row(
+                &mut out,
+                &label,
+                &tasks,
+                &exec,
+                name,
+                &FaultPlan::NONE,
+                &mut scratch,
+            );
         }
     }
-    assert!(cases >= 15, "matrix too small: {cases} cases");
+
+    let mut scratch = PlatformScratch::new();
+    for rep in 0..2u64 {
+        let case = WorkloadCase::synthetic_union(
+            CORES,
+            5,
+            0.5,
+            DemandPattern::Uniform { min: 0.2, max: 1.0 },
+            rep,
+        );
+        platform_rows(
+            &mut out,
+            &format!("wfd{CORES}/rep{rep}"),
+            case,
+            &mut scratch,
+        );
+        platform_rows(
+            &mut out,
+            &format!("wfd{CORES}/harmonic{rep}"),
+            harmonic_union(rep),
+            &mut scratch,
+        );
+    }
+    out
+}
+
+/// Cores of the platform rows.
+const CORES: usize = 4;
+
+/// A union of [`CORES`] five-task sets at utilization 0.5 each, with
+/// harmonic periods (10 ms · 2^k). Cores wake at bit-equal release
+/// instants, so the order in which they reach the budget ledger rests on
+/// their sequence numbers — which the continuous periods of
+/// [`WorkloadCase::synthetic_union`] almost never put to the test.
+fn harmonic_union(seed: u64) -> WorkloadCase {
+    let mut tasks = Vec::new();
+    for core in 0..CORES as u64 {
+        let sub = TaskSetSpec::new(5, 0.5)
+            .expect("test parameters are valid")
+            .with_periods(PeriodGenerator::Harmonic {
+                base: 0.010,
+                octaves: 5,
+            })
+            .with_seed(seed * 16 + core)
+            .generate()
+            .expect("generation succeeds");
+        tasks.extend(sub.tasks().iter().cloned());
+    }
+    WorkloadCase::fixed(
+        TaskSet::new(tasks).expect("the union is non-empty"),
+        DemandPattern::Uniform { min: 0.2, max: 1.0 },
+        seed,
+    )
+}
+
+/// Partitions `case` onto [`CORES`] cores by WFD, runs the standard
+/// lineup on it under every [`PLATFORM_CAPS`] entry, and appends a row
+/// per run and core.
+fn platform_rows(out: &mut String, label: &str, case: WorkloadCase, scratch: &mut PlatformScratch) {
+    let partitioner = partitioner_by_name("wfd").expect("registered partitioner");
+    let workload = PlatformWorkload::partitioned(case, partitioner.as_ref(), CORES);
+    assert!(
+        workload.partition.admitted(),
+        "{label}: WFD rejected a task"
+    );
+    let assignments: Vec<Option<TaskSet>> = (0..CORES)
+        .map(|c| workload.partition.core_task_set(&workload.case.tasks, c))
+        .collect();
+    let sim = PlatformSim::new(
+        Platform::homogeneous(CORES, Processor::ideal_continuous())
+            .expect("core counts are positive"),
+        assignments,
+        SimConfig::new(2.0).expect("test horizon is valid"),
+    )
+    .expect("admitted partitions are feasible per core");
+    let execs: Vec<_> = (0..CORES)
+        .map(|c| workload.partition.core_demand(&workload.case.exec, c))
+        .collect();
+    for (cap_label, cap) in PLATFORM_CAPS {
+        for name in STANDARD_LINEUP {
+            let governors = |_| make_governor(name).expect("lineup names resolve");
+            let outcome = match cap {
+                None => sim.run_faulted_with_scratch(governors, &execs, &FaultPlan::NONE, scratch),
+                Some(watts) => sim
+                    .run_budgeted(governors, &execs, *watts, scratch)
+                    .map(|(outcome, _)| outcome),
+            }
+            .unwrap_or_else(|e| panic!("{label}/{cap_label}/{name}: run failed: {e}"));
+            for (core, core_outcome) in outcome.cores.iter().enumerate() {
+                push_row(out, &format!("{label}/{cap_label}"), core, core_outcome);
+            }
+        }
+    }
+}
+
+#[test]
+fn engine_accounting_matches_committed_fixture() {
+    let actual = render();
+    // The matrix must emit every event kind, or a counter the fixture
+    // is meant to pin could drift unobserved.
+    let mut emitted = [0u64; EVENT_KINDS];
+    for line in actual.lines().skip(1) {
+        for (total, field) in emitted.iter_mut().zip(line.split(',').skip(3)) {
+            *total += field.parse::<u64>().expect("counter column");
+        }
+    }
+    for kind in EventKind::ALL {
+        assert!(
+            emitted[kind.index()] > 0,
+            "the matrix never emits a {} event",
+            kind.label()
+        );
+    }
+    golden::check(FIXTURE, &actual);
 }
 
 // ---------------------------------------------------------------------

@@ -2,13 +2,14 @@
 //!
 //! The scenario the monolithic per-core loop could not express: all cores
 //! draw from one power rail with a hard cap on *aggregate active draw*.
-//! The [`BudgetLedger`] lives in the kernel's [`crate::SharedState`]; at
-//! every dispatch a core engine asks it to grant a speed, and the ledger
-//! throttles the request down to whatever the remaining headroom (cap
-//! minus the other cores' current draws) can power. Because the kernel
-//! delivers events in global time order, the ledger's per-core draws are
-//! a time-consistent picture across cores — the coupling partitioned
-//! sequential stepping fundamentally could not see.
+//! [`crate::PlatformSim::run_budgeted`]'s drive loop lends the
+//! [`BudgetLedger`] to every core-engine step; at every dispatch the
+//! engine asks it to grant a speed, and the ledger throttles the request
+//! down to whatever the remaining headroom (cap minus the other cores'
+//! current draws) can power. Because the loop steps the cores in global
+//! time order, the ledger's per-core draws are a time-consistent picture
+//! across cores — the coupling partitioned sequential stepping
+//! fundamentally could not see.
 //!
 //! Semantics (kept deliberately simple for the `budget` demonstrator):
 //!

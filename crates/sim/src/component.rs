@@ -1,30 +1,39 @@
-//! Kernel components: the handler trait, the per-delivery context, the
-//! event-absorbing sink, and the per-core EDF-DVS engine.
+//! The per-core EDF-DVS engine and the loop that steps it.
 //!
-//! [`CoreEngine`] is the heart of the refactor: the legacy monolithic
-//! simulator loop, relocated *instruction-for-instruction* into a
-//! component. One handled kernel event executes exactly one iteration of
-//! the legacy loop body, after which the engine schedules its own next
-//! wake at its own post-iteration clock. All floating-point arithmetic
-//! happens inside the engine on its own clock — the kernel clock is
-//! ordering-only — so the same float operations run in the same order as
-//! the pre-kernel loop and the results are bit-identical by construction
-//! (pinned by the golden corpus and `kernel_differential`).
+//! [`CoreEngine`] is the legacy monolithic simulator loop, relocated
+//! *instruction-for-instruction* into a value: each step
+//! ([`Stepper::step`]) executes exactly one iteration of the legacy loop
+//! body on the engine's own clock, so the same float operations run in
+//! the same order as the pre-kernel loop and the results are
+//! bit-identical by construction (pinned by the golden corpus).
 //!
-//! Besides its wake events, the engine emits *note* events (completion,
-//! fault, skip, frame-boundary, budget) to observer components. Notes
-//! carry no float state and exist purely for the per-component counters
-//! surfaced in [`crate::SimOutcome::kernel`] — unbudgeted runs take no
-//! shared-state branch and are unperturbed by them.
+//! [`drive`] is the one way the simulators step their engines: one engine
+//! for [`crate::Simulator`], one per non-idle core for
+//! [`crate::PlatformSim`]. It repeatedly steps the engine whose pending
+//! *wake* has the least `(time bits, seq, core)` key — exactly the order
+//! in which the typed-event [`crate::Kernel`] delivered engine wakes when
+//! the engines ran inside it — and lends the shared budget ledger, if
+//! any, to each step.
+//!
+//! Each engine counts its own events as the kernel counted them, into
+//! [`crate::SimOutcome::kernel`]. A *wake* (`Release`/`Dispatch`) is the
+//! event an engine schedules for its own next step. A *note*
+//! (completion, fault, skip, frame boundary, budget throttle) is an
+//! emission that is counted and sequence-numbered but never queued or
+//! delivered. Notes must keep consuming sequence numbers: on a bit-tied
+//! wake time across cores the tie breaks on `seq`, and on a budgeted
+//! platform that order decides which core the ledger throttles
+//! (DESIGN.md §15).
 
 use stadvs_power::{EnergyAccumulator, Processor, Speed};
 
-use crate::event::{ComponentId, EventKind, EventQueue, SimEvent, EVENT_KINDS};
+use crate::budget::BudgetLedger;
+use crate::event::{EventKind, EVENT_KINDS};
 use crate::exec::ExecutionSource;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultReport, OverrunPolicy};
 use crate::governor::{Governor, SchedulerView};
 use crate::job::{ActiveJob, JobId, JobRecord};
-use crate::kernel::{KernelStats, SharedState};
+use crate::kernel::KernelStats;
 use crate::model::{mk_skip_allowed, ModelReport, SkipPolicy};
 use crate::outcome::SimOutcome;
 use crate::queue::{ReadySet, ReleaseQueue};
@@ -33,111 +42,126 @@ use crate::task::{TaskId, TaskKind, TaskSet};
 use crate::trace::{Segment, SegmentKind, Trace};
 use crate::SimError;
 
-/// A simulation component driven by the [`crate::Kernel`].
-///
-/// The handler's slot in the kernel's handler table is its
-/// [`ComponentId`]; events targeted at that id are delivered here, in
-/// deterministic `(time, seq, source)` order.
-pub trait EventHandler {
-    /// Handles one delivered event. Future events are emitted through
-    /// `ctx`; an `Err` aborts the kernel run.
-    ///
-    /// # Errors
-    ///
-    /// Component-specific; a core engine surfaces its simulation errors
-    /// ([`SimError::DeadlineMiss`], [`SimError::EventLimitExceeded`], …).
-    fn handle(&mut self, event: SimEvent, ctx: &mut ComponentCtx<'_>) -> Result<(), SimError>;
-}
-
-/// The per-delivery view of the kernel a component acts through: read
-/// the clock, emit future events (stamped with the component's own
-/// sequence counter), and reach the run-scoped [`SharedState`].
-pub struct ComponentCtx<'k> {
-    pub(crate) queue: &'k mut EventQueue,
-    pub(crate) seqs: &'k mut [u64],
-    pub(crate) emitted: &'k mut [[u64; EVENT_KINDS]],
-    pub(crate) now: f64,
-    pub(crate) delivered: u64,
-    pub(crate) shared: &'k mut SharedState,
-    pub(crate) self_id: ComponentId,
-}
-
-impl ComponentCtx<'_> {
-    /// The kernel clock (the delivered event's time).
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// The handling component's id.
-    pub fn self_id(&self) -> ComponentId {
-        self.self_id
-    }
-
-    /// The global delivery ordinal of the event being handled (1-based).
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// The run-scoped shared state (budget ledger, when present).
-    pub fn shared(&mut self) -> &mut SharedState {
-        self.shared
-    }
-
-    /// Emits an event at `time ≥ now` from this component to `target`.
-    pub fn emit(&mut self, time: f64, kind: EventKind, target: ComponentId) {
-        debug_assert!(
-            time + TIME_EPS >= self.now,
-            "component {} emitted into the past: {} < {}",
-            self.self_id.0,
-            time,
-            self.now
-        );
-        let s = self.self_id.0;
-        let seq = self.seqs[s];
-        self.seqs[s] += 1;
-        self.emitted[s][kind.index()] += 1;
-        self.queue.push(
-            SimEvent {
-                // Clamp within tolerance: queue times must be monotone.
-                time: time.max(self.now),
-                kind,
-                source: self.self_id,
-                target,
-            },
-            seq,
-        );
-    }
-}
-
-/// An event-absorbing observer: the trace sink that note events
-/// (completions, faults, skips, frame boundaries, budget throttles) are
-/// addressed to. All accounting happens in the kernel's per-component
-/// counters, so the component itself is a no-op — it also backs the
-/// handler-table slots of idle platform cores.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TraceSink;
-
-impl EventHandler for TraceSink {
-    fn handle(&mut self, _event: SimEvent, _ctx: &mut ComponentCtx<'_>) -> Result<(), SimError> {
-        Ok(())
-    }
-}
-
-/// Emits a note event when running under a kernel; a no-op on the
-/// direct (kernel-less) drive path, where only wake scheduling differs.
-fn note(ctx: Option<&mut ComponentCtx<'_>>, time: f64, kind: EventKind, target: ComponentId) {
-    if let Some(ctx) = ctx {
-        ctx.emit(time, kind, target);
-    }
-}
-
 /// What one engine step decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step {
-    /// The loop body ran to a continuation point; schedule the next wake.
+    /// The loop body ran to a continuation point; the next wake is due.
     Continue,
     /// The horizon was reached; no further wakes.
     Done,
+}
+
+/// The ordering key of an engine's pending wake: its time's bits and its
+/// sequence number. Times are non-negative finite, so the bits order
+/// exactly like the values. [`drive`] breaks a tie on the engine's
+/// position, which follows core order.
+pub(crate) type WakeKey = (u64, u64);
+
+/// The key of an engine with no pending wake: all-ones bits are a NaN,
+/// never a wake time, so every pending wake orders before it.
+const NO_WAKE: WakeKey = (u64::MAX, u64::MAX);
+
+/// What [`drive`] steps: a [`CoreEngine`], or a stand-in in its tests.
+pub(crate) trait Stepper {
+    /// The key of the pending wake.
+    fn wake_key(&self) -> WakeKey;
+
+    /// Runs the step the pending wake stands for.
+    fn step(&mut self, ledger: Option<&mut BudgetLedger>) -> Result<Step, SimError>;
+}
+
+/// Steps `engines` until every one is done, always the one whose pending
+/// wake has the least `(time bits, seq, position)` key, lending `ledger`
+/// to each step. `wakes` is the caller's reusable key buffer.
+///
+/// # Errors
+///
+/// Returns the first error a step returns, in step order; the remaining
+/// engines are left where they stopped.
+pub(crate) fn drive<S: Stepper>(
+    engines: &mut [S],
+    wakes: &mut Vec<WakeKey>,
+    mut ledger: Option<&mut BudgetLedger>,
+) -> Result<(), SimError> {
+    wakes.clear();
+    wakes.extend(engines.iter().map(Stepper::wake_key));
+    let mut last = 0;
+    loop {
+        let mut next = None;
+        let mut least = NO_WAKE;
+        for (position, &key) in wakes.iter().enumerate() {
+            if key < least {
+                least = key;
+                next = Some(position);
+            }
+        }
+        let Some(position) = next else {
+            return Ok(());
+        };
+        debug_assert!(least.0 >= last, "wake order moved backwards");
+        last = least.0;
+        let engine = &mut engines[position];
+        wakes[position] = match engine.step(ledger.as_deref_mut())? {
+            Step::Continue => engine.wake_key(),
+            Step::Done => NO_WAKE,
+        };
+    }
+}
+
+/// An engine's event accounting, counted exactly as the kernel counted a
+/// component's events (DESIGN.md §15).
+#[derive(Debug, Clone, Copy)]
+struct Tally {
+    /// The next emission's sequence number.
+    seq: u64,
+    emitted: [u64; EVENT_KINDS],
+    handled: [u64; EVENT_KINDS],
+    /// The pending wake's kind and sequence number.
+    wake: EventKind,
+    wake_seq: u64,
+}
+
+impl Tally {
+    /// A tally whose pending wake is the seeded release at t = 0,
+    /// emission 0.
+    fn seeded() -> Tally {
+        let mut tally = Tally {
+            seq: 0,
+            emitted: [0; EVENT_KINDS],
+            handled: [0; EVENT_KINDS],
+            wake: EventKind::Release,
+            wake_seq: 0,
+        };
+        tally.schedule(EventKind::Release);
+        tally
+    }
+
+    /// Counts a note: an emission that takes a sequence number but is
+    /// never delivered.
+    fn note(&mut self, kind: EventKind) {
+        self.seq += 1;
+        self.emitted[kind.index()] += 1;
+    }
+
+    /// Emits the next wake: counted like a note, and pending until the
+    /// engine's next step handles it.
+    fn schedule(&mut self, kind: EventKind) {
+        self.wake = kind;
+        self.wake_seq = self.seq;
+        self.note(kind);
+    }
+
+    /// Counts the pending wake as handled.
+    fn handle(&mut self) {
+        self.handled[self.wake.index()] += 1;
+    }
+
+    fn stats(&self) -> KernelStats {
+        KernelStats {
+            emitted: self.emitted,
+            handled: self.handled,
+        }
+    }
 }
 
 /// Structure-of-arrays copy of the per-task hot parameters, filled once
@@ -209,11 +233,12 @@ pub(crate) struct CoreScratch {
     pub(crate) frame_streak: Vec<u64>,
 }
 
-/// The per-core EDF-DVS engine: the legacy simulator loop as a kernel
-/// component. Construction runs the legacy pre-loop setup (scratch
-/// resets, `Governor::on_start`); each [`CoreEngine::step`] is one legacy
-/// loop iteration; [`CoreEngine::finish`] is the legacy post-loop
-/// (horizon drain, sorting, outcome assembly).
+/// The per-core EDF-DVS engine: the legacy simulator loop as a value.
+/// Construction runs the legacy pre-loop setup (scratch resets,
+/// `Governor::on_start`) and seeds the first wake; each step
+/// ([`Stepper::step`]) is one legacy loop iteration;
+/// [`CoreEngine::finish`] is the legacy post-loop (horizon drain,
+/// sorting, outcome assembly).
 pub(crate) struct CoreEngine<'s, G, E: ?Sized> {
     // Static run inputs.
     tasks: &'s TaskSet,
@@ -226,9 +251,7 @@ pub(crate) struct CoreEngine<'s, G, E: ?Sized> {
     miss_policy: MissPolicy,
     max_events: u64,
     skip_policy: SkipPolicy,
-    self_id: ComponentId,
-    sink: ComponentId,
-    budget: Option<ComponentId>,
+    /// The core's slot in the budget ledger.
     core_index: usize,
     faults_on: bool,
     jittered: bool,
@@ -267,7 +290,7 @@ pub(crate) struct CoreEngine<'s, G, E: ?Sized> {
     // accounting have diverged from wall-clock time.
     audit_prev_now: f64,
     audit_accounted: f64,
-    done: bool,
+    tally: Tally,
 }
 
 impl<'s, G, E> CoreEngine<'s, G, E>
@@ -275,7 +298,8 @@ where
     G: Governor,
     E: ExecutionSource + ?Sized,
 {
-    /// Creates the engine and runs the legacy pre-loop setup.
+    /// Creates the engine, runs the legacy pre-loop setup and seeds the
+    /// first wake: a release at t = 0.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         tasks: &'s TaskSet,
@@ -285,9 +309,6 @@ where
         exec: &'s E,
         plan: &'s FaultPlan,
         scratch: &'s mut CoreScratch,
-        self_id: ComponentId,
-        sink: ComponentId,
-        budget: Option<ComponentId>,
         core_index: usize,
     ) -> CoreEngine<'s, G, E> {
         let horizon = config.horizon();
@@ -360,9 +381,6 @@ where
             miss_policy: config.miss_policy(),
             max_events: config.max_events(),
             skip_policy: config.skip_policy(),
-            self_id,
-            sink,
-            budget,
             core_index,
             faults_on,
             jittered,
@@ -386,28 +404,18 @@ where
             recovery_start: None,
             audit_prev_now: 0.0,
             audit_accounted: 0.0,
-            done: false,
+            tally: Tally::seeded(),
         }
     }
 
-    /// Whether the ready set is empty (the next wake is a release wait).
-    fn waiting_for_release(&self) -> bool {
-        self.scratch.ready.is_empty()
-    }
-
-    /// One iteration of the legacy simulator loop. `ctx` is `Some` when
-    /// driven by the kernel (note events and budget grants are live) and
-    /// `None` on the direct oracle path — the note branches reduce to
-    /// no-ops there, and no other instruction differs.
+    /// One iteration of the legacy simulator loop. `ledger` is the shared
+    /// budget ledger of a budgeted platform run.
     ///
     /// # Errors
     ///
     /// * [`SimError::DeadlineMiss`] under [`MissPolicy::Fail`];
     /// * [`SimError::EventLimitExceeded`] if the runaway guard trips.
-    pub(crate) fn step(
-        &mut self,
-        ctx: &mut Option<&mut ComponentCtx<'_>>,
-    ) -> Result<Step, SimError> {
+    fn iterate(&mut self, ledger: Option<&mut BudgetLedger>) -> Result<Step, SimError> {
         self.events += 1;
         if self.events > self.max_events {
             return Err(SimError::EventLimitExceeded {
@@ -470,7 +478,7 @@ where
                         TaskKind::Sporadic { .. } => self.model_report.sporadic_jobs += 1,
                         TaskKind::Frame { .. } => {
                             self.model_report.frame_jobs += 1;
-                            note(ctx.as_deref_mut(), now, EventKind::FrameBoundary, self.sink);
+                            self.tally.note(EventKind::FrameBoundary);
                         }
                     }
                 }
@@ -489,7 +497,7 @@ where
                         at: release,
                         kind: FaultKind::SkippedRelease,
                     });
-                    note(ctx.as_deref_mut(), now, EventKind::Fault, self.sink);
+                    self.tally.note(EventKind::Fault);
                     self.contaminated_ids.push(id);
                     self.records.push(JobRecord {
                         id,
@@ -518,7 +526,7 @@ where
                         // job is a loss in the (m,k) window.
                         self.model_report.skips += 1;
                         self.skipped_ids.push(id);
-                        note(ctx.as_deref_mut(), now, EventKind::Skip, self.sink);
+                        self.tally.note(EventKind::Skip);
                         shed_record = Some(JobRecord {
                             id,
                             release,
@@ -555,7 +563,7 @@ where
                                         delay: release - nominal,
                                     },
                                 });
-                                note(ctx.as_deref_mut(), now, EventKind::Fault, self.sink);
+                                self.tally.note(EventKind::Fault);
                             }
                             if self.contamination_active {
                                 job.contaminated = true;
@@ -653,7 +661,6 @@ where
         }
 
         if now >= horizon - TIME_EPS {
-            self.done = true;
             return Ok(Step::Done);
         }
 
@@ -689,10 +696,8 @@ where
                 self.governor.on_idle(&view);
             }
             // An idle core draws no active power from the shared rail.
-            if let Some(c) = ctx.as_deref_mut() {
-                if let Some(ledger) = c.shared.budget.as_mut() {
-                    ledger.settle_idle(self.core_index);
-                }
+            if let Some(ledger) = ledger {
+                ledger.settle_idle(self.core_index);
             }
             let wake = next_arrival.min(horizon).max(now);
             if wake > now {
@@ -715,7 +720,6 @@ where
         //    selection order is identical to a linear scan of the jobs).
         let Some(ji) = self.scratch.ready.edf_index() else {
             // Unreachable: the ready set was checked non-empty above.
-            self.done = true;
             return Ok(Step::Done);
         };
         let cur_id = self.scratch.ready.job(ji).id;
@@ -800,24 +804,22 @@ where
                         at: now,
                         kind: FaultKind::DroppedSwitch,
                     });
-                    note(ctx.as_deref_mut(), now, EventKind::Fault, self.sink);
+                    self.tally.note(EventKind::Fault);
                     speed = self.current_speed;
                 }
             }
         }
-        // Shared power budget (kernel-backed budgeted runs only): the
-        // ledger throttles the grant to the rail's remaining headroom.
-        // Placed after every legacy adjustment so unbudgeted runs take no
-        // branch here; overrun-forced full speed overrides the cap (the
+        // Shared power budget (budgeted platform runs only): the ledger
+        // throttles the grant to the rail's remaining headroom. Placed
+        // after every legacy adjustment so unbudgeted runs take no branch
+        // here; overrun-forced full speed overrides the cap (the
         // certificate is already void — recovery wins over the rail).
         if !forced {
-            if let Some(c) = ctx.as_deref_mut() {
-                if let (Some(ledger), Some(budget_id)) = (c.shared.budget.as_mut(), self.budget) {
-                    let granted = ledger.grant(self.core_index, speed, self.processor);
-                    if !granted.same_point(speed) {
-                        c.emit(now, EventKind::Budget, budget_id);
-                        speed = granted;
-                    }
+            if let Some(ledger) = ledger {
+                let granted = ledger.grant(self.core_index, speed, self.processor);
+                if !granted.same_point(speed) {
+                    self.tally.note(EventKind::Budget);
+                    speed = granted;
                 }
             }
         }
@@ -911,7 +913,7 @@ where
                     at: now,
                     kind: FaultKind::WcetOverrun { factor },
                 });
-                note(ctx.as_deref_mut(), now, EventKind::Fault, self.sink);
+                self.tally.note(EventKind::Fault);
                 self.contamination_active = true;
                 if self.recovery_start.is_none() {
                     self.recovery_start = Some(now);
@@ -945,7 +947,7 @@ where
                             at: now,
                             kind: FaultKind::Aborted,
                         });
-                        note(ctx.as_deref_mut(), now, EventKind::Fault, self.sink);
+                        self.tally.note(EventKind::Fault);
                         self.contaminated_ids.push(job.id);
                         self.last_running = None;
                         self.records.push(JobRecord {
@@ -967,7 +969,7 @@ where
                             at: now,
                             kind: FaultKind::ForcedFullSpeed,
                         });
-                        note(ctx.as_deref_mut(), now, EventKind::Fault, self.sink);
+                        self.tally.note(EventKind::Fault);
                     }
                     OverrunPolicy::SkipNext => {
                         self.scratch.ready.job_mut(ji).forced_max = true;
@@ -977,7 +979,7 @@ where
                             at: now,
                             kind: FaultKind::ForcedFullSpeed,
                         });
-                        note(ctx.as_deref_mut(), now, EventKind::Fault, self.sink);
+                        self.tally.note(EventKind::Fault);
                         self.scratch.skip_next[cur_id.task.0] = true;
                     }
                 }
@@ -1052,7 +1054,7 @@ where
                 self.release_epoch,
             );
             self.governor.on_completion(&view, &record);
-            note(ctx.as_deref_mut(), now, EventKind::Completion, self.sink);
+            self.tally.note(EventKind::Completion);
             self.records.push(record);
         }
         Ok(Step::Continue)
@@ -1060,15 +1062,14 @@ where
 
     /// The legacy post-loop: drains incomplete jobs, puts the records in
     /// `(task, index)` order, sorts and deduplicates the attribution
-    /// lists, and assembles the outcome.
-    /// `kernel` is the engine component's event accounting (zeroed on
-    /// the direct drive path).
+    /// lists, and assembles the outcome with the engine's event
+    /// accounting.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::DeadlineMiss`] under [`MissPolicy::Fail`] if
     /// an uncontaminated job already past its deadline never completed.
-    pub(crate) fn finish(mut self, kernel: KernelStats) -> Result<SimOutcome, SimError> {
+    pub(crate) fn finish(mut self) -> Result<SimOutcome, SimError> {
         let horizon = self.horizon;
         // Jobs still incomplete when the horizon ended.
         for job in self.scratch.ready.drain_jobs() {
@@ -1147,7 +1148,7 @@ where
             models: self.model_report,
             release_batches: self.release_batches,
             analysis: self.governor.analysis_stats().unwrap_or_default(),
-            kernel,
+            kernel: self.tally.stats(),
             trace: self.trace,
         })
     }
@@ -1202,41 +1203,205 @@ fn place_records(records: &mut [JobRecord], released: &mut [u64]) -> bool {
     true
 }
 
-impl<G, E> EventHandler for CoreEngine<'_, G, E>
+impl<G, E> Stepper for CoreEngine<'_, G, E>
 where
     G: Governor,
     E: ExecutionSource + ?Sized,
 {
-    fn handle(&mut self, _event: SimEvent, ctx: &mut ComponentCtx<'_>) -> Result<(), SimError> {
-        if self.done {
-            // Horizon already reached; a stray wake is absorbed.
-            return Ok(());
+    fn wake_key(&self) -> WakeKey {
+        (self.now.to_bits(), self.tally.wake_seq)
+    }
+
+    /// Handles the pending wake with one loop iteration, after which
+    /// the next wake is due at the engine's own clock: a release wait
+    /// when the ready set is empty, a dispatch continuation otherwise.
+    fn step(&mut self, ledger: Option<&mut BudgetLedger>) -> Result<Step, SimError> {
+        self.tally.handle();
+        let step = self.iterate(ledger)?;
+        if step == Step::Continue {
+            self.tally.schedule(if self.scratch.ready.is_empty() {
+                EventKind::Release
+            } else {
+                EventKind::Dispatch
+            });
         }
-        let mut live = Some(ctx);
-        match self.step(&mut live)? {
-            Step::Continue => {
-                // Self-schedule the next legacy-loop iteration at the
-                // engine's own post-iteration clock. The kind is a label:
-                // waiting-for-release wakes read as releases, all others
-                // as dispatch continuations.
-                let kind = if self.waiting_for_release() {
-                    EventKind::Release
-                } else {
-                    EventKind::Dispatch
-                };
-                if let Some(ctx) = live {
-                    ctx.emit(self.now, kind, self.self_id);
-                }
-            }
-            Step::Done => {}
-        }
-        Ok(())
+        Ok(step)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    use crate::event::{ComponentId, SimEvent};
+    use crate::kernel::{ComponentCtx, EventHandler, Kernel};
+
+    /// One core's scripted run: the time of each wake, the notes the step
+    /// it stands for emits, and whether that step fails.
+    #[derive(Debug, Clone)]
+    struct Script {
+        core: usize,
+        wakes: Vec<(f64, u64, bool)>,
+    }
+
+    /// A stand-in engine for [`drive`]: it follows its script, counts
+    /// its events in a [`Tally`] as a [`CoreEngine`] does, and logs each
+    /// step as `(core, wake time bits)`.
+    struct Scripted<'a> {
+        script: &'a Script,
+        next: usize,
+        tally: Tally,
+        log: &'a RefCell<Vec<(usize, u64)>>,
+    }
+
+    impl Stepper for Scripted<'_> {
+        fn wake_key(&self) -> WakeKey {
+            (
+                self.script.wakes[self.next].0.to_bits(),
+                self.tally.wake_seq,
+            )
+        }
+
+        fn step(&mut self, _: Option<&mut BudgetLedger>) -> Result<Step, SimError> {
+            self.tally.handle();
+            let (time, notes, fails) = self.script.wakes[self.next];
+            self.log
+                .borrow_mut()
+                .push((self.script.core, time.to_bits()));
+            if fails {
+                return Err(SimError::EventLimitExceeded { limit: 0 });
+            }
+            for _ in 0..notes {
+                self.tally.note(EventKind::Completion);
+            }
+            self.next += 1;
+            if self.next == self.script.wakes.len() {
+                return Ok(Step::Done);
+            }
+            self.tally.schedule(EventKind::Dispatch);
+            Ok(Step::Continue)
+        }
+    }
+
+    /// The same script as a kernel component: each delivered wake emits
+    /// its notes to the sink, then the next wake to itself.
+    struct Replayed<'a> {
+        script: &'a Script,
+        next: usize,
+        sink: ComponentId,
+        log: &'a RefCell<Vec<(usize, u64)>>,
+    }
+
+    impl EventHandler for Replayed<'_> {
+        fn handle(&mut self, event: SimEvent, ctx: &mut ComponentCtx<'_>) -> Result<(), SimError> {
+            let (_, notes, fails) = self.script.wakes[self.next];
+            self.log
+                .borrow_mut()
+                .push((self.script.core, event.time.to_bits()));
+            if fails {
+                return Err(SimError::EventLimitExceeded { limit: 0 });
+            }
+            for _ in 0..notes {
+                ctx.emit(ctx.now(), EventKind::Completion, self.sink);
+            }
+            self.next += 1;
+            if let Some(&(time, _, _)) = self.script.wakes.get(self.next) {
+                ctx.emit(time, EventKind::Dispatch, ctx.self_id());
+            }
+            Ok(())
+        }
+    }
+
+    /// Absorbs notes.
+    struct Sink;
+
+    impl EventHandler for Sink {
+        fn handle(&mut self, _: SimEvent, _: &mut ComponentCtx<'_>) -> Result<(), SimError> {
+            Ok(())
+        }
+    }
+
+    /// Property: [`drive`] steps engines in exactly the order the kernel
+    /// delivers the same wakes, notes included, and stops at the same
+    /// failing step. Wake times sit on a coarse grid, so bit-tied wakes
+    /// across cores are common and the order often rests on `seq`; cores
+    /// without wakes are idle and get no engine, as on a platform.
+    #[test]
+    fn drive_order_matches_kernel_delivery_order() {
+        crate::rng::check("drive_order_matches_kernel_delivery_order", 256, |rng| {
+            let cores = 1 + rng.below(8) as usize;
+            let fail_at = (rng.below(2) == 0).then(|| (rng.below(cores as u64), rng.below(12)));
+            let scripts: Vec<Script> = (0..cores)
+                .map(|core| {
+                    let mut time = 0.0;
+                    let wakes = (0..rng.below(12))
+                        .map(|i| {
+                            time += rng.below(3) as f64 * 0.5;
+                            let fails = fail_at == Some((core as u64, i));
+                            (time, rng.below(4), fails)
+                        })
+                        .collect();
+                    Script { core, wakes }
+                })
+                .collect();
+
+            let driven = RefCell::new(Vec::new());
+            let mut engines: Vec<Scripted<'_>> = scripts
+                .iter()
+                .filter(|script| !script.wakes.is_empty())
+                .map(|script| Scripted {
+                    script,
+                    next: 0,
+                    tally: Tally::seeded(),
+                    log: &driven,
+                })
+                .collect();
+            let driven_result = drive(&mut engines, &mut Vec::new(), None);
+
+            let delivered = RefCell::new(Vec::new());
+            let mut kernel = Kernel::new();
+            kernel.reset(cores + 1, None);
+            for script in &scripts {
+                if let Some(&(time, _, _)) = script.wakes.first() {
+                    let id = ComponentId(script.core);
+                    kernel.schedule(SimEvent {
+                        time,
+                        kind: EventKind::Release,
+                        source: id,
+                        target: id,
+                    });
+                }
+            }
+            let mut replayed: Vec<Replayed<'_>> = scripts
+                .iter()
+                .map(|script| Replayed {
+                    script,
+                    next: 0,
+                    sink: ComponentId(cores),
+                    log: &delivered,
+                })
+                .collect();
+            let mut sink = Sink;
+            let mut handlers: Vec<&mut dyn EventHandler> = replayed
+                .iter_mut()
+                .map(|r| r as &mut dyn EventHandler)
+                .collect();
+            handlers.push(&mut sink);
+            let kernel_result = kernel.run(&mut handlers);
+
+            if driven_result.is_ok() != kernel_result.is_ok() {
+                return Err(format!("drive {driven_result:?}, kernel {kernel_result:?}"));
+            }
+            let (driven, delivered) = (driven.into_inner(), delivered.into_inner());
+            if driven != delivered {
+                return Err(format!(
+                    "drive order {driven:?}\nkernel order {delivered:?}"
+                ));
+            }
+            Ok(())
+        });
+    }
 
     fn record(task: usize, index: u64) -> JobRecord {
         JobRecord {

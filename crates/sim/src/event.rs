@@ -29,6 +29,9 @@
 //! wheel is property-tested against). Admissibility: every pop compares
 //! the wheel's best key with the rail's best key, so an event is returned
 //! at its exact total-order position no matter which side holds it.
+//! The geometry was tuned for the simulators when they ran on the
+//! kernel; they no longer queue events (DESIGN.md §15), so the queue now
+//! serves the [`crate::Kernel`] alone.
 
 use std::collections::VecDeque;
 

@@ -1,26 +1,105 @@
 //! The discrete-event simulation kernel: a shared deterministic clock,
 //! the typed event queue, and per-component event accounting.
 //!
-//! A [`Kernel`] owns the clock and one [`crate::SimEvent`] queue; the
-//! components it drives (core engines, trace sinks, the budget observer)
-//! implement [`crate::EventHandler`] and are addressed by caller-assigned
-//! [`ComponentId`] slots. [`Kernel::run`] pops events in the total
-//! `(time, seq, source)` order and delivers each to its target with a
-//! [`crate::ComponentCtx`] through which the component reads the clock,
+//! A [`Kernel`] owns the clock and one [`SimEvent`] queue; the components
+//! it drives implement [`EventHandler`] and are addressed by
+//! caller-assigned [`ComponentId`] slots. [`Kernel::run`] pops events in
+//! the total `(time, seq, source)` order and delivers each to its target
+//! with a [`ComponentCtx`] through which the component reads the clock,
 //! emits future events, and reaches the run-scoped [`SharedState`]
 //! (currently the optional power-budget ledger).
 //!
-//! Allocation discipline: the kernel lives inside the run scratch
-//! ([`crate::SimScratch`] / [`crate::PlatformScratch`]) and
-//! [`Kernel::reset`] reuses the queue buffer and counter tables across
-//! runs — the steady-state event path allocates nothing and boxes
-//! nothing (components are pre-registered in an index-addressed slice;
-//! events are `Copy`).
+//! No simulator runs on the kernel. [`crate::Simulator`] and
+//! [`crate::PlatformSim`] step their core engines in a plain drive loop
+//! that reproduces the kernel's delivery order and per-component counters
+//! without queueing an event (DESIGN.md §15). The kernel stays as the
+//! reference model that loop's order is property-tested against, and as
+//! the API the benchmark's kernel-cost probe drives.
+//!
+//! Allocation discipline: [`Kernel::reset`] reuses the queue buffer and
+//! counter tables across runs — the steady-state event path allocates
+//! nothing and boxes nothing (components are pre-registered in an
+//! index-addressed slice; events are `Copy`).
 
 use crate::budget::BudgetLedger;
-use crate::component::{ComponentCtx, EventHandler};
 use crate::event::{ComponentId, EventKind, EventQueue, SimEvent, EVENT_KINDS};
+use crate::simulator::TIME_EPS;
 use crate::SimError;
+
+/// A simulation component driven by the [`Kernel`].
+///
+/// The handler's slot in the kernel's handler table is its
+/// [`ComponentId`]; events targeted at that id are delivered here, in
+/// deterministic `(time, seq, source)` order.
+pub trait EventHandler {
+    /// Handles one delivered event. Future events are emitted through
+    /// `ctx`; an `Err` aborts the kernel run.
+    ///
+    /// # Errors
+    ///
+    /// Component-specific; the kernel stops at the first one.
+    fn handle(&mut self, event: SimEvent, ctx: &mut ComponentCtx<'_>) -> Result<(), SimError>;
+}
+
+/// The per-delivery view of the kernel a component acts through: read
+/// the clock, emit future events (stamped with the component's own
+/// sequence counter), and reach the run-scoped [`SharedState`].
+pub struct ComponentCtx<'k> {
+    pub(crate) queue: &'k mut EventQueue,
+    pub(crate) seqs: &'k mut [u64],
+    pub(crate) emitted: &'k mut [[u64; EVENT_KINDS]],
+    pub(crate) now: f64,
+    pub(crate) delivered: u64,
+    pub(crate) shared: &'k mut SharedState,
+    pub(crate) self_id: ComponentId,
+}
+
+impl ComponentCtx<'_> {
+    /// The kernel clock (the delivered event's time).
+    pub fn now(&self) -> f64 {
+        self.now
+    }
+
+    /// The handling component's id.
+    pub fn self_id(&self) -> ComponentId {
+        self.self_id
+    }
+
+    /// The global delivery ordinal of the event being handled (1-based).
+    pub fn delivered(&self) -> u64 {
+        self.delivered
+    }
+
+    /// The run-scoped shared state (budget ledger, when present).
+    pub fn shared(&mut self) -> &mut SharedState {
+        self.shared
+    }
+
+    /// Emits an event at `time ≥ now` from this component to `target`.
+    pub fn emit(&mut self, time: f64, kind: EventKind, target: ComponentId) {
+        debug_assert!(
+            time + TIME_EPS >= self.now,
+            "component {} emitted into the past: {} < {}",
+            self.self_id.0,
+            time,
+            self.now
+        );
+        let s = self.self_id.0;
+        let seq = self.seqs[s];
+        self.seqs[s] += 1;
+        self.emitted[s][kind.index()] += 1;
+        self.queue.push(
+            SimEvent {
+                // Clamp within tolerance: queue times must be monotone.
+                time: time.max(self.now),
+                kind,
+                source: self.self_id,
+                target,
+            },
+            seq,
+        );
+    }
+}
 
 /// Per-component event counters, by [`EventKind`] slot
 /// (see [`EventKind::index`]).

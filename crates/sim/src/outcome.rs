@@ -53,16 +53,17 @@ pub struct SimOutcome {
     /// engine step that released at least one job. Buckets: 1, 2, 3, 4,
     /// 5–8, 9–16, 17–32, 33+ releases drained in that step's single
     /// release pass. Diagnostic only (how batched the hyperperiod
-    /// lattice actually is); identical on the facade and direct drive
-    /// paths because both run the same step body.
+    /// lattice actually is).
     pub release_batches: [u64; 8],
     /// Demand-analysis effort counters (quiet for governors without a
     /// per-dispatch slack analysis).
     pub analysis: AnalysisStats,
-    /// The core engine's per-kind event accounting from the simulation
-    /// kernel (`emitted` = wakes and notes this core's engine scheduled,
-    /// `handled` = events delivered to it). Zeroed for idle cores and on
-    /// the kernel-less oracle drive path.
+    /// The core engine's per-kind event accounting, counted as the
+    /// simulation kernel counted it when engines ran inside it:
+    /// `emitted` = the wakes and notes the engine issued (the seeded
+    /// release at t = 0 included), `handled` = the wakes it stepped on.
+    /// Notes are counted but never delivered (DESIGN.md §15). Zeroed for
+    /// idle cores.
     pub kernel: KernelStats,
     /// The full execution trace, if recording was enabled.
     pub trace: Option<Trace>,

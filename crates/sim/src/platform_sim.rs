@@ -2,21 +2,21 @@
 //!
 //! Under partitioned EDF there is no migration: each core schedules its
 //! own task subset with its own governor, its own speed state, and its
-//! own energy account. [`PlatformSim`] drives the N per-core engines as
-//! components of one shared [`crate::Kernel`]: every core is a
-//! pre-registered [`crate::EventHandler`] slot, the kernel pops the
-//! per-core wake events in global `(time, seq, component)` order, and
-//! each delivery executes exactly one step of that core's legacy loop.
-//! Because partitioned cores share no mutable state, this interleaving is
+//! own energy account. [`PlatformSim`] steps the per-core engines in one
+//! drive loop, always the core whose pending wake has the least
+//! `(time, seq, core)` key — the global order in which the typed-event
+//! kernel delivered them when the cores ran inside it — and each step
+//! executes exactly one iteration of that core's legacy loop. Because
+//! partitioned cores share no mutable state, this interleaving is
 //! bit-identical per core to running the streams sequentially — and a
 //! 1-core platform is *bit-identical* to the uniprocessor [`Simulator`]
 //! (the differential tests pin both).
 //!
-//! What the shared kernel adds over sequential stepping is *coupling*:
-//! [`PlatformSim::run_budgeted`] threads a [`BudgetLedger`] through the
-//! kernel's shared state, and because grants happen in global time order
-//! the ledger sees a time-consistent picture of all cores' draws — the
-//! platform-level power cap the old per-core loop could not express.
+//! What the global order adds over sequential stepping is *coupling*:
+//! [`PlatformSim::run_budgeted`] lends a [`BudgetLedger`] to every step,
+//! and because grants happen in global time order the ledger sees a
+//! time-consistent picture of all cores' draws — the platform-level
+//! power cap the old per-core loop could not express.
 //!
 //! Each core gets a **fresh governor instance** from the caller's factory
 //! (governors carry per-run state; sharing one across cores would leak
@@ -26,12 +26,12 @@
 //! energy — an "empty" core is still powered.
 
 use crate::budget::{BudgetLedger, BudgetReport};
-use crate::component::{CoreEngine, CoreScratch, EventHandler, TraceSink};
-use crate::event::{ComponentId, EventKind, SimEvent};
+use crate::component::{drive, CoreEngine, CoreScratch, WakeKey};
+use crate::event::QueueStats;
 use crate::exec::ExecutionSource;
 use crate::fault::{FaultPlan, FaultReport};
 use crate::governor::Governor;
-use crate::kernel::{Kernel, KernelStats};
+use crate::kernel::KernelStats;
 use crate::outcome::SimOutcome;
 use crate::simulator::{SimConfig, Simulator};
 use crate::task::TaskSet;
@@ -43,13 +43,13 @@ use crate::audit::{audit_outcome, AuditReport};
 
 /// Reusable per-core working memory for [`PlatformSim`] runs.
 ///
-/// One [`CoreScratch`] per core plus the shared kernel, grown on demand
-/// and reused across runs — the platform event path never allocates per
-/// event.
+/// One [`CoreScratch`] per core plus the drive loop's wake-key buffer,
+/// grown on demand and reused across runs — the platform event path
+/// never allocates per event.
 #[derive(Debug, Clone, Default)]
 pub struct PlatformScratch {
     per_core: Vec<CoreScratch>,
-    kernel: Kernel,
+    wakes: Vec<WakeKey>,
     /// Idle cores' governor names, rebuilt each run (the `String`s are
     /// per-run, the `Vec` spine is reused).
     idle_names: Vec<Option<String>>,
@@ -68,10 +68,11 @@ impl PlatformScratch {
         }
     }
 
-    /// The shared event queue's timing-wheel occupancy counters from the
-    /// last run through this scratch (zeroed before each run).
-    pub fn queue_stats(&self) -> crate::QueueStats {
-        self.kernel.queue_stats()
+    /// Always all-zero: a run steps its cores in a plain loop and queues
+    /// no events, so there is no event queue to report on. Kept because
+    /// the benchmark's `sim.queue.*` counters still read it.
+    pub fn queue_stats(&self) -> QueueStats {
+        QueueStats::default()
     }
 }
 
@@ -300,8 +301,8 @@ impl PlatformSim {
     /// plan's seeded draws key on each core's *local* task ids), and
     /// reusable scratch memory.
     ///
-    /// All cores are driven as components of one shared kernel; because
-    /// partitioned cores share no mutable state, the global event
+    /// All cores are stepped in one drive loop in global wake order;
+    /// because partitioned cores share no mutable state, that
     /// interleaving is bit-identical per core to sequential stepping
     /// (module docs).
     ///
@@ -323,7 +324,7 @@ impl PlatformSim {
         G: FnMut(usize) -> Box<dyn Governor>,
         E: ExecutionSource,
     {
-        self.run_kernel_backed(make_governor, execs, plan, None, scratch)
+        self.run_cores(make_governor, execs, plan, None, scratch)
             .map(|(outcome, _)| outcome)
     }
 
@@ -350,7 +351,7 @@ impl PlatformSim {
         E: ExecutionSource,
     {
         let ledger = BudgetLedger::new(cap_watts, self.cores.len())?;
-        let (outcome, report) = self.run_kernel_backed(
+        let (outcome, report) = self.run_cores(
             make_governor,
             execs,
             &FaultPlan::NONE,
@@ -360,17 +361,15 @@ impl PlatformSim {
         Ok((outcome, report.unwrap_or_default()))
     }
 
-    /// The one platform drive path: registers every core engine, the note
-    /// sink, and (when budgeted) the budget observer with the shared
-    /// kernel, seeds each non-idle core's initial release wake, and drains
-    /// the queue. Component layout: core `k` is slot `k`, the sink is slot
-    /// `n`, the budget observer (budgeted runs only) slot `n + 1`.
-    fn run_kernel_backed<G, E>(
+    /// The one platform drive path: builds an engine per non-idle core,
+    /// steps them all in one drive loop that lends `ledger` (budgeted
+    /// runs only) to each step, and assembles the per-core outcomes.
+    fn run_cores<G, E>(
         &self,
         mut make_governor: G,
         execs: &[E],
         plan: &FaultPlan,
-        cap: Option<BudgetLedger>,
+        mut ledger: Option<BudgetLedger>,
         scratch: &mut PlatformScratch,
     ) -> Result<(PlatformOutcome, Option<BudgetReport>), SimError>
     where
@@ -387,28 +386,22 @@ impl PlatformSim {
         scratch.ensure(n);
         let PlatformScratch {
             per_core,
-            kernel,
+            wakes,
             idle_names,
         } = scratch;
-        let sink_id = ComponentId(n);
-        let budgeted = cap.is_some();
-        let budget_id = if budgeted {
-            Some(ComponentId(n + 1))
-        } else {
-            None
-        };
-        kernel.reset(n + 1 + usize::from(budgeted), cap);
 
         // Build the engines in core order — every core (idle or not) gets
         // a fresh governor instance, so factory side effects stay
-        // core-ordered exactly as under sequential stepping.
-        let mut engines: Vec<Option<CoreEngine<'_, Box<dyn Governor>, E>>> = Vec::with_capacity(n);
+        // core-ordered exactly as under sequential stepping. Only
+        // non-idle cores get an engine, so an engine's position in
+        // `engines` orders like its core index.
+        let mut engines: Vec<CoreEngine<'_, Box<dyn Governor>, E>> = Vec::with_capacity(n);
         idle_names.clear();
         for ((core, sim), core_scratch) in self.cores.iter().enumerate().zip(per_core.iter_mut()) {
             let governor = make_governor(core);
             match sim {
                 Some(sim) => {
-                    engines.push(Some(CoreEngine::new(
+                    engines.push(CoreEngine::new(
                         sim.tasks(),
                         sim.processor(),
                         &self.config,
@@ -416,57 +409,26 @@ impl PlatformSim {
                         &execs[core],
                         plan,
                         core_scratch,
-                        ComponentId(core),
-                        sink_id,
-                        budget_id,
                         core,
-                    )));
+                    ));
                     idle_names.push(None);
                 }
                 None => {
-                    engines.push(None);
                     // xtask:allow(hot-path-alloc): once per idle core at setup
                     idle_names.push(Some(governor.name().to_string()));
                 }
             }
         }
-        for (core, engine) in engines.iter().enumerate() {
-            if engine.is_some() {
-                kernel.schedule(SimEvent {
-                    time: 0.0,
-                    kind: EventKind::Release,
-                    source: ComponentId(core),
-                    target: ComponentId(core),
-                });
-            }
-        }
-        let mut sink = TraceSink;
-        let mut budget_observer = TraceSink;
-        // Idle cores' handler slots are backed by zero-sized sinks; no
-        // events ever target them (nothing is seeded for an idle core).
-        let mut placeholders: Vec<TraceSink> = vec![TraceSink; n];
-        {
-            let mut handlers: Vec<&mut dyn EventHandler> = Vec::with_capacity(n + 2);
-            for (engine, placeholder) in engines.iter_mut().zip(placeholders.iter_mut()) {
-                match engine {
-                    Some(e) => handlers.push(e),
-                    None => handlers.push(placeholder),
-                }
-            }
-            handlers.push(&mut sink);
-            if budgeted {
-                handlers.push(&mut budget_observer);
-            }
-            kernel.run(&mut handlers)?;
-        }
-        let budget_report = kernel.take_budget().map(|ledger| ledger.report());
+        drive(&mut engines, wakes, ledger.as_mut())?;
         let mut outcomes = Vec::with_capacity(n);
-        for (core, engine) in engines.into_iter().enumerate() {
-            let outcome = match engine {
-                Some(engine) => engine.finish(kernel.stats_for(ComponentId(core)))?,
-                None => self.idle_outcome(core, idle_names[core].as_deref().unwrap_or_default()),
-            };
-            outcomes.push(outcome);
+        for engine in engines {
+            outcomes.push(engine.finish()?);
+        }
+        // Idle cores slot in at their core index, in ascending order.
+        for (core, name) in idle_names.iter().enumerate() {
+            if let Some(name) = name {
+                outcomes.insert(core, self.idle_outcome(core, name));
+            }
         }
         // A platform always has at least one core, but stay panic-free.
         let governor = outcomes
@@ -479,7 +441,7 @@ impl PlatformSim {
                 horizon: self.config.horizon(),
                 cores: outcomes,
             },
-            budget_report,
+            ledger.map(|ledger| ledger.report()),
         ))
     }
 

@@ -1,13 +1,17 @@
 //! The event-driven preemptive EDF / DVS simulation engine.
+//!
+//! [`Simulator`] runs one [`CoreEngine`] to completion through the same
+//! drive loop ([`drive`]) that steps a platform's cores, so a 1-core
+//! platform and the uniprocessor simulator share every instruction,
+//! event accounting included.
 
 use stadvs_power::Processor;
 
-use crate::component::{CoreEngine, CoreScratch, EventHandler, Step, TraceSink};
-use crate::event::{ComponentId, EventKind, SimEvent};
+use crate::component::{drive, CoreEngine, CoreScratch, WakeKey};
+use crate::event::QueueStats;
 use crate::exec::ExecutionSource;
 use crate::fault::FaultPlan;
 use crate::governor::Governor;
-use crate::kernel::{Kernel, KernelStats};
 use crate::model::SkipPolicy;
 use crate::outcome::SimOutcome;
 use crate::task::TaskSet;
@@ -156,16 +160,16 @@ impl SimConfig {
 /// Reusable working memory for [`Simulator::run_with_scratch`].
 ///
 /// One simulation run needs the per-core scheduling buffers (ready set,
-/// release queue, per-task counters) plus the kernel's event queue and
-/// counter tables. All of them are sized by the task set, not the
-/// horizon, and all of them are fully reset at the start of each run — so
-/// a single `SimScratch` can be threaded through thousands of runs (the
+/// release queue, per-task counters) plus the drive loop's wake-key
+/// buffer. All of them are sized by the task set, not the horizon, and
+/// all of them are fully reset at the start of each run — so a single
+/// `SimScratch` can be threaded through thousands of runs (the
 /// experiment sweeps do exactly this, one scratch per worker thread)
 /// without re-allocating per case.
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
-    pub(crate) core: CoreScratch,
-    pub(crate) kernel: Kernel,
+    core: CoreScratch,
+    wakes: Vec<WakeKey>,
 }
 
 impl SimScratch {
@@ -174,11 +178,11 @@ impl SimScratch {
         SimScratch::default()
     }
 
-    /// The event queue's timing-wheel occupancy counters from the last
-    /// kernel-driven run through this scratch (zeroed before each run;
-    /// all-zero after direct oracle runs, which bypass the kernel).
-    pub fn queue_stats(&self) -> crate::QueueStats {
-        self.kernel.queue_stats()
+    /// Always all-zero: a run steps its engine in a plain loop and queues
+    /// no events, so there is no event queue to report on. Kept because
+    /// the benchmark's `sim.queue.*` counters still read it.
+    pub fn queue_stats(&self) -> QueueStats {
+        QueueStats::default()
     }
 }
 
@@ -342,61 +346,6 @@ impl Simulator {
         G: Governor + ?Sized,
         E: ExecutionSource + ?Sized,
     {
-        let SimScratch { core, kernel } = scratch;
-        // Fixed component layout: the engine is slot 0, the note sink
-        // slot 1 — identical to a 1-core platform's layout, which is what
-        // keeps the uniprocessor and platform event accounting bit-equal.
-        const ENGINE: ComponentId = ComponentId(0);
-        const SINK: ComponentId = ComponentId(1);
-        kernel.reset(2, None);
-        let mut engine = CoreEngine::new(
-            &self.tasks,
-            &self.processor,
-            &self.config,
-            governor,
-            exec,
-            plan,
-            core,
-            ENGINE,
-            SINK,
-            None,
-            0,
-        );
-        kernel.schedule(SimEvent {
-            time: 0.0,
-            kind: EventKind::Release,
-            source: ENGINE,
-            target: ENGINE,
-        });
-        let mut sink = TraceSink;
-        {
-            let mut handlers: [&mut dyn EventHandler; 2] = [&mut engine, &mut sink];
-            kernel.run(&mut handlers)?;
-        }
-        let stats = kernel.stats_for(ENGINE);
-        engine.finish(stats)
-    }
-
-    /// Drives the very same [`CoreEngine`] the kernel-backed facade uses,
-    /// but directly — no event queue, no kernel clock — as the oracle for
-    /// the kernel differential harness: any divergence between this path
-    /// and [`Simulator::run_faulted_with_scratch`] is a bug in the kernel
-    /// plumbing, not in the engine. [`SimOutcome::kernel`] is zeroed on
-    /// this path (there is no kernel to count events).
-    ///
-    /// Not part of the supported API; use the regular run methods.
-    #[doc(hidden)]
-    pub fn run_faulted_direct<G, E>(
-        &self,
-        governor: &mut G,
-        exec: &E,
-        plan: &FaultPlan,
-        scratch: &mut SimScratch,
-    ) -> Result<SimOutcome, SimError>
-    where
-        G: Governor + ?Sized,
-        E: ExecutionSource + ?Sized,
-    {
         let mut engine = CoreEngine::new(
             &self.tasks,
             &self.processor,
@@ -405,13 +354,10 @@ impl Simulator {
             exec,
             plan,
             &mut scratch.core,
-            ComponentId(0),
-            ComponentId(1),
-            None,
             0,
         );
-        while let Step::Continue = engine.step(&mut None)? {}
-        engine.finish(KernelStats::default())
+        drive(std::slice::from_mut(&mut engine), &mut scratch.wakes, None)?;
+        engine.finish()
     }
 }
 

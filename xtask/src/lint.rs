@@ -62,12 +62,14 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/sources/demand.rs",
     "crates/core/src/slack_edf.rs",
     "crates/fleet/src/engine.rs",
-    // The kernel's per-event dispatch and queue live inside the `sim`
-    // crate and are already covered by HOT_PATH_CRATES; they are pinned
-    // here by name so the coverage survives any future re-scoping of the
-    // crate-level list. `queue.rs` (dense ready/release sets) and
-    // `component.rs` (the per-core facade with the SoA task table and the
-    // batched release loop) joined when the hot path went data-oriented.
+    // The simulators' per-step path lives inside the `sim` crate and is
+    // already covered by HOT_PATH_CRATES; it is pinned here by name so
+    // the coverage survives any future re-scoping of the crate-level
+    // list. `component.rs` holds the core engine (SoA task table, batched
+    // release loop) and the drive loop that steps it; `queue.rs` holds
+    // its dense ready/release sets. `event.rs` and `kernel.rs` are no
+    // longer on the simulators' path — the drive loop queues no events —
+    // but the kernel they implement is still benchmarked per event.
     "crates/sim/src/event.rs",
     "crates/sim/src/kernel.rs",
     "crates/sim/src/queue.rs",
