@@ -160,7 +160,7 @@ pub fn all() -> Vec<Experiment> {
         },
         Experiment {
             id: "budget",
-            title: "Shared platform power cap (kernel budget component)",
+            title: "Shared platform power cap (shared budget ledger)",
             run: budget::run,
         },
     ]

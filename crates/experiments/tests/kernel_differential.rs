@@ -26,8 +26,8 @@
 //! contract: the delivery order of a fixed event set is invariant to the
 //! order in which components hand their events to the queue (the
 //! `(time, seq, source)` key is a total order, so insertion order is
-//! unobservable), and equals the heap model through the wheel's overflow
-//! rail.
+//! unobservable), and equals a model that stamps each event with its
+//! per-source sequence number and sorts on that key.
 
 use std::fmt::Write as _;
 
@@ -355,8 +355,7 @@ fn delivery_sequence(components: usize, events: &[SimEvent]) -> Vec<(u64, usize)
 
 /// The reference model the queue's total order is defined against: stamp
 /// each event with its per-source sequence number in registration order,
-/// then stable-sort by the `(time bits, seq, source)` key — exactly what
-/// the retired binary heap guaranteed and the wheel must preserve.
+/// then sort by the `(time bits, seq, source)` key.
 fn model_sequence(components: usize, events: &[SimEvent]) -> Vec<(u64, usize)> {
     let mut seqs = vec![0u64; components];
     let mut keyed: Vec<([u64; 3], SimEvent)> = events
@@ -372,75 +371,6 @@ fn model_sequence(components: usize, events: &[SimEvent]) -> Vec<(u64, usize)> {
         .into_iter()
         .map(|(_, event)| (event.time.to_bits(), event.source.0))
         .collect()
-}
-
-#[test]
-fn wheel_pop_order_matches_heap_model_through_overflow() {
-    // Enough distinct pending timestamps to walk the queue through all
-    // three tiers: the sorted front cache, the timing wheel, and the heap
-    // overflow rail (which arms past cache + wheel capacity, well under
-    // the 240 distinct times scheduled here). The kernel's own stats
-    // prove the rail actually engaged.
-    const COMPONENTS: usize = 4;
-    const PER_SOURCE: usize = 60;
-    let mut per_source: Vec<Vec<SimEvent>> = (0..COMPONENTS)
-        .map(|source| {
-            (0..PER_SOURCE)
-                .map(|i| SimEvent {
-                    // Distinct across all sources: interleaved lattices.
-                    time: (i * COMPONENTS + source) as f64 * 0.125,
-                    kind: EventKind::Dispatch,
-                    source: ComponentId(source),
-                    target: ComponentId((source + 1) % COMPONENTS),
-                })
-                .collect()
-        })
-        .collect();
-    // A seeded round-robin interleaving (preserving per-source emission
-    // order, which the per-source seq stamp makes part of the contract).
-    let mut state = 0x1234_5678_9ABC_DEF1u64;
-    let mut schedule = Vec::with_capacity(COMPONENTS * PER_SOURCE);
-    while per_source.iter().any(|q| !q.is_empty()) {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let pick = (state >> 33) as usize % COMPONENTS;
-        for offset in 0..COMPONENTS {
-            let source = (pick + offset) % COMPONENTS;
-            if !per_source[source].is_empty() {
-                schedule.push(per_source[source].remove(0));
-                break;
-            }
-        }
-    }
-
-    let mut kernel = Kernel::new();
-    kernel.reset(COMPONENTS, None);
-    for &event in &schedule {
-        kernel.schedule(event);
-    }
-    let mut probes: Vec<Probe> = (0..COMPONENTS).map(|_| Probe::default()).collect();
-    {
-        let mut handlers: Vec<&mut dyn EventHandler> = probes
-            .iter_mut()
-            .map(|p| p as &mut dyn EventHandler)
-            .collect();
-        kernel
-            .run(&mut handlers)
-            .expect("probe handlers never fail");
-    }
-    let stats = kernel.queue_stats();
-    assert!(
-        stats.overflow_pushes > 0,
-        "stress must spill past the wheel: {stats:?}"
-    );
-    let mut merged: Vec<(u64, u64, usize)> = probes.into_iter().flat_map(|p| p.seen).collect();
-    merged.sort_unstable();
-    let actual: Vec<(u64, usize)> = merged
-        .into_iter()
-        .map(|(_, time, source)| (time, source))
-        .collect();
-    assert_eq!(model_sequence(COMPONENTS, &schedule), actual);
 }
 
 // ---------------------------------------------------------------------
@@ -551,13 +481,13 @@ fn delivery_order_is_registration_order_invariant() {
     );
 }
 
-/// Property: the kernel's delivery order is bit-identical to the heap
-/// model (per-source seq stamping + stable sort on the `(time bits, seq,
-/// source)` key) for arbitrary event sets — from all-ties (one bucket)
-/// through wide spreads that spill past the wheel onto the overflow rail.
+/// Property: the kernel's delivery order is bit-identical to the
+/// stamp-and-sort model (per-source seq stamping + sort on the `(time
+/// bits, seq, source)` key) for arbitrary event sets: up to 4 × 49
+/// pending events on a grid of 120 distinct times, so ties are common.
 #[test]
-fn wheel_delivery_matches_heap_model() {
-    check("wheel_delivery_matches_heap_model", 256, |rng| {
+fn delivery_matches_stamp_and_sort_model() {
+    check("delivery_matches_stamp_and_sort_model", 256, |rng| {
         let components = 2 + rng.below(3) as usize;
         let mut schedule = Vec::new();
         for source in 0..components {

@@ -255,7 +255,6 @@ pub(crate) struct CoreEngine<'s, G, E: ?Sized> {
     core_index: usize,
     faults_on: bool,
     jittered: bool,
-    models_on: bool,
     // Run state (the legacy loop's locals).
     now: f64,
     events: u64,
@@ -320,11 +319,6 @@ where
         // the periodic one only in the absence of delays.
         let faults_on = !plan.is_none();
         let jittered = faults_on && plan.has_jitter();
-        // Task-model state. `models_on` plays the same role for the model
-        // bookkeeping that `faults_on` plays for the fault channels: checked
-        // once per run, so all-hard task sets simulate bit-identically to
-        // the pre-model engine.
-        let models_on = !tasks.all_hard();
 
         scratch.ready.reset(n);
         scratch.hot.fill(tasks);
@@ -384,7 +378,6 @@ where
             core_index,
             faults_on,
             jittered,
-            models_on,
             now: 0.0,
             events: 0,
             records,
@@ -462,24 +455,21 @@ where
                 };
                 let release = self.scratch.releases.time(i);
                 let fault_shed = self.faults_on && self.scratch.skip_next[i];
-                if self.models_on {
-                    match kind {
-                        TaskKind::Hard => {}
-                        TaskKind::WeaklyHard { .. } => {
-                            self.model_report.weakly_hard_jobs += 1;
-                            // The ring slot wraps to this job: its
-                            // outcome starts as "lost" and is only set
-                            // on an on-time completion. Position
-                            // `index % 64` is outside every trailing
-                            // window a skip decision inspects (k ≤ 64),
-                            // so clearing before deciding is safe.
-                            self.scratch.mk_met[i] &= !(1u64 << (id.index % 64));
-                        }
-                        TaskKind::Sporadic { .. } => self.model_report.sporadic_jobs += 1,
-                        TaskKind::Frame { .. } => {
-                            self.model_report.frame_jobs += 1;
-                            self.tally.note(EventKind::FrameBoundary);
-                        }
+                match kind {
+                    TaskKind::Hard => {}
+                    TaskKind::WeaklyHard { .. } => {
+                        self.model_report.weakly_hard_jobs += 1;
+                        // The ring slot wraps to this job: its outcome
+                        // starts as "lost" and is only set on an on-time
+                        // completion. Position `index % 64` is outside
+                        // every trailing window a skip decision inspects
+                        // (k ≤ 64), so clearing before deciding is safe.
+                        self.scratch.mk_met[i] &= !(1u64 << (id.index % 64));
+                    }
+                    TaskKind::Sporadic { .. } => self.model_report.sporadic_jobs += 1,
+                    TaskKind::Frame { .. } => {
+                        self.model_report.frame_jobs += 1;
+                        self.tally.note(EventKind::FrameBoundary);
                     }
                 }
                 // A fault-shed (OverrunPolicy::SkipNext) takes priority
@@ -510,13 +500,12 @@ where
                         preemptions: 0,
                     });
                 } else {
-                    let mut model_skip = false;
-                    if self.models_on {
-                        if let TaskKind::WeaklyHard { m, k } = kind {
-                            model_skip = mk_skip_allowed(self.scratch.mk_met[i], id.index, m, k)
-                                && self.skip_policy.wants_skip(id);
-                        }
-                    }
+                    let model_skip = if let TaskKind::WeaklyHard { m, k } = kind {
+                        mk_skip_allowed(self.scratch.mk_met[i], id.index, m, k)
+                            && self.skip_policy.wants_skip(id)
+                    } else {
+                        false
+                    };
                     if model_skip {
                         // Energy-aware skip: shed the job at release as
                         // an instant zero-work completion. The governor
@@ -573,7 +562,7 @@ where
                     }
                 }
                 self.scratch.next_index[i] += 1;
-                if self.models_on && matches!(kind, TaskKind::Sporadic { .. }) {
+                if matches!(kind, TaskKind::Sporadic { .. }) {
                     // Sporadic recurrence: the next arrival trails this
                     // one by the seeded gap (≥ the period, so arrivals
                     // never precede the periodic lattice — the same
@@ -763,19 +752,16 @@ where
             speed
         };
         let mut speed = self.processor.quantize_up(requested);
-        if self.models_on && !forced {
-            // Frame-recovery boost: after a missed frame, the task's
-            // dispatches are floored at its boost ratio until it
-            // completes on time again. A speed floor (like the level
-            // clamp below) only ever raises speeds, so other tasks'
-            // deadlines are never endangered.
-            if let TaskKind::Frame { boost, .. } = self.scratch.ready.job(ji).kind {
-                if self.scratch.frame_boost[cur_id.task.0] && speed.ratio() < boost {
-                    speed = self
-                        .processor
-                        .quantize_up(Speed::clamped(boost, self.processor.min_speed()));
-                    self.model_report.boosted_dispatches += 1;
-                }
+        // Frame-recovery boost: after a missed frame, the task's
+        // dispatches are floored at its boost ratio until it completes on
+        // time again. A speed floor (like the level clamp below) only ever
+        // raises speeds, so other tasks' deadlines are never endangered.
+        if let TaskKind::Frame { boost, .. } = self.scratch.ready.job(ji).kind {
+            if !forced && self.scratch.frame_boost[cur_id.task.0] && speed.ratio() < boost {
+                speed = self
+                    .processor
+                    .quantize_up(Speed::clamped(boost, self.processor.min_speed()));
+                self.model_report.boosted_dispatches += 1;
             }
         }
         if self.faults_on && !forced {
@@ -1015,30 +1001,24 @@ where
                 });
             }
             self.last_running = None;
-            if self.models_on {
-                let on_time = !record.missed(self.horizon);
-                match job.kind {
-                    TaskKind::Hard | TaskKind::Sporadic { .. } => {}
-                    TaskKind::WeaklyHard { .. } => {
-                        if on_time {
-                            self.scratch.mk_met[record.id.task.0] |= 1u64 << (record.id.index % 64);
-                        }
+            match job.kind {
+                TaskKind::Hard | TaskKind::Sporadic { .. } => {}
+                TaskKind::WeaklyHard { .. } => {
+                    if !record.missed(self.horizon) {
+                        self.scratch.mk_met[record.id.task.0] |= 1u64 << (record.id.index % 64);
                     }
-                    TaskKind::Frame { .. } => {
-                        let ti = record.id.task.0;
-                        if on_time {
-                            self.scratch.frame_boost[ti] = false;
-                            self.scratch.frame_streak[ti] = 0;
-                        } else {
-                            self.scratch.frame_boost[ti] = true;
-                            self.scratch.frame_streak[ti] += 1;
-                            self.model_report.frame_misses += 1;
-                            if self.scratch.frame_streak[ti]
-                                > self.model_report.max_frame_miss_streak
-                            {
-                                self.model_report.max_frame_miss_streak =
-                                    self.scratch.frame_streak[ti];
-                            }
+                }
+                TaskKind::Frame { .. } => {
+                    let ti = record.id.task.0;
+                    if !record.missed(self.horizon) {
+                        self.scratch.frame_boost[ti] = false;
+                        self.scratch.frame_streak[ti] = 0;
+                    } else {
+                        self.scratch.frame_boost[ti] = true;
+                        self.scratch.frame_streak[ti] += 1;
+                        self.model_report.frame_misses += 1;
+                        if self.scratch.frame_streak[ti] > self.model_report.max_frame_miss_streak {
+                            self.model_report.max_frame_miss_streak = self.scratch.frame_streak[ti];
                         }
                     }
                 }
@@ -1120,11 +1100,9 @@ where
             self.contaminated_ids.dedup();
             self.report.contaminated = self.contaminated_ids;
         }
-        if self.models_on {
-            self.skipped_ids.sort_unstable();
-            self.skipped_ids.dedup();
-            self.model_report.skipped = self.skipped_ids;
-        }
+        self.skipped_ids.sort_unstable();
+        self.skipped_ids.dedup();
+        self.model_report.skipped = self.skipped_ids;
 
         let (busy, idle, transition) = match self.trace.as_ref() {
             Some(tr) => (tr.busy_time(), tr.idle_time(), tr.transition_time()),

@@ -1,13 +1,14 @@
 //! The discrete-event simulation kernel: a shared deterministic clock,
 //! the typed event queue, and per-component event accounting.
 //!
-//! A [`Kernel`] owns the clock and one [`SimEvent`] queue; the components
-//! it drives implement [`EventHandler`] and are addressed by
-//! caller-assigned [`ComponentId`] slots. [`Kernel::run`] pops events in
-//! the total `(time, seq, source)` order and delivers each to its target
-//! with a [`ComponentCtx`] through which the component reads the clock,
-//! emits future events, and reaches the run-scoped [`SharedState`]
-//! (currently the optional power-budget ledger).
+//! A [`Kernel`] owns the clock and one [`SimEvent`] queue, a binary
+//! min-heap on the total `(time, seq, source)` key; the components it
+//! drives implement [`EventHandler`] and are addressed by caller-assigned
+//! [`ComponentId`] slots. [`Kernel::run`] pops events in that order and
+//! delivers each to its target with a [`ComponentCtx`] through which the
+//! component reads the clock, emits future events, and reaches the
+//! run-scoped [`SharedState`] (currently the optional power-budget
+//! ledger).
 //!
 //! No simulator runs on the kernel. [`crate::Simulator`] and
 //! [`crate::PlatformSim`] step their core engines in a plain drive loop
@@ -198,12 +199,6 @@ impl Kernel {
     /// Events still pending in the queue.
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// The event queue's timing-wheel occupancy counters for the current
-    /// run (reset by [`Kernel::reset`]).
-    pub fn queue_stats(&self) -> crate::event::QueueStats {
-        self.queue.stats()
     }
 
     /// Seeds an event before (or outside) [`Kernel::run`], stamped with

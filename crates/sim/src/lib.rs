@@ -21,10 +21,10 @@
 //!   scratch, and energy account per core; no migration), aggregated into
 //!   a [`PlatformOutcome`] — optionally under a shared power cap
 //!   ([`BudgetLedger`]).
-//! * [`Kernel`] — a discrete-event kernel: a deterministic queue of typed
-//!   [`SimEvent`]s with a stable `(time, seq, component)` total order,
-//!   delivered to pre-registered [`EventHandler`] components. The drive
-//!   loop reproduces its delivery order; no simulator runs on it.
+//! * [`Kernel`] — a discrete-event kernel: one binary heap of typed
+//!   [`SimEvent`]s on the total `(time, seq, component)` key, delivered
+//!   to pre-registered [`EventHandler`] components. The drive loop
+//!   reproduces its delivery order; no simulator runs on it.
 //! * [`rng`] — the one seeded random stream every workload draw and
 //!   property test derives from, plus the property runner.
 //!

@@ -433,9 +433,7 @@ impl TaskSet {
         self.tasks.iter().map(Task::density).sum()
     }
 
-    /// Whether every task follows the hard-periodic default model. The
-    /// simulator's model-aware paths are gated on this, so all-hard sets
-    /// simulate bit-identically to the pre-model engine.
+    /// Whether every task follows the hard-periodic default model.
     pub fn all_hard(&self) -> bool {
         self.tasks.iter().all(Task::is_hard)
     }
