@@ -6,7 +6,8 @@
 //! that aggregates results from an *unordered* source — a hash map, a
 //! work-stealing thread pool, a future rayon fleet — must first impose an
 //! order, or the golden traces stop being bit-identical across runs. The
-//! `unordered-float-reduction` lint points here.
+//! workspace `clippy.toml` bans hash containers outright; this module
+//! serves the unordered sources no lint can ban.
 //!
 //! [`stable_sum`] makes the result independent of input order by sorting
 //! under IEEE total order before accumulating; [`compensated_sum`] keeps

@@ -21,6 +21,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Compiler-checked domain lints (DESIGN.md §8): exact float compares,
+// panics, wildcard enum arms in library code; tests are exempt.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::wildcard_enum_match_arm
+    )
+)]
 
 mod cc_edf;
 mod dra;

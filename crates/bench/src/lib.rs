@@ -9,7 +9,6 @@
 //! Performance is measured by the separate benchmark package in
 //! `benchmark/` (see its README).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use stadvs_experiments::experiments::{by_id, RunOptions};

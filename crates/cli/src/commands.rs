@@ -319,6 +319,10 @@ pub fn fleet(args: &Args) -> CmdResult {
         spec.nodes().div_ceil(config.shard_size),
         config.shard_size
     );
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall time is printed for the user; no result depends on it"
+    )]
     let started = std::time::Instant::now();
     let outcome = run_fleet(&spec, &config)?;
     let elapsed = started.elapsed().as_secs_f64().max(1e-9);

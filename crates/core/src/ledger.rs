@@ -33,8 +33,8 @@ pub struct SlackLedger {
     revision: u64,
 }
 
-/// Equality compares the banked entries only — the [`revision`]
-/// (`SlackLedger::revision`) is a change counter, not state.
+/// Equality compares the banked entries only — the
+/// [`revision`](SlackLedger::revision) is a change counter, not state.
 impl PartialEq for SlackLedger {
     fn eq(&self, other: &SlackLedger) -> bool {
         self.entries == other.entries

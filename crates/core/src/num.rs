@@ -1,7 +1,7 @@
 //! Integer-to-float conversions sanctioned for claims/ledger arithmetic.
 //!
-//! The `as-cast` lint bans ad-hoc `as` casts between integers and floats
-//! in this crate: a truncating or precision-losing cast inside the slack
+//! `clippy::as_conversions` bans ad-hoc `as` casts between integers and
+//! floats in this crate: a truncating or precision-losing cast inside the slack
 //! ledger silently corrupts the guarantee arithmetic. Lossless `u32`
 //! conversions go through `f64::from`; `usize` counts (which have no
 //! `From<usize> for f64` impl) are funnelled through [`count_to_f64`],
@@ -13,9 +13,12 @@ const MAX_EXACT: usize = 1 << f64::MANTISSA_DIGITS;
 /// Converts a collection count to `f64`, checking in debug builds that the
 /// value is exactly representable (counts here are chunk or sample counts,
 /// always far below 2^53).
+#[expect(
+    clippy::as_conversions,
+    reason = "single sanctioned lossless count conversion"
+)]
 pub(crate) fn count_to_f64(n: usize) -> f64 {
     debug_assert!(n <= MAX_EXACT, "count {n} is not exactly representable");
-    // xtask:allow(as-cast): single sanctioned lossless count conversion
     n as f64
 }
 

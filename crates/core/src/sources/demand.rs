@@ -77,18 +77,17 @@ const STALE_COMPACT: usize = 32;
 ///   order and *repaired* when the release outlook moves: tombstoned
 ///   slide drops on-lattice; off-lattice, the moved chain is re-stamped
 ///   in its own slots when that keeps the order, and regenerated and
-///   spliced in otherwise (see [`ensure_seq`](DemandAnalysis::ensure_seq)
-///   and [`repair_seq`](DemandAnalysis::repair_seq)). Every repair keeps
-///   the sequence's times non-decreasing, tombstones included. The
-///   per-dispatch sweep then merges only the few ready/ledger singletons
-///   over this sequence ([`sweep_overlay`](DemandAnalysis::sweep_overlay)),
-///   a binary search and a plain loop per run of sequence events between
+///   spliced in otherwise (see `ensure_seq` and `repair_seq`). Every
+///   repair keeps the sequence's times non-decreasing, tombstones
+///   included. The per-dispatch sweep then merges only the few
+///   ready/ledger singletons over this sequence (`sweep_overlay`), a
+///   binary search and a plain loop per run of sequence events between
 ///   two singletons, instead of re-running the full tournament merge.
 /// * **early-exit pruning** — the checkpoint sweep stops as soon as no
 ///   later checkpoint can change the result (soundness argued at
-///   [`prune_safety`]); a non-positive tail bound skips the sweep
+///   `prune_safety`); a non-positive tail bound skips the sweep
 ///   entirely. Events before the dispatched job's deadline cannot bind,
-///   so the sweep only accumulates them ([`Sweep`]).
+///   so the sweep only accumulates them (`Sweep`).
 /// * **scratch layout** — the sweep reads dense per-event `f64` arrays
 ///   (times and denormalized claims); the from-scratch path's merge loop
 ///   touches a dense `claims` array keyed by stream index, its
@@ -260,26 +259,35 @@ struct DispatchCache {
 /// exactly as `total_cmp` does and a plain integer compare of the packed
 /// keys ranks earlier events first, ties to the lower stream index.
 #[inline]
+#[expect(
+    clippy::as_conversions,
+    reason = "lossless widening of an index into the key's low bits"
+)]
 fn pack(time: f64, stream: usize) -> u128 {
     debug_assert!(
         time.is_sign_positive(),
         "event time {time} must be non-negative"
     );
-    // xtask:allow(as-cast): lossless widening of an index into the key's low bits
     (u128::from(time.to_bits()) << 64) | stream as u128
 }
 
 /// The event time of a packed key.
 #[inline]
+#[expect(
+    clippy::as_conversions,
+    reason = "lossless truncation recovering the high 64 key bits"
+)]
 fn key_time(key: u128) -> f64 {
-    // xtask:allow(as-cast): lossless truncation recovering the high 64 key bits
     f64::from_bits((key >> 64) as u64)
 }
 
 /// The stream index of a packed key.
 #[inline]
+#[expect(
+    clippy::as_conversions,
+    reason = "recovers the index packed from a usize in `pack`"
+)]
 fn key_stream(key: u128) -> usize {
-    // xtask:allow(as-cast): recovers the index packed from a usize in `pack`
     key as u64 as usize
 }
 
@@ -370,8 +378,11 @@ pub struct DemandSlack {
 /// enforced bit-exactly by the debug re-check in
 /// [`DemandAnalysis::analyze`] and the differential proptests.
 #[inline]
+#[expect(
+    clippy::as_conversions,
+    reason = "exact widening of small operation counts"
+)]
 fn prune_safety(events: u64, n_tasks: usize, window: f64, claims: f64, tail_abs: f64) -> f64 {
-    // xtask:allow(as-cast): exact widening of small operation counts
     let ops = (events + 2 * n_tasks as u64 + 16) as f64;
     f64::EPSILON * ops * (window + claims + tail_abs + 1.0)
 }
@@ -639,9 +650,9 @@ impl DemandAnalysis {
             // of rebuilding at every call.
             self.seq_valid = seq_was_valid;
             debug_assert!(
-                // xtask:allow(float-eq): deliberate bit-identity check — the pruned sweep must match the reference exactly, not approximately
+                // The pruned sweep must match the reference exactly, not
+                // approximately.
                 result.slack.to_bits() == reference.slack.to_bits()
-                    // xtask:allow(float-eq): deliberate bit-identity check, as above
                     && result.binding_claims.to_bits() == reference.binding_claims.to_bits(),
                 "incremental analysis diverged from the from-scratch sweep: \
                  {result:?} != {reference:?}"
@@ -961,7 +972,6 @@ impl DemandAnalysis {
             self.seq_epoch = self.cache.release_epoch;
             self.extend_seq(horizon);
             self.seq_valid = true;
-        // xtask:allow(float-eq): release_epoch is a u64 change counter, not a time
         } else if self.seq_epoch != self.cache.release_epoch {
             self.repair_seq(horizon);
         } else if horizon > self.seq_horizon {
@@ -998,7 +1008,6 @@ impl DemandAnalysis {
                 "slot {p} carries a stale claim"
             );
             if let Some((u, v)) = prev {
-                // xtask:allow(float-eq): bit-equal times tie-break by task index
                 let ordered = u < t || (u.to_bits() == t.to_bits() && v < task);
                 assert!(ordered, "live events out of (time, task) order at slot {p}");
             }
@@ -1107,7 +1116,7 @@ impl DemandAnalysis {
         self.changed.resize(n, false);
         self.changed_idx.clear();
         for i in 0..n {
-            // xtask:allow(float-eq): deliberate bit-compare — an identical basis means an identical chain
+            // An identical basis (bit for bit) means an identical chain.
             if self.cache.release[i].to_bits() == self.seq_release[i].to_bits() {
                 continue;
             }
@@ -1254,7 +1263,6 @@ impl DemandAnalysis {
             let old_t = self.seq_times[p];
             while q < self.new_events.len() {
                 let (t, i) = self.new_events[q];
-                // xtask:allow(float-eq): bit-equal times tie-break by task index
                 if t < old_t || (t.to_bits() == old_t.to_bits() && i < old_task) {
                     self.seq_times_spare.push(t);
                     self.seq_task_spare.push(i);
@@ -1380,7 +1388,6 @@ impl DemandAnalysis {
                     }
                     continue;
                 }
-                // xtask:allow(float-eq): bit-equal times tie-break by task index
                 if !(u < t || (u.to_bits() == t.to_bits() && task < i)) {
                     return false;
                 }
@@ -1401,7 +1408,6 @@ impl DemandAnalysis {
                     }
                     continue;
                 }
-                // xtask:allow(float-eq): bit-equal times tie-break by task index
                 if !(t < u || (t.to_bits() == u.to_bits() && i < task)) {
                     return false;
                 }
@@ -1444,7 +1450,6 @@ impl DemandAnalysis {
             // A rebuilt task table invalidates the cached event sequence.
             self.seq_valid = false;
         }
-        // xtask:allow(float-eq): release_epoch is a u64 change counter, not a time
         if !cache.releases_valid || cache.release_epoch != view.release_epoch() {
             cache.release.clear();
             cache.next_deadline.clear();

@@ -81,7 +81,7 @@ pub fn run(opts: &RunOptions) -> Table {
                 N_TASKS_PER_CORE,
                 UTIL_PER_CORE,
                 DemandPattern::Uniform { min: 0.2, max: 1.0 },
-                rep as u64, // xtask:allow(as-cast): replication index as seed
+                rep as u64,
             );
             PlatformWorkload::partitioned(case, partitioner.as_ref(), CORES)
         })
@@ -131,14 +131,14 @@ pub fn run(opts: &RunOptions) -> Table {
                 misses += outcome.miss_count();
                 peak = peak.max(report.peak_draw);
             }
-            let reps = workloads.len() as f64; // xtask:allow(as-cast): mean over reps
+            let reps = workloads.len() as f64;
             table.push_row(
                 format!("{cap_label}/{name}"),
                 vec![
                     energy_sum / reps,
                     normalized_sum / reps,
-                    throttles as f64, // xtask:allow(as-cast): exact small count
-                    misses as f64,    // xtask:allow(as-cast): exact small count
+                    throttles as f64,
+                    misses as f64,
                     peak,
                 ],
             );

@@ -125,13 +125,13 @@ pub fn run(opts: &RunOptions) -> Table {
                     .issues
                     .iter()
                     .filter(|i| matches!(i, AuditIssue::MkViolation { .. }))
-                    .count() as u64; // xtask:allow(as-cast): small count
+                    .count() as u64;
                 normalized_sum += out.total_energy() / base;
                 hard_misses += out
                     .jobs
                     .iter()
                     .filter(|j| j.missed(out.horizon) && tasks.task(j.id.task).is_hard())
-                    .count() as u64; // xtask:allow(as-cast): small count
+                    .count() as u64;
                 skips += out.models.skips;
                 sporadic_jobs += out.models.sporadic_jobs;
                 frame_misses += out.models.frame_misses;
@@ -140,13 +140,13 @@ pub fn run(opts: &RunOptions) -> Table {
             table.push_row(
                 format!("{label}/{name}"),
                 vec![
-                    normalized_sum / cases.len() as f64, // xtask:allow(as-cast): mean over reps
-                    hard_misses as f64,                  // xtask:allow(as-cast): exact small count
-                    mk_violations as f64,                // xtask:allow(as-cast): exact small count
-                    skips as f64,                        // xtask:allow(as-cast): exact small count
-                    sporadic_jobs as f64,                // xtask:allow(as-cast): exact small count
-                    frame_misses as f64,                 // xtask:allow(as-cast): exact small count
-                    max_streak as f64,                   // xtask:allow(as-cast): exact small count
+                    normalized_sum / cases.len() as f64,
+                    hard_misses as f64,
+                    mk_violations as f64,
+                    skips as f64,
+                    sporadic_jobs as f64,
+                    frame_misses as f64,
+                    max_streak as f64,
                 ],
             );
         }

@@ -30,6 +30,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Compiler-checked domain lint (DESIGN.md §8): exact float compares in
+// library code; tests are exempt.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 mod csv;
 pub mod experiments;

@@ -59,9 +59,7 @@ impl Governor for DifferentialProbe {
         let swept = self.demand.stats().events_swept - swept_before;
         let (oracle, oracle_events) = self.demand.analyze_reference(view, job, &self.pool);
         assert!(
-            // xtask:allow(float-eq): deliberate bit-identity check against the oracle
             result.slack.to_bits() == oracle.slack.to_bits()
-                // xtask:allow(float-eq): deliberate bit-identity check, as above
                 && result.binding_claims.to_bits() == oracle.binding_claims.to_bits(),
             "{}: dispatch {} at t={} diverged: incremental {result:?}, oracle {oracle:?}",
             self.label,

@@ -65,6 +65,11 @@ fn field_u64(line: &str, key: &str) -> Result<u64, FleetError> {
         .map_err(|_| bad(format!("field {key:?} is not an integer")))
 }
 
+/// A count or index field, refused when it does not fit a `usize`.
+fn field_usize(line: &str, key: &str) -> Result<usize, FleetError> {
+    usize::try_from(field_u64(line, key)?).map_err(|_| bad(format!("field {key:?} out of range")))
+}
+
 fn field_str(line: &str, key: &str) -> Result<String, FleetError> {
     let rest = raw_value(line, key)?;
     let rest = rest
@@ -253,10 +258,12 @@ impl Checkpoint {
         let master_seed = field_u64(header, "master_seed")?;
         let nodes = field_u64(header, "nodes")?;
         let shard_size = field_u64(header, "shard_size")?;
-        let shards_done = usize::try_from(field_u64(header, "shards_done")?)
-            .map_err(|_| bad("shards_done out of range".to_string()))?;
-        let n_cells = field_u64(header, "cells")? as usize;
-        let n_sketches = field_u64(header, "governors")? as usize;
+        let shards_done = field_usize(header, "shards_done")?;
+        // The header's counts are untrusted: the vectors grow as lines
+        // parse, so a count the file does not back fails on a missing
+        // line instead of reserving memory up front.
+        let n_cells = field_usize(header, "cells")?;
+        let n_sketches = field_usize(header, "governors")?;
 
         let totals = lines
             .next()
@@ -265,12 +272,12 @@ impl Checkpoint {
             return Err(bad("second line is not the totals line".to_string()));
         }
 
-        let mut cells = Vec::with_capacity(n_cells);
+        let mut cells = Vec::new();
         for i in 0..n_cells {
             let line = lines
                 .next()
                 .ok_or_else(|| bad(format!("missing cell line {i}")))?;
-            let idx = field_u64(line, "cell")? as usize;
+            let idx = field_usize(line, "cell")?;
             if idx != i {
                 return Err(bad(format!("cell line {i} carries index {idx}")));
             }
@@ -283,12 +290,12 @@ impl Checkpoint {
             });
         }
 
-        let mut sketches = Vec::with_capacity(n_sketches);
+        let mut sketches = Vec::new();
         for i in 0..n_sketches {
             let line = lines
                 .next()
                 .ok_or_else(|| bad(format!("missing sketch line {i}")))?;
-            let idx = field_u64(line, "sketch")? as usize;
+            let idx = field_usize(line, "sketch")?;
             if idx != i {
                 return Err(bad(format!("sketch line {i} carries index {idx}")));
             }
@@ -450,6 +457,81 @@ mod tests {
         assert!(Checkpoint::parse(&truncated).is_err());
         let tampered = text.replace("\"cell\": 1,", "\"cell\": 9,");
         assert!(Checkpoint::parse(&tampered).is_err());
+    }
+
+    /// `text` with the integer after the first `"key": ` replaced by
+    /// `value`.
+    fn with_field(text: &str, key: &str, value: &str) -> String {
+        let pat = format!("\"{key}\": ");
+        let start = text.find(&pat).expect("field present") + pat.len();
+        let len = text[start..]
+            .find(|c: char| !c.is_ascii_digit())
+            .expect("field ends");
+        format!("{}{value}{}", &text[..start], &text[start + len..])
+    }
+
+    #[test]
+    fn oversized_counts_are_refused() {
+        let (spec, agg) = sample();
+        let text = Checkpoint::render(&spec, 8, 2, &agg);
+        // Header counts no allocation could back.
+        let cells = with_field(&text, "cells", "18446744073709551615");
+        assert!(Checkpoint::parse(&cells).is_err());
+        let governors = with_field(&text, "governors", "4611686018427387904");
+        assert!(Checkpoint::parse(&governors).is_err());
+        // Sketch counters whose total wraps past u64::MAX.
+        let wrapped = with_field(
+            &with_field(&text, "underflow", "18446744073709551615"),
+            "overflow",
+            "1",
+        );
+        assert!(Checkpoint::parse(&wrapped).is_err());
+    }
+
+    /// A corrupt checkpoint is refused or parsed, never a panic. Each case
+    /// applies one corruption to the rendered sample: a truncation at a
+    /// random char boundary, one digit replaced by another digit or by
+    /// `u64::MAX`, or one byte replaced by another printable ASCII byte.
+    /// The runner reports a panic inside `parse` with its case seed.
+    #[test]
+    fn corrupt_checkpoints_never_panic() {
+        let (spec, agg) = sample();
+        let text = Checkpoint::render(&spec, 8, 2, &agg);
+        assert!(text.is_ascii(), "byte edits below keep the text UTF-8");
+        let digits: Vec<usize> = text
+            .char_indices()
+            .filter(|(_, c)| c.is_ascii_digit())
+            .map(|(i, _)| i)
+            .collect();
+        let len = text.len() as u64;
+        stadvs_sim::rng::check("corrupt_checkpoints_never_panic", 256, |rng| {
+            let corrupted = match rng.below(3) {
+                0 => text[..rng.below(len + 1) as usize].to_string(),
+                1 => {
+                    let at = digits[rng.below(digits.len() as u64) as usize];
+                    let with = if rng.below(2) == 0 {
+                        let old = u64::from(text.as_bytes()[at] - b'0');
+                        ((old + 1 + rng.below(9)) % 10).to_string()
+                    } else {
+                        u64::MAX.to_string()
+                    };
+                    format!("{}{with}{}", &text[..at], &text[at + 1..])
+                }
+                _ => {
+                    let mut bytes = text.clone().into_bytes();
+                    let at = rng.below(len) as usize;
+                    // Another of the 95 printable ASCII bytes.
+                    let mut byte = b' ' + rng.below(95) as u8;
+                    if byte == bytes[at] {
+                        byte = if byte == b'~' { b' ' } else { byte + 1 };
+                    }
+                    bytes[at] = byte;
+                    String::from_utf8(bytes).map_err(|e| e.to_string())?
+                }
+            };
+            let _ = Checkpoint::parse(&corrupted);
+            Ok(())
+        });
     }
 
     #[test]

@@ -251,7 +251,8 @@ impl QuantileSketch {
     /// # Errors
     ///
     /// Returns a description of the problem if the state is structurally
-    /// invalid (empty buckets, degenerate range, non-finite edges).
+    /// invalid (empty buckets, degenerate range, non-finite edges) or its
+    /// counters sum past `u64::MAX`.
     pub fn from_state(state: SketchState) -> Result<QuantileSketch, String> {
         if state.buckets.is_empty() {
             return Err("sketch state has no buckets".to_string());
@@ -262,7 +263,12 @@ impl QuantileSketch {
                 state.lo, state.hi
             ));
         }
-        let count = state.underflow + state.overflow + state.buckets.iter().sum::<u64>();
+        let count = state
+            .buckets
+            .iter()
+            .try_fold(state.underflow, |acc, &b| acc.checked_add(b))
+            .and_then(|c| c.checked_add(state.overflow))
+            .ok_or_else(|| "sketch state counters overflow u64".to_string())?;
         Ok(QuantileSketch {
             lo: state.lo,
             hi: state.hi,

@@ -30,8 +30,11 @@ pub struct Processor {
 /// built from compile-time constant tables, each exercised by the catalog
 /// unit tests; a failure here is a broken constant, not a runtime
 /// condition, so the panic path is sanctioned in this one place.
+#[expect(
+    clippy::expect_used,
+    reason = "single sanctioned site for constant catalogs"
+)]
 fn preset<T>(component: Result<T, PowerError>) -> T {
-    // xtask:allow(no-panic): single sanctioned site for constant catalogs
     component.expect("preset catalog constant is valid")
 }
 

@@ -76,8 +76,11 @@ impl Speed {
     /// Epsilon comparisons belong to arithmetic-*derived* quantities, never
     /// to operating-point identity — a near-equal speed is still a
     /// different point and switching to it costs a real transition.
+    #[expect(
+        clippy::float_cmp,
+        reason = "operating-point identity is exact by design"
+    )]
     pub fn same_point(self, other: Speed) -> bool {
-        // xtask:allow(float-eq): operating-point identity is exact by design
         self.0 == other.0
     }
 

@@ -144,7 +144,6 @@ impl MkWindow {
         }
         let mut met = 0u32;
         for j in (self.count - u64::from(self.k))..self.count {
-            // xtask:allow(as-cast): not in crates/core, single-bit value
             met += ((self.bits >> (j % 64)) & 1) as u32;
         }
         Some(met)
@@ -570,7 +569,6 @@ pub fn audit_outcome(outcome: &SimOutcome, tasks: &TaskSet, plan: &FaultPlan) ->
                         contam_bits &= !bit;
                     }
                     window.record(met);
-                    // xtask:allow(float-eq): u64 bit-mask intersection test, not a float compare
                     if window.violated() && window.window_loss_mask() & contam_bits == 0 {
                         report.issues.push(AuditIssue::MkViolation {
                             task: tid.0,

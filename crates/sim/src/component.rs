@@ -923,7 +923,7 @@ where
                 }
                 // Exhaustive on purpose (no `_` arm): a new policy
                 // variant must force a decision at this exact point
-                // (enforced by the `fault-policy-exhaustive` lint).
+                // (enforced by `clippy::wildcard_enum_match_arm`).
                 match self.plan.resolve_policy(self.governor.overrun_policy()) {
                     OverrunPolicy::Abort => {
                         let job = self.scratch.ready.complete(ji);

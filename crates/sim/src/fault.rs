@@ -135,7 +135,6 @@ impl FaultReport {
         self.overruns == 0
             && self.aborted == 0
             && self.skipped_releases == 0
-            // xtask:allow(float-eq): integer fault counter, not a speed value
             && self.forced_full_speed == 0
             && self.dropped_switches == 0
             && self.jittered_releases == 0
@@ -149,7 +148,6 @@ impl FaultReport {
         if self.recovery_episodes == 0 {
             0.0
         } else {
-            // xtask:allow(as-cast): not in crates/core, counter to mean
             self.recovery_time / self.recovery_episodes as f64
         }
     }
@@ -412,7 +410,6 @@ impl FaultPlan {
     fn chance(&self, stream: u64, a: u64, b: u64) -> f64 {
         let h = splitmix64(self.seed ^ splitmix64(stream) ^ splitmix64(a ^ splitmix64(b)));
         // 53 high bits → exactly representable uniform grid in [0, 1).
-        // xtask:allow(as-cast): not in crates/core, exact 53-bit conversion
         (h >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
     }
 }

@@ -79,7 +79,6 @@ impl SkipPolicy {
                         ^ splitmix64(job.task.0 as u64 ^ splitmix64(job.index)),
                 );
                 // 53 high bits → exactly representable uniform grid in [0, 1).
-                // xtask:allow(as-cast): not in crates/core, exact 53-bit conversion
                 let u = (h >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0);
                 u < probability
             }
@@ -106,10 +105,9 @@ pub(crate) fn mk_skip_allowed(bits: u64, index: u64, m: u32, k: u32) -> bool {
     let real = lookback.min(index);
     // Outcomes before job 0 count as met: the window is padded with
     // virtual successes at startup.
-    // xtask:allow(as-cast): not in crates/core, lookback − real ≤ 63
+    // lookback − real ≤ 63, so the cast is exact.
     let mut met = (lookback - real) as u32;
     for j in (index - real)..index {
-        // xtask:allow(as-cast): not in crates/core, single-bit value
         met += ((bits >> (j % 64)) & 1) as u32;
     }
     met >= m

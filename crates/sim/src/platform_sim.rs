@@ -43,7 +43,7 @@ use crate::audit::{audit_outcome, AuditReport};
 
 /// Reusable per-core working memory for [`PlatformSim`] runs.
 ///
-/// One [`CoreScratch`] per core plus the drive loop's wake-key buffer,
+/// One `CoreScratch` per core plus the drive loop's wake-key buffer,
 /// grown on demand and reused across runs — the platform event path
 /// never allocates per event.
 #[derive(Debug, Clone, Default)]

@@ -115,6 +115,7 @@ impl Rng {
 ///
 /// Panics when the property returns `Err` or panics, naming the property,
 /// the case index and the seed.
+#[expect(clippy::panic, reason = "a failing property fails its test")]
 pub fn check<F>(name: &str, default_cases: u32, mut property: F)
 where
     F: FnMut(&mut Rng) -> Result<(), String>,
@@ -135,7 +136,6 @@ where
             Ok(Err(reason)) => reason,
             Err(payload) => panic_reason(payload.as_ref()),
         };
-        // xtask:allow(no-panic): a failing property fails its test
         panic!("property `{name}` failed at case {case} (seed {seed:#018x}): {reason}");
     }
 }

@@ -192,7 +192,10 @@ impl Task {
             } => {
                 // The period doubles as the minimum separation everywhere
                 // (utilization, demand analyses), so the two must agree.
-                // xtask:allow(float-eq): exact-equality admission check, not arithmetic
+                #[expect(
+                    clippy::float_cmp,
+                    reason = "exact-equality admission check, not arithmetic"
+                )]
                 if min_interarrival != self.period {
                     return Err(SimError::InvalidConfig {
                         field: "min_interarrival",
@@ -210,7 +213,10 @@ impl Task {
                 frame_deadline,
                 boost,
             } => {
-                // xtask:allow(float-eq): exact-equality admission check, not arithmetic
+                #[expect(
+                    clippy::float_cmp,
+                    reason = "exact-equality admission check, not arithmetic"
+                )]
                 if frame_deadline != self.deadline {
                     return Err(SimError::InvalidConfig {
                         field: "frame_deadline",
@@ -341,11 +347,13 @@ impl Task {
             } if burst > 0.0 => {
                 let h = splitmix64(seed ^ splitmix64(index ^ STREAM_SPORADIC));
                 // 53 high bits → exactly representable uniform grid in [0, 1).
-                // xtask:allow(as-cast): not in crates/core, exact 53-bit conversion
                 let u = (h >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0);
                 min_interarrival * (1.0 + burst * u)
             }
-            _ => self.period,
+            TaskKind::Hard
+            | TaskKind::WeaklyHard { .. }
+            | TaskKind::Sporadic { .. }
+            | TaskKind::Frame { .. } => self.period,
         }
     }
 
@@ -476,8 +484,11 @@ impl FromIterator<Task> for TaskSet {
     ///
     /// Panics if the iterator is empty; use [`TaskSet::new`] for fallible
     /// construction.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` contract of FromIterator"
+    )]
     fn from_iter<I: IntoIterator<Item = Task>>(iter: I) -> TaskSet {
-        // xtask:allow(no-panic): documented `# Panics` contract of FromIterator
         TaskSet::new(iter.into_iter().collect()).expect("FromIterator requires at least one task")
     }
 }

@@ -112,7 +112,6 @@ impl DemandPattern {
             } => {
                 check("mean", mean, 0.0, 1.0)?;
                 check("amplitude", amplitude, 0.0, 1.0)?;
-                // xtask:allow(float-eq): period_jobs is an integer job count
                 if period_jobs == 0 {
                     return Err(WorkloadError::InvalidParameter {
                         name: "period_jobs",

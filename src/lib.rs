@@ -18,6 +18,9 @@
 //! the safety arguments behind the slack analysis.
 
 #![forbid(unsafe_code)]
+// Compiler-checked domain lint (DESIGN.md §8): exact float compares in
+// library code; tests are exempt.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 pub mod theory;
 

@@ -25,7 +25,7 @@
 //! are an extreme early completion, so every governor qualifies) — this
 //! harness and the experiments can never disagree about who runs.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use stadvs::experiments::{governor_caps, make_governor};
 use stadvs::power::Processor;
@@ -167,7 +167,7 @@ fn run_governor(
 /// Replays every weakly-hard task's job stream through an independent
 /// [`MkWindow`] — skips count as losses — and fails on any violation.
 fn assert_contracts(out: &SimOutcome, tasks: &TaskSet) {
-    let skipped: HashSet<_> = out.models.skipped.iter().copied().collect();
+    let skipped: BTreeSet<_> = out.models.skipped.iter().copied().collect();
     for (id, task) in tasks.iter() {
         let TaskKind::WeaklyHard { m, k } = task.kind() else {
             continue;

@@ -624,13 +624,13 @@ mod tests {
     #[test]
     fn allow_directives_parse() {
         let lexed = lex(
-            "// xtask:allow(float-eq): quantized identity\nlet a = 1;\n// xtask:allow-file(no-panic): generated code\n",
+            "// xtask:allow(hot-path-alloc): setup only\nlet a = 1;\n// xtask:allow-file(governor-doc): generated code\n",
         );
         assert_eq!(lexed.allows.len(), 2);
-        assert_eq!(lexed.allows[0].rule, "float-eq");
+        assert_eq!(lexed.allows[0].rule, "hot-path-alloc");
         assert!(!lexed.allows[0].file_level);
         assert_eq!(lexed.allows[0].line, 1);
-        assert_eq!(lexed.allows[0].reason, "quantized identity");
+        assert_eq!(lexed.allows[0].reason, "setup only");
         assert!(lexed.allows[1].file_level);
     }
 

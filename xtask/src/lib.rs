@@ -1,27 +1,19 @@
 //! Workspace automation for stadvs: the domain lints.
 //!
-//! `cargo xtask lint` enforces eleven invariants that clippy cannot
-//! express (see [`rules::RULES`]): epsilon-safe float comparisons,
-//! panic-free guarantee crates, documented governor safety arguments,
-//! cast-free claims arithmetic, allocation-free simulator loops,
-//! exhaustive overrun-policy matches — and the determinism contract
-//! (DESIGN.md §12): no hash-order iteration, no unordered or parallel
-//! f64 reductions, no wall-clock reads in simulated code, no unseeded
-//! randomness, no shared mutable globals. The implementation is
-//! dependency-free on purpose — a hand-rolled lexer ([`lexer`]) plus a
-//! syntactic index ([`syntax`]) with use-resolution and scope-tracked
-//! type bindings, rather than a parser crate — so the gate itself adds
-//! nothing to the workspace's supply-chain trust base.
+//! `cargo xtask lint` enforces the two invariants no compiler lint can
+//! express (see [`rules::RULES`]): every governor documents its deadline
+//! safety argument, and the simulator's per-event loops allocate nothing.
+//! The type-aware gates (exact float compares, panic-free guarantee
+//! crates, cast-free claims arithmetic, exhaustive enum matches and the
+//! determinism bans) are clippy lints configured in the crate roots and
+//! the workspace `clippy.toml` (DESIGN.md §8). The implementation is
+//! dependency-free on purpose — a hand-rolled lexer ([`lexer`]) rather
+//! than a parser crate — so the gate itself adds nothing to the
+//! workspace's supply-chain trust base.
 //!
-//! Findings can be rendered as text, JSON, or SARIF 2.1.0 ([`report`]);
-//! pre-existing debt is ratcheted through a committed baseline file
-//! ([`baseline`]); `--changed` restricts reporting to files differing
-//! from a base ref ([`changed`]).
+//! Findings can be rendered as text, JSON, or SARIF 2.1.0 ([`report`]).
 
-pub mod baseline;
-pub mod changed;
 pub mod lexer;
 pub mod lint;
 pub mod report;
 pub mod rules;
-pub mod syntax;

@@ -6,30 +6,20 @@
 //! gate):
 //!
 //! * scanned roots: `crates/*/src`, `src`, `xtask/src`;
-//! * `float-eq` and `governor-doc` run everywhere scanned;
-//! * `no-panic` and `fault-policy-exhaustive` run in the
-//!   guarantee-critical crates (`sim`, `core`, `power`, `analysis`,
-//!   `baselines`);
-//! * `as-cast` runs in `core` (the claims/ledger arithmetic);
+//! * `governor-doc` runs everywhere scanned;
 //! * `hot-path-alloc` runs in `sim` (the per-event dispatch loops), in
 //!   the per-dispatch analysis files `crates/core/src/sources/demand.rs`
 //!   and `crates/core/src/slack_edf.rs`, and in the fleet engine's
-//!   per-node shard loop `crates/fleet/src/engine.rs`;
-//! * the determinism rules (`nondet-iter`, `unordered-float-reduction`,
-//!   `wall-clock-in-sim`) run in the determinism-bound crates — everything
-//!   that executes between workload generation and CSV aggregation;
-//! * `unseeded-rng` runs everywhere except `xtask` and `bench` (the only
-//!   places allowed to observe the host);
-//! * `shared-mut-state` flags `static mut` everywhere scanned; its lazy
-//!   global check is restricted to the guarantee-critical crates.
+//!   per-node shard loop `crates/fleet/src/engine.rs`.
+//!
+//! The type-aware gates are clippy lints, scoped by the crate roots and
+//! the workspace `clippy.toml` (DESIGN.md §8).
 //!
 //! A violation is suppressed by `// xtask:allow(<rule>): <reason>` on the
 //! same or the immediately preceding line, or
 //! `// xtask:allow-file(<rule>): <reason>` anywhere in the file. The
 //! reason is mandatory; a directive without one is inert. Directives
-//! naming unknown rules are themselves reported. Pre-existing debt is
-//! recorded in the committed baseline file instead (see
-//! [`crate::baseline`]).
+//! naming unknown rules are themselves reported.
 
 use std::fs;
 use std::io;
@@ -38,16 +28,6 @@ use std::path::{Path, PathBuf};
 use crate::lexer::{lex, LexedFile};
 use crate::report::{LintReport, Violation};
 use crate::rules;
-use crate::syntax::{self, FileSyntax};
-
-/// Crates whose library code must be panic-free (rule `no-panic`).
-/// `baselines` joined after its construction paths were swept clean:
-/// comparison governors run inside the same simulations as the governor
-/// under test, so a baseline panic also aborts the guarantee experiment.
-const GUARANTEE_CRATES: &[&str] = &["sim", "core", "power", "analysis", "baselines"];
-
-/// Crates subject to the `as-cast` rule.
-const CLAIMS_CRATES: &[&str] = &["core"];
 
 /// Crates subject to the `hot-path-alloc` rule: per-event code that the
 /// experiment suite multiplies by millions of simulated events.
@@ -76,29 +56,6 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/sim/src/component.rs",
 ];
 
-/// Crates bound by the determinism contract (DESIGN.md §12): everything
-/// whose behaviour feeds the bit-identity harnesses — the simulator and
-/// its governors, the slack analysis, workload generation, the experiment
-/// aggregation that writes golden-pinned CSVs, and the fleet sweep engine
-/// (whose merged aggregates and checkpoints must be bit-identical across
-/// thread counts). `cli` only parses arguments and prints; `bench` and
-/// `xtask` measure the host on purpose.
-const DETERMINISM_CRATES: &[&str] = &[
-    "sim",
-    "core",
-    "power",
-    "analysis",
-    "baselines",
-    "workload",
-    "experiments",
-    "fleet",
-    "stadvs",
-];
-
-/// Crates exempt from `unseeded-rng`: the lint tooling itself and the
-/// bench binaries (which may time and shuffle on the host).
-const RNG_EXEMPT_CRATES: &[&str] = &["xtask", "bench"];
-
 /// A scanned source file, lexed and classified.
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators.
@@ -108,9 +65,6 @@ pub struct SourceFile {
     pub crate_name: String,
     pub lexed: LexedFile,
     pub mask: Vec<bool>,
-    /// The syntactic index (use-resolution, scoped type bindings) the
-    /// dataflow determinism rules run on.
-    pub syn: FileSyntax,
 }
 
 impl SourceFile {
@@ -119,13 +73,11 @@ impl SourceFile {
     pub fn from_source(rel: &str, crate_name: &str, src: &str) -> SourceFile {
         let lexed = lex(src);
         let mask = rules::test_mask(&lexed.tokens);
-        let syn = syntax::parse(&lexed.tokens);
         SourceFile {
             rel: rel.to_string(),
             crate_name: crate_name.to_string(),
             lexed,
             mask,
-            syn,
         }
     }
 }
@@ -157,21 +109,7 @@ pub fn analyze(sources: &[SourceFile]) -> LintReport {
 
     for s in sources {
         let krate = s.crate_name.as_str();
-        let mut found = Vec::new();
-        found.extend(rules::check_float_eq(&s.rel, &s.lexed.tokens, &s.mask));
-        found.extend(rules::check_governor_doc(
-            &s.rel,
-            &s.lexed.tokens,
-            &s.mask,
-            &docs,
-        ));
-        if GUARANTEE_CRATES.contains(&krate) {
-            found.extend(rules::check_no_panic(&s.rel, &s.lexed.tokens, &s.mask));
-            found.extend(rules::check_fault_policy(&s.rel, &s.lexed.tokens, &s.mask));
-        }
-        if CLAIMS_CRATES.contains(&krate) {
-            found.extend(rules::check_as_cast(&s.rel, &s.lexed.tokens, &s.mask));
-        }
+        let mut found = rules::check_governor_doc(&s.rel, &s.lexed.tokens, &s.mask, &docs);
         if HOT_PATH_CRATES.contains(&krate) || HOT_PATH_FILES.contains(&s.rel.as_str()) {
             found.extend(rules::check_hot_path_alloc(
                 &s.rel,
@@ -179,41 +117,6 @@ pub fn analyze(sources: &[SourceFile]) -> LintReport {
                 &s.mask,
             ));
         }
-        if DETERMINISM_CRATES.contains(&krate) {
-            found.extend(rules::check_nondet_iter(
-                &s.rel,
-                &s.lexed.tokens,
-                &s.mask,
-                &s.syn,
-            ));
-            found.extend(rules::check_unordered_float_reduction(
-                &s.rel,
-                &s.lexed.tokens,
-                &s.mask,
-                &s.syn,
-            ));
-            found.extend(rules::check_wall_clock(
-                &s.rel,
-                &s.lexed.tokens,
-                &s.mask,
-                &s.syn,
-            ));
-        }
-        if !RNG_EXEMPT_CRATES.contains(&krate) {
-            found.extend(rules::check_unseeded_rng(
-                &s.rel,
-                &s.lexed.tokens,
-                &s.mask,
-                &s.syn,
-            ));
-        }
-        found.extend(rules::check_shared_mut_state(
-            &s.rel,
-            &s.lexed.tokens,
-            &s.mask,
-            &s.syn,
-            GUARANTEE_CRATES.contains(&krate),
-        ));
         violations.extend(apply_allows(s, found));
         // Directives naming unknown rules are dead suppressions — report
         // them so typos cannot silently disable the gate.
@@ -244,7 +147,6 @@ pub fn analyze(sources: &[SourceFile]) -> LintReport {
     LintReport {
         files_scanned: sources.len(),
         violations,
-        ..LintReport::default()
     }
 }
 
@@ -320,29 +222,12 @@ fn classify(rel: &str) -> String {
 mod tests {
     use super::*;
 
+    /// One allocation inside a loop body: a `hot-path-alloc` finding
+    /// wherever that rule is in scope.
+    const LOOP_ALLOC: &str = "fn f() { loop { let v = xs.to_vec(); } }";
+
     fn one(rel: &str, krate: &str, src: &str) -> LintReport {
         analyze(&[SourceFile::from_source(rel, krate, src)])
-    }
-
-    #[test]
-    fn no_panic_scoped_to_guarantee_crates() {
-        let src = "fn f() { x.unwrap(); }";
-        assert_eq!(one("crates/sim/src/a.rs", "sim", src).violations.len(), 1);
-        assert!(one("crates/cli/src/a.rs", "cli", src).is_clean());
-    }
-
-    #[test]
-    fn fault_policy_scoped_to_guarantee_crates() {
-        let src = "fn f(p: OverrunPolicy) -> u8 { match p { OverrunPolicy::Abort => 0, _ => 1 } }";
-        assert_eq!(one("crates/sim/src/a.rs", "sim", src).violations.len(), 1);
-        assert!(one("crates/experiments/src/a.rs", "experiments", src).is_clean());
-    }
-
-    #[test]
-    fn as_cast_scoped_to_core() {
-        let src = "fn f(n: usize) -> f64 { n as f64 }";
-        assert_eq!(one("crates/core/src/a.rs", "core", src).violations.len(), 1);
-        assert!(one("crates/sim/src/a.rs", "sim", src).is_clean());
     }
 
     #[test]
@@ -360,14 +245,13 @@ mod tests {
     fn hot_path_alloc_covers_the_demand_analysis_files() {
         // The slack analysis runs once per dispatch; its file is covered
         // even though the `core` crate as a whole is not.
-        let src = "fn f() { loop { let v = xs.to_vec(); } }";
-        let report = one("crates/core/src/sources/demand.rs", "core", src);
+        let report = one("crates/core/src/sources/demand.rs", "core", LOOP_ALLOC);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].rule, "hot-path-alloc");
-        let report = one("crates/core/src/slack_edf.rs", "core", src);
+        let report = one("crates/core/src/slack_edf.rs", "core", LOOP_ALLOC);
         assert_eq!(report.violations.len(), 1);
         // Other core files stay exempt.
-        assert!(one("crates/core/src/ledger.rs", "core", src).is_clean());
+        assert!(one("crates/core/src/ledger.rs", "core", LOOP_ALLOC).is_clean());
     }
 
     #[test]
@@ -376,33 +260,17 @@ mod tests {
         // `sim` crate-level scope and by the explicit file pins. The pin
         // must hold even for a hypothetical re-scoping, so assert the
         // file list directly as well as the end-to-end coverage.
-        assert!(HOT_PATH_FILES.contains(&"crates/sim/src/event.rs"));
-        assert!(HOT_PATH_FILES.contains(&"crates/sim/src/kernel.rs"));
-        assert!(HOT_PATH_FILES.contains(&"crates/sim/src/queue.rs"));
-        assert!(HOT_PATH_FILES.contains(&"crates/sim/src/component.rs"));
-        let src = "fn f() { loop { let v = xs.to_vec(); } }";
         for rel in [
             "crates/sim/src/event.rs",
             "crates/sim/src/kernel.rs",
             "crates/sim/src/queue.rs",
             "crates/sim/src/component.rs",
         ] {
-            let report = one(rel, "sim", src);
+            assert!(HOT_PATH_FILES.contains(&rel), "{rel}");
+            let report = one(rel, "sim", LOOP_ALLOC);
             assert_eq!(report.violations.len(), 1, "{rel}");
             assert_eq!(report.violations[0].rule, "hot-path-alloc", "{rel}");
         }
-    }
-
-    #[test]
-    fn determinism_rules_cover_the_kernel_files() {
-        // The kernel orders events by iterating collections; the
-        // determinism dataflow rules (nondet-iter and friends) must see
-        // those files through the `sim` crate scope.
-        let src = "use std::collections::HashMap;\n\
-                   fn f(m: &HashMap<u32, u32>) { for (k, v) in m.iter() { emit(*k, *v); } }";
-        let report = one("crates/sim/src/kernel.rs", "sim", src);
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, "nondet-iter");
     }
 
     #[test]
@@ -419,123 +287,51 @@ mod tests {
     }
 
     #[test]
-    fn model_subsystem_files_inherit_the_guarantee_discipline() {
-        // The task-model layer (skip admissibility in `sim::model`, seeded
-        // sporadic arrival draws in `workload::spec`) sits inside the
-        // scanned scopes: determinism rules cover both crates and the
-        // no-panic rule covers `sim`, with no per-file scope edits.
-        let unseeded = "fn f() { let mut r = rand::thread_rng(); }";
-        for (rel, krate) in [
-            ("crates/sim/src/model.rs", "sim"),
-            ("crates/workload/src/spec.rs", "workload"),
-        ] {
-            assert_eq!(one(rel, krate, unseeded).violations.len(), 1, "{rel}");
-        }
-        let panicky = "fn f() { x.unwrap(); }";
-        assert_eq!(
-            one("crates/sim/src/model.rs", "sim", panicky)
-                .violations
-                .len(),
-            1
-        );
-        // `workload` is not a guarantee crate: its validation surface
-        // returns `Result`s, so no-panic does not apply there.
-        assert!(one("crates/workload/src/spec.rs", "workload", panicky).is_clean());
-    }
-
-    #[test]
-    fn nondet_iter_scoped_to_determinism_crates() {
-        let src = "use std::collections::HashMap;\n\
-                   fn f(m: &HashMap<u32, f64>) { for k in m.keys() { go(k); } }";
-        for krate in ["sim", "experiments", "workload", "analysis", "fleet"] {
-            let rel = format!("crates/{krate}/src/a.rs");
-            assert_eq!(one(&rel, krate, src).violations.len(), 1, "{krate}");
-        }
-        assert!(one("crates/cli/src/a.rs", "cli", src).is_clean());
-        assert!(one("xtask/src/a.rs", "xtask", src).is_clean());
-    }
-
-    #[test]
-    fn unordered_float_reduction_scoped_to_determinism_crates() {
-        let src = "use std::collections::HashMap;\n\
-                   fn f(m: &HashMap<u32, f64>) -> f64 { m.values().map(|v| v + 1.0).sum::<f64>() }";
-        let report = one("crates/power/src/a.rs", "power", src);
-        // Both the iteration and the reduction fire — each names a
-        // different fix.
-        assert_eq!(report.violations.len(), 2, "{report:?}");
-        assert!(one("crates/bench/src/a.rs", "bench", src).is_clean());
-    }
-
-    #[test]
-    fn wall_clock_scoped_to_determinism_crates() {
-        let src = "fn f() { let t = std::time::Instant::now(); }";
-        assert_eq!(one("crates/sim/src/a.rs", "sim", src).violations.len(), 1);
-        assert_eq!(one("src/theory.rs", "stadvs", src).violations.len(), 1);
-        assert!(one("crates/bench/src/a.rs", "bench", src).is_clean());
-        assert!(one("crates/cli/src/a.rs", "cli", src).is_clean());
-    }
-
-    #[test]
-    fn unseeded_rng_exempts_only_xtask_and_bench() {
-        let src = "fn f() { let mut r = rand::thread_rng(); }";
-        assert_eq!(one("crates/sim/src/a.rs", "sim", src).violations.len(), 1);
-        assert_eq!(one("crates/cli/src/a.rs", "cli", src).violations.len(), 1);
-        assert!(one("crates/bench/src/a.rs", "bench", src).is_clean());
-        assert!(one("xtask/src/a.rs", "xtask", src).is_clean());
-    }
-
-    #[test]
-    fn shared_mut_state_static_mut_everywhere_lazies_in_guarantee() {
-        let static_mut = "static mut S: u64 = 0;";
-        assert_eq!(
-            one("crates/cli/src/a.rs", "cli", static_mut)
-                .violations
-                .len(),
-            1
-        );
-        let lazy = "use std::sync::OnceLock;\nstatic T: OnceLock<u64> = OnceLock::new();";
-        assert_eq!(one("crates/sim/src/a.rs", "sim", lazy).violations.len(), 2);
-        assert!(one("crates/experiments/src/a.rs", "experiments", lazy).is_clean());
-    }
-
-    #[test]
     fn same_line_allow_suppresses() {
-        let src = "fn f() { x.unwrap(); // xtask:allow(no-panic): infallible by construction\n}";
+        let src =
+            "fn f() { loop { let v = xs.to_vec(); // xtask:allow(hot-path-alloc): cold path\n} }";
         assert!(one("crates/sim/src/a.rs", "sim", src).is_clean());
     }
 
     #[test]
     fn preceding_line_allow_suppresses() {
-        let src = "fn f() {\n    // xtask:allow(no-panic): infallible by construction\n    x.unwrap();\n}";
+        let src = "fn f() { loop {\n    // xtask:allow(hot-path-alloc): cold path\n    let v = xs.to_vec();\n} }";
         assert!(one("crates/sim/src/a.rs", "sim", src).is_clean());
     }
 
     #[test]
     fn file_level_allow_suppresses_everywhere() {
-        let src = "// xtask:allow-file(no-panic): prototype module\nfn f() { x.unwrap(); }\nfn g() { y.unwrap(); }";
+        let src = "// xtask:allow-file(hot-path-alloc): setup module\n\
+                   fn f() { loop { let v = xs.to_vec(); } }\n\
+                   fn g() { loop { let w = ys.clone(); } }";
         assert!(one("crates/sim/src/a.rs", "sim", src).is_clean());
     }
 
     #[test]
     fn allow_without_reason_is_inert() {
-        let src = "fn f() { x.unwrap(); // xtask:allow(no-panic)\n}";
+        let src = "fn f() { loop { let v = xs.to_vec(); // xtask:allow(hot-path-alloc)\n} }";
         assert_eq!(one("crates/sim/src/a.rs", "sim", src).violations.len(), 1);
     }
 
     #[test]
     fn allow_for_the_wrong_rule_does_not_suppress() {
-        let src = "fn f() { x.unwrap(); // xtask:allow(float-eq): wrong rule\n}";
+        let src =
+            "fn f() { loop { let v = xs.to_vec(); // xtask:allow(governor-doc): wrong rule\n} }";
         let report = one("crates/sim/src/a.rs", "sim", src);
         assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, "no-panic");
+        assert_eq!(report.violations[0].rule, "hot-path-alloc");
     }
 
     #[test]
     fn unknown_rule_in_allow_is_reported() {
-        let src = "// xtask:allow(no-such-rule): whatever\nfn f() {}";
-        let report = one("crates/sim/src/a.rs", "sim", src);
-        assert_eq!(report.violations.len(), 1);
-        assert_eq!(report.violations[0].rule, "unknown-allow");
+        // A rule that moved to clippy is unknown here too: its directive
+        // would silently excuse nothing.
+        for rule in ["no-such-rule", "float-eq"] {
+            let src = format!("// xtask:allow({rule}): whatever\nfn f() {{}}");
+            let report = one("crates/sim/src/a.rs", "sim", &src);
+            assert_eq!(report.violations.len(), 1, "{rule}");
+            assert_eq!(report.violations[0].rule, "unknown-allow", "{rule}");
+        }
     }
 
     #[test]

@@ -2,14 +2,11 @@
 //!
 //! Exit codes are part of the CLI contract (CI branches on them):
 //! 0 = clean, 1 = violations found, 2 = internal error (bad usage,
-//! unreadable workspace, malformed baseline, git failure).
+//! unreadable workspace).
 
-use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::baseline;
-use xtask::changed;
 use xtask::lint::lint_workspace;
 use xtask::rules::RULES;
 
@@ -26,27 +23,15 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "\
 usage: cargo xtask lint [--json | --sarif] [--list-rules] [--root <dir>]
-                        [--baseline <file> | --no-baseline]
-                        [--write-baseline] [--changed] [--base <ref>]
 
 lint: runs the workspace's domain lints. Exit codes: 0 clean, 1
-violations, 2 internal error (bad usage, unreadable workspace,
-malformed baseline).
+violations, 2 internal error (bad usage, unreadable workspace).
 
   --json             machine-readable report on stdout
   --sarif            SARIF 2.1.0 log on stdout (GitHub code scanning)
   --list-rules       print the rule names and summaries, then exit
   --root <dir>       lint a different workspace root (default: this
                      workspace)
-  --baseline <file>  baseline file (default: <root>/xtask/lint-baseline.txt;
-                     a missing default is treated as empty)
-  --no-baseline      ignore the baseline — report all debt
-  --write-baseline   rewrite the baseline from the current violations
-                     (the ratchet: run after fixing debt), then exit 0
-  --changed          report only files differing from the base ref (the
-                     whole workspace is still scanned for cross-file
-                     rules); incompatible with --write-baseline
-  --base <ref>       base ref for --changed (default: main)
 ";
 
 /// The workspace root: the xtask crate lives one level below it.
@@ -61,11 +46,6 @@ struct LintOpts {
     json: bool,
     sarif: bool,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
-    write_baseline: bool,
-    changed: bool,
-    base: String,
 }
 
 fn parse_lint_args(args: &[String]) -> Result<Option<LintOpts>, String> {
@@ -73,11 +53,6 @@ fn parse_lint_args(args: &[String]) -> Result<Option<LintOpts>, String> {
         json: false,
         sarif: false,
         root: None,
-        baseline: None,
-        no_baseline: false,
-        write_baseline: false,
-        changed: false,
-        base: "main".to_string(),
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -89,30 +64,11 @@ fn parse_lint_args(args: &[String]) -> Result<Option<LintOpts>, String> {
                 Some(dir) => opts.root = Some(PathBuf::from(dir)),
                 None => return Err("--root needs a directory argument".into()),
             },
-            "--baseline" => match iter.next() {
-                Some(file) => opts.baseline = Some(PathBuf::from(file)),
-                None => return Err("--baseline needs a file argument".into()),
-            },
-            "--no-baseline" => opts.no_baseline = true,
-            "--write-baseline" => opts.write_baseline = true,
-            "--changed" => opts.changed = true,
-            "--base" => match iter.next() {
-                Some(r) => opts.base = r.clone(),
-                None => return Err("--base needs a ref argument".into()),
-            },
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
     if opts.json && opts.sarif {
         return Err("--json and --sarif are mutually exclusive".into());
-    }
-    if opts.no_baseline && opts.baseline.is_some() {
-        return Err("--no-baseline and --baseline are mutually exclusive".into());
-    }
-    if opts.write_baseline && opts.changed {
-        return Err(
-            "--write-baseline records whole-tree debt and cannot be combined with --changed".into(),
-        );
     }
     Ok(Some(opts))
 }
@@ -133,72 +89,14 @@ fn lint(args: &[String]) -> ExitCode {
         }
     };
 
-    let root = opts.root.clone().unwrap_or_else(workspace_root);
-    let mut report = match lint_workspace(&root) {
+    let root = opts.root.unwrap_or_else(workspace_root);
+    let report = match lint_workspace(&root) {
         Ok(report) => report,
         Err(err) => {
             eprintln!("error: {err}");
             return ExitCode::from(2);
         }
     };
-
-    // Baseline resolution: an explicitly named file must exist; the
-    // default path is treated as an empty baseline when absent.
-    let default_baseline = root.join("xtask").join("lint-baseline.txt");
-    let (baseline_path, must_exist) = match &opts.baseline {
-        Some(path) => (path.clone(), true),
-        None => (default_baseline, false),
-    };
-    let baseline_rel = baseline_path
-        .strip_prefix(&root)
-        .unwrap_or(&baseline_path)
-        .to_string_lossy()
-        .replace('\\', "/");
-
-    if opts.write_baseline {
-        let text = baseline::render(&report);
-        if let Some(parent) = baseline_path.parent() {
-            let _ = fs::create_dir_all(parent);
-        }
-        if let Err(err) = fs::write(&baseline_path, &text) {
-            eprintln!("error: cannot write {}: {err}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        let entries = text.lines().filter(|l| !l.starts_with('#')).count();
-        println!("wrote {} ({entries} entr(ies))", baseline_path.display());
-        return ExitCode::SUCCESS;
-    }
-
-    if !opts.no_baseline {
-        match fs::read_to_string(&baseline_path) {
-            Ok(text) => {
-                let parsed = match baseline::parse(&text) {
-                    Ok(parsed) => parsed,
-                    Err(err) => {
-                        eprintln!("error: {err}");
-                        return ExitCode::from(2);
-                    }
-                };
-                baseline::apply(&mut report, &parsed, &baseline_rel);
-            }
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound && !must_exist => {}
-            Err(err) => {
-                eprintln!("error: cannot read {}: {err}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    if opts.changed {
-        let changed_set = match changed::changed_files(&root, &opts.base) {
-            Ok(set) => set,
-            Err(err) => {
-                eprintln!("error: {err}");
-                return ExitCode::from(2);
-            }
-        };
-        changed::filter_report(&mut report, &changed_set);
-    }
 
     if opts.json {
         println!("{}", report.render_json());

@@ -5,20 +5,13 @@ use std::fmt;
 use crate::rules::RULES;
 
 /// Synthetic rule ids the linter can report beyond [`RULES`]: dead allow
-/// directives and stale baseline entries. They appear in SARIF rule
-/// metadata so every result's `ruleId` resolves.
-pub const SYNTHETIC_RULES: &[(&str, &str)] = &[
-    (
-        "unknown-allow",
-        "an xtask:allow directive names a rule the linter does not know — \
-         a typo here silently disables the gate",
-    ),
-    (
-        "stale-baseline",
-        "a baseline entry allows more violations than remain — ratchet \
-         down with `cargo xtask lint --write-baseline`",
-    ),
-];
+/// directives. They appear in SARIF rule metadata so every result's
+/// `ruleId` resolves.
+pub const SYNTHETIC_RULES: &[(&str, &str)] = &[(
+    "unknown-allow",
+    "an xtask:allow directive names a rule the linter does not know — \
+     a typo here silently disables the gate",
+)];
 
 /// One finding, anchored to a workspace-relative path and 1-based span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,11 +41,6 @@ impl fmt::Display for Violation {
 pub struct LintReport {
     pub files_scanned: usize,
     pub violations: Vec<Violation>,
-    /// Violations suppressed by the committed baseline file.
-    pub baselined: usize,
-    /// In `--changed` mode, how many changed files the report was
-    /// restricted to.
-    pub files_changed: Option<usize>,
 }
 
 impl LintReport {
@@ -68,17 +56,9 @@ impl LintReport {
             out.push_str(&v.to_string());
             out.push('\n');
         }
-        let scanned = match self.files_changed {
-            Some(changed) => format!("{} file(s) scanned ({changed} changed)", self.files_scanned),
-            None => format!("{} file(s) scanned", self.files_scanned),
-        };
-        let baselined = if self.baselined > 0 {
-            format!(", {} baselined", self.baselined)
-        } else {
-            String::new()
-        };
         out.push_str(&format!(
-            "{scanned}, {} violation(s){baselined}\n",
+            "{} file(s) scanned, {} violation(s)\n",
+            self.files_scanned,
             self.violations.len()
         ));
         out
@@ -88,11 +68,7 @@ impl LintReport {
     pub fn render_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!("\"files_scanned\":{},", self.files_scanned));
-        if let Some(changed) = self.files_changed {
-            out.push_str(&format!("\"files_changed\":{changed},"));
-        }
         out.push_str(&format!("\"violation_count\":{},", self.violations.len()));
-        out.push_str(&format!("\"baselined\":{},", self.baselined));
         out.push_str("\"violations\":[");
         for (i, v) in self.violations.iter().enumerate() {
             if i > 0 {
@@ -203,14 +179,12 @@ mod tests {
         LintReport {
             files_scanned: 2,
             violations: vec![Violation {
-                rule: "float-eq",
+                rule: "hot-path-alloc",
                 file: "crates/sim/src/simulator.rs".into(),
                 line: 3,
                 col: 7,
                 message: "msg".into(),
             }],
-            baselined: 0,
-            files_changed: None,
         }
     }
 
@@ -224,18 +198,15 @@ mod tests {
         let json = one_violation_report().render_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"violation_count\":1"));
-        assert!(json.contains("\"baselined\":0"));
-        assert!(json.contains("\"rule\":\"float-eq\""));
+        assert!(json.contains("\"rule\":\"hot-path-alloc\""));
         assert!(json.contains("\"line\":3"));
     }
 
     #[test]
-    fn text_report_counts_baselined() {
-        let mut report = one_violation_report();
-        report.baselined = 4;
-        report.files_changed = Some(3);
-        let text = report.render_text();
-        assert!(text.contains("2 file(s) scanned (3 changed), 1 violation(s), 4 baselined"));
+    fn text_report_counts_files_and_violations() {
+        let text = one_violation_report().render_text();
+        assert!(text.starts_with("crates/sim/src/simulator.rs:3:7: [hot-path-alloc] msg\n"));
+        assert!(text.ends_with("2 file(s) scanned, 1 violation(s)\n"));
     }
 
     #[test]
@@ -243,7 +214,7 @@ mod tests {
         let sarif = one_violation_report().render_sarif();
         assert!(sarif.contains("\"version\":\"2.1.0\""));
         assert!(sarif.contains("sarif-2.1.0.json"));
-        assert!(sarif.contains("\"ruleId\":\"float-eq\""));
+        assert!(sarif.contains("\"ruleId\":\"hot-path-alloc\""));
         assert!(sarif.contains("\"startLine\":3"));
         // The driver advertises every reportable rule, including the
         // synthetic ones.
@@ -262,7 +233,7 @@ mod tests {
     #[test]
     fn sarif_rule_index_points_at_the_rule() {
         let sarif = one_violation_report().render_sarif();
-        // float-eq is the first declared rule.
-        assert!(sarif.contains("\"ruleId\":\"float-eq\",\"ruleIndex\":0,"));
+        // hot-path-alloc is the second declared rule.
+        assert!(sarif.contains("\"ruleId\":\"hot-path-alloc\",\"ruleIndex\":1,"));
     }
 }

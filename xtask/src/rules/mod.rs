@@ -1,33 +1,13 @@
-//! The domain rules, implemented over the token stream — plus the
-//! determinism rules, implemented over the [`crate::syntax`] layer.
+//! The domain rules, implemented over the token stream.
 //!
-//! Shared infrastructure lives here: `#[cfg(test)]` / `#[test]` masking,
-//! delimiter matching, and operand-window extraction for the comparison
-//! rule.
+//! Shared infrastructure lives here: `#[cfg(test)]` / `#[test]` masking
+//! and delimiter matching.
 
-mod as_cast;
-mod fault_policy;
-mod float_eq;
 mod governor_doc;
 mod hot_path_alloc;
-mod no_panic;
-pub(crate) mod nondet_iter;
-mod shared_mut_state;
-mod unordered_float_reduction;
-mod unseeded_rng;
-mod wall_clock;
 
-pub use as_cast::check_as_cast;
-pub use fault_policy::check_fault_policy;
-pub use float_eq::check_float_eq;
 pub use governor_doc::{check_governor_doc, collect_type_docs, TypeDocs};
 pub use hot_path_alloc::check_hot_path_alloc;
-pub use no_panic::check_no_panic;
-pub use nondet_iter::check_nondet_iter;
-pub use shared_mut_state::check_shared_mut_state;
-pub use unordered_float_reduction::check_unordered_float_reduction;
-pub use unseeded_rng::check_unseeded_rng;
-pub use wall_clock::check_wall_clock;
 
 use crate::lexer::{Token, TokenKind};
 
@@ -40,74 +20,16 @@ pub struct RuleInfo {
 /// Every rule the linter knows, in reporting order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: "float-eq",
-        summary: "no raw ==/!= on floating-point time/speed/energy values; \
-                  use the TIME_EPS/WORK_EPS helpers or Speed::same_point",
-    },
-    RuleInfo {
-        name: "no-panic",
-        summary: "no unwrap()/expect()/panic!() in non-test library code of \
-                  the guarantee-critical crates (sim, core, power, analysis); \
-                  return typed errors or use debug_assert!",
-    },
-    RuleInfo {
         name: "governor-doc",
         summary: "every type implementing Governor must carry a doc comment \
                   naming its safety argument (a `Safety` section)",
     },
     RuleInfo {
-        name: "as-cast",
-        summary: "no `as` casts between integer and float in claims/ledger \
-                  arithmetic (crates/core); use the checked stadvs_core::num \
-                  helpers or lossless From conversions",
-    },
-    RuleInfo {
-        name: "fault-policy-exhaustive",
-        summary: "every `match` on an OverrunPolicy value in the \
-                  guarantee-critical crates must name all variants — no `_` \
-                  or catch-all binding arm; a new overrun policy must force \
-                  a decision at every dispatch site",
-    },
-    RuleInfo {
         name: "hot-path-alloc",
         summary: "no fresh heap allocations (Vec::new, vec!, clone(), \
-                  collect(), ...) inside loop bodies of the simulator crate \
-                  (crates/sim); hoist buffers into SimScratch and reuse them",
-    },
-    RuleInfo {
-        name: "nondet-iter",
-        summary: "no iteration over HashMap/HashSet in the \
-                  determinism-bound crates — hash order is seeded per \
-                  process and leaks into event sequences and CSVs; use \
-                  BTreeMap/BTreeSet/Vec or sort before iterating",
-    },
-    RuleInfo {
-        name: "unordered-float-reduction",
-        summary: "no .sum()/.fold()/.reduce()/.product() over unordered \
-                  (hash-rooted) or parallel iterators in the \
-                  determinism-bound crates — f64 accumulation is \
-                  order-sensitive; impose a stable order or use the \
-                  order-stable accumulation helpers",
-    },
-    RuleInfo {
-        name: "wall-clock-in-sim",
-        summary: "no Instant::now()/SystemTime::now() in the \
-                  determinism-bound crates — simulated time comes from the \
-                  event queue; real timing belongs in crates/bench",
-    },
-    RuleInfo {
-        name: "unseeded-rng",
-        summary: "no thread_rng()/from_entropy()/OsRng/rand::random() \
-                  outside xtask and the bench binaries — every random \
-                  source must derive from an explicit u64 seed so runs \
-                  replay bit-identically",
-    },
-    RuleInfo {
-        name: "shared-mut-state",
-        summary: "no `static mut` anywhere, and no lazily initialized \
-                  globals (OnceLock, Lazy, lazy_static!, thread_local!) in \
-                  the guarantee crates — thread state explicitly through \
-                  constructors or scratch structs",
+                  collect(), ...) inside loop bodies on the per-event path \
+                  (crates/sim, the demand analysis, the fleet shard loop); \
+                  hoist buffers into SimScratch and reuse them",
     },
 ];
 
@@ -207,67 +129,6 @@ pub fn matching_close(tokens: &[Token], open_idx: usize) -> Option<usize> {
     None
 }
 
-/// The operand window to the left of a binary operator at `op`: token
-/// indices scanned backwards until an expression boundary at depth 0.
-pub fn left_window(tokens: &[Token], op: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut i = op;
-    while i > 0 {
-        i -= 1;
-        match &tokens[i].kind {
-            TokenKind::Close(_) => depth += 1,
-            TokenKind::Open(_) => {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-            }
-            TokenKind::Punct(p) if depth == 0 && is_boundary_punct(p) => break,
-            TokenKind::Ident(w) if depth == 0 && is_boundary_keyword(w) => break,
-            _ => {}
-        }
-        out.push(i);
-    }
-    out
-}
-
-/// The operand window to the right of a binary operator at `op`.
-pub fn right_window(tokens: &[Token], op: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut i = op + 1;
-    while i < tokens.len() {
-        match &tokens[i].kind {
-            TokenKind::Open('{') if depth == 0 => break, // if-body / block start
-            TokenKind::Open(_) => depth += 1,
-            TokenKind::Close(_) => {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-            }
-            TokenKind::Punct(p) if depth == 0 && is_boundary_punct(p) => break,
-            TokenKind::Ident(w) if depth == 0 && is_boundary_keyword(w) => break,
-            _ => {}
-        }
-        out.push(i);
-        i += 1;
-    }
-    out
-}
-
-fn is_boundary_punct(p: &str) -> bool {
-    matches!(p, ";" | "," | "&&" | "||" | "=" | "=>" | "==" | "!=" | "?")
-}
-
-fn is_boundary_keyword(w: &str) -> bool {
-    matches!(
-        w,
-        "if" | "while" | "match" | "return" | "let" | "else" | "for" | "in" | "loop"
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,23 +172,5 @@ mod tests {
             .unwrap();
         assert!(mask[expect_idx]);
         assert!(!mask[lib_idx]);
-    }
-
-    #[test]
-    fn windows_respect_boundaries() {
-        let lexed = lex("if a.b(c) == d && e { }");
-        let op = lexed
-            .tokens
-            .iter()
-            .position(|t| t.kind.is_punct("=="))
-            .unwrap();
-        let left: Vec<_> = left_window(&lexed.tokens, op);
-        let right: Vec<_> = right_window(&lexed.tokens, op);
-        // Left stops at `if`; right stops at `&&`.
-        assert!(left.iter().all(|&i| !lexed.tokens[i].kind.is_ident("if")));
-        assert!(left.iter().any(|&i| lexed.tokens[i].kind.is_ident("a")));
-        assert!(left.iter().any(|&i| lexed.tokens[i].kind.is_ident("c")));
-        assert_eq!(right.len(), 1);
-        assert!(lexed.tokens[right[0]].kind.is_ident("d"));
     }
 }

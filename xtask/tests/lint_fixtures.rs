@@ -1,24 +1,16 @@
-//! Fixture-based proof that every lint rule flags its seeded violations —
+//! Fixture-based proof that the lint rules flag their seeded violations —
 //! and nothing else — with the right spans.
 //!
 //! Each file under `tests/fixtures/` seeds violations for one rule next to
-//! near-miss code that must NOT be flagged (test modules, total methods,
-//! reasoned allow directives). Expected columns are derived from the
-//! fixture text itself so the assertions stay honest about spans.
+//! near-miss code that must NOT be flagged. Expected columns are derived
+//! from the fixture text itself so the assertions stay honest about
+//! spans. `hot-path-alloc` is covered by its unit tests and the scope
+//! tests in `lint.rs`.
 
 use xtask::lint::{analyze, SourceFile};
 use xtask::report::Violation;
 
-const FLOAT_EQ: &str = include_str!("fixtures/float_eq.rs");
-const NO_PANIC: &str = include_str!("fixtures/no_panic.rs");
 const GOVERNOR_DOC: &str = include_str!("fixtures/governor_doc.rs");
-const AS_CAST: &str = include_str!("fixtures/as_cast.rs");
-const FAULT_POLICY: &str = include_str!("fixtures/fault_policy.rs");
-const NONDET_ITER: &str = include_str!("fixtures/nondet_iter.rs");
-const UNORDERED_FLOAT: &str = include_str!("fixtures/unordered_float_reduction.rs");
-const WALL_CLOCK: &str = include_str!("fixtures/wall_clock.rs");
-const UNSEEDED_RNG: &str = include_str!("fixtures/unseeded_rng.rs");
-const SHARED_MUT: &str = include_str!("fixtures/shared_mut_state.rs");
 
 /// 1-based column of the `occurrence`-th `needle` on 1-based `line`.
 fn col_of(src: &str, line: usize, needle: &str, occurrence: usize) -> usize {
@@ -37,56 +29,6 @@ fn spans(violations: &[Violation], rule: &str) -> Vec<(usize, usize)> {
         .filter(|v| v.rule == rule)
         .map(|v| (v.line, v.col))
         .collect()
-}
-
-#[test]
-fn float_eq_fixture_is_flagged_with_spans() {
-    let report = analyze(&[SourceFile::from_source(
-        "crates/workload/src/fixture.rs",
-        "workload",
-        FLOAT_EQ,
-    )]);
-    assert_eq!(
-        spans(&report.violations, "float-eq"),
-        vec![
-            (8, col_of(FLOAT_EQ, 8, "==", 1)),
-            (13, col_of(FLOAT_EQ, 13, "!=", 1)),
-        ],
-        "{report:?}"
-    );
-    // The integer comparison, the allowed line, and everything else must
-    // stay clean — two violations total.
-    assert_eq!(report.violations.len(), 2, "{report:?}");
-}
-
-#[test]
-fn no_panic_fixture_is_flagged_with_spans() {
-    let report = analyze(&[SourceFile::from_source(
-        "crates/sim/src/fixture.rs",
-        "sim",
-        NO_PANIC,
-    )]);
-    assert_eq!(
-        spans(&report.violations, "no-panic"),
-        vec![
-            (6, col_of(NO_PANIC, 6, "unwrap", 1)),
-            (11, col_of(NO_PANIC, 11, "expect", 1)),
-            (16, col_of(NO_PANIC, 16, "panic", 1)),
-        ],
-        "{report:?}"
-    );
-    assert_eq!(report.violations.len(), 3, "{report:?}");
-}
-
-#[test]
-fn no_panic_rule_is_scoped_to_guarantee_crates() {
-    // The same seeded panics are legal in a non-guarantee crate.
-    let report = analyze(&[SourceFile::from_source(
-        "crates/experiments/src/fixture.rs",
-        "experiments",
-        NO_PANIC,
-    )]);
-    assert!(report.is_clean(), "{report:?}");
 }
 
 #[test]
@@ -109,252 +51,4 @@ fn governor_doc_fixture_is_flagged_with_spans() {
     );
     // `Documented` states its safety argument and must pass.
     assert_eq!(report.violations.len(), 1, "{report:?}");
-}
-
-#[test]
-fn as_cast_fixture_is_flagged_with_spans() {
-    let report = analyze(&[SourceFile::from_source(
-        "crates/core/src/fixture.rs",
-        "core",
-        AS_CAST,
-    )]);
-    assert_eq!(
-        spans(&report.violations, "as-cast"),
-        vec![
-            (6, col_of(AS_CAST, 6, "as", 1)),
-            (6, col_of(AS_CAST, 6, "as", 2)),
-            (11, col_of(AS_CAST, 11, "as", 1)),
-        ],
-        "{report:?}"
-    );
-    // `f64::from` and the allowed cast must stay clean.
-    assert_eq!(report.violations.len(), 3, "{report:?}");
-}
-
-#[test]
-fn fault_policy_fixture_is_flagged_with_spans() {
-    let report = analyze(&[SourceFile::from_source(
-        "crates/sim/src/fixture.rs",
-        "sim",
-        FAULT_POLICY,
-    )]);
-    assert_eq!(
-        spans(&report.violations, "fault-policy-exhaustive"),
-        vec![
-            (8, col_of(FAULT_POLICY, 8, "_", 1)),
-            (16, col_of(FAULT_POLICY, 16, "fallback", 1)),
-        ],
-        "{report:?}"
-    );
-    // The exhaustive match, the unrelated-enum wildcard, and the allowed
-    // arm must all stay clean — two violations total.
-    assert_eq!(report.violations.len(), 2, "{report:?}");
-}
-
-#[test]
-fn fault_policy_rule_is_scoped_to_guarantee_crates() {
-    let report = analyze(&[SourceFile::from_source(
-        "crates/experiments/src/fixture.rs",
-        "experiments",
-        FAULT_POLICY,
-    )]);
-    assert!(report.is_clean(), "{report:?}");
-}
-
-#[test]
-fn as_cast_rule_is_scoped_to_claims_crates() {
-    let report = analyze(&[SourceFile::from_source(
-        "crates/workload/src/fixture.rs",
-        "workload",
-        AS_CAST,
-    )]);
-    assert!(report.is_clean(), "{report:?}");
-}
-
-#[test]
-fn nondet_iter_fixture_is_flagged_with_spans() {
-    let report = analyze(&[SourceFile::from_source(
-        "crates/sim/src/fixture.rs",
-        "sim",
-        NONDET_ITER,
-    )]);
-    assert_eq!(
-        spans(&report.violations, "nondet-iter"),
-        vec![
-            (9, col_of(NONDET_ITER, 9, "map", 1)),
-            (17, col_of(NONDET_ITER, 17, "iter", 1)),
-        ],
-        "{report:?}"
-    );
-    // BTreeMap iteration, keyed access and the allowed count stay clean.
-    assert_eq!(report.violations.len(), 2, "{report:?}");
-}
-
-#[test]
-fn nondet_iter_rule_is_scoped_to_determinism_crates() {
-    let report = analyze(&[SourceFile::from_source(
-        "crates/cli/src/fixture.rs",
-        "cli",
-        NONDET_ITER,
-    )]);
-    assert!(report.is_clean(), "{report:?}");
-}
-
-#[test]
-fn unordered_float_reduction_fixture_is_flagged_with_spans() {
-    let report = analyze(&[SourceFile::from_source(
-        "crates/experiments/src/fixture.rs",
-        "experiments",
-        UNORDERED_FLOAT,
-    )]);
-    assert_eq!(
-        spans(&report.violations, "unordered-float-reduction"),
-        vec![
-            (13, col_of(UNORDERED_FLOAT, 13, "sum", 1)),
-            (18, col_of(UNORDERED_FLOAT, 18, "reduce", 1)),
-        ],
-        "{report:?}"
-    );
-    // The ordered slice sum, the integer turbofish, the min/max fold and
-    // the allowed reduction stay clean.
-    assert_eq!(report.violations.len(), 2, "{report:?}");
-}
-
-#[test]
-fn wall_clock_fixture_is_flagged_with_spans() {
-    let report = analyze(&[SourceFile::from_source(
-        "crates/sim/src/fixture.rs",
-        "sim",
-        WALL_CLOCK,
-    )]);
-    assert_eq!(
-        spans(&report.violations, "wall-clock-in-sim"),
-        vec![
-            (9, col_of(WALL_CLOCK, 9, "Instant", 1)),
-            (14, col_of(WALL_CLOCK, 14, "Wall", 1)),
-            (19, col_of(WALL_CLOCK, 19, "Instant", 1)),
-        ],
-        "{report:?}"
-    );
-    // Simulated `now` values, Duration construction and the allowed
-    // profiling hook stay clean.
-    assert_eq!(report.violations.len(), 3, "{report:?}");
-}
-
-#[test]
-fn wall_clock_rule_exempts_bench() {
-    let report = analyze(&[SourceFile::from_source(
-        "crates/bench/src/fixture.rs",
-        "bench",
-        WALL_CLOCK,
-    )]);
-    assert!(report.is_clean(), "{report:?}");
-}
-
-#[test]
-fn unseeded_rng_fixture_is_flagged_with_spans() {
-    let report = analyze(&[SourceFile::from_source(
-        "crates/workload/src/fixture.rs",
-        "workload",
-        UNSEEDED_RNG,
-    )]);
-    assert_eq!(
-        spans(&report.violations, "unseeded-rng"),
-        vec![
-            (8, col_of(UNSEEDED_RNG, 8, "thread_rng", 1)),
-            (14, col_of(UNSEEDED_RNG, 14, "from_entropy", 1)),
-            (19, col_of(UNSEEDED_RNG, 19, "Entropy", 1)),
-            (24, col_of(UNSEEDED_RNG, 24, "random", 1)),
-            (45, col_of(UNSEEDED_RNG, 45, "RandomState", 1)),
-        ],
-        "{report:?}"
-    );
-    // Seeded construction, `.random()` on an explicit generator and the
-    // allowed salt stay clean.
-    assert_eq!(report.violations.len(), 5, "{report:?}");
-}
-
-#[test]
-fn unseeded_rng_rule_exempts_xtask_and_bench_only() {
-    for krate in ["xtask", "bench"] {
-        let report = analyze(&[SourceFile::from_source(
-            "crates/bench/src/fixture.rs",
-            krate,
-            UNSEEDED_RNG,
-        )]);
-        assert!(report.is_clean(), "{krate}: {report:?}");
-    }
-    // The CLI is not exempt: its workload seeds flow into experiments.
-    let report = analyze(&[SourceFile::from_source(
-        "crates/cli/src/fixture.rs",
-        "cli",
-        UNSEEDED_RNG,
-    )]);
-    assert_eq!(report.violations.len(), 5, "{report:?}");
-}
-
-#[test]
-fn shared_mut_state_fixture_is_flagged_with_spans() {
-    let report = analyze(&[SourceFile::from_source(
-        "crates/sim/src/fixture.rs",
-        "sim",
-        SHARED_MUT,
-    )]);
-    assert_eq!(
-        spans(&report.violations, "shared-mut-state"),
-        vec![
-            (7, col_of(SHARED_MUT, 7, "static", 1)),
-            (10, col_of(SHARED_MUT, 10, "OnceLock", 1)),
-            (10, col_of(SHARED_MUT, 10, "OnceLock", 2)),
-            (13, col_of(SHARED_MUT, 13, "lazy_static", 1)),
-            (18, col_of(SHARED_MUT, 18, "thread_local", 1)),
-        ],
-        "{report:?}"
-    );
-    // The const, the eager immutable static and the allowed cache stay
-    // clean.
-    assert_eq!(report.violations.len(), 5, "{report:?}");
-}
-
-#[test]
-fn shared_mut_state_lazies_are_scoped_but_static_mut_is_not() {
-    // Outside the guarantee crates only the `static mut` survives.
-    let report = analyze(&[SourceFile::from_source(
-        "crates/experiments/src/fixture.rs",
-        "experiments",
-        SHARED_MUT,
-    )]);
-    assert_eq!(
-        spans(&report.violations, "shared-mut-state"),
-        vec![(7, col_of(SHARED_MUT, 7, "static", 1))],
-        "{report:?}"
-    );
-}
-
-#[test]
-fn baseline_suppresses_fixture_debt_and_ratchets() {
-    use xtask::baseline;
-
-    // Both seeded nondet-iter violations recorded as debt → clean.
-    let mut report = analyze(&[SourceFile::from_source(
-        "crates/sim/src/fixture.rs",
-        "sim",
-        NONDET_ITER,
-    )]);
-    let b = baseline::parse("nondet-iter crates/sim/src/fixture.rs 2\n").unwrap();
-    baseline::apply(&mut report, &b, "xtask/lint-baseline.txt");
-    assert!(report.is_clean(), "{report:?}");
-    assert_eq!(report.baselined, 2);
-
-    // An over-generous cap is stale and fails the ratchet.
-    let mut report = analyze(&[SourceFile::from_source(
-        "crates/sim/src/fixture.rs",
-        "sim",
-        NONDET_ITER,
-    )]);
-    let b = baseline::parse("nondet-iter crates/sim/src/fixture.rs 3\n").unwrap();
-    baseline::apply(&mut report, &b, "xtask/lint-baseline.txt");
-    assert_eq!(report.violations.len(), 1, "{report:?}");
-    assert_eq!(report.violations[0].rule, "stale-baseline");
-    assert_eq!(report.violations[0].file, "xtask/lint-baseline.txt");
 }

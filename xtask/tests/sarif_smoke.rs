@@ -11,14 +11,17 @@ use xtask::lint::{analyze, SourceFile};
 use xtask::report::SYNTHETIC_RULES;
 use xtask::rules::RULES;
 
-/// A fixture with violations from several rules, so the SARIF log has
+/// A fixture with violations from both rules, so the SARIF log has
 /// results to check.
 fn dirty_report() -> xtask::report::LintReport {
     let src = "\
-use std::collections::HashMap;
-fn f(m: &HashMap<u32, f64>) -> f64 {
-    let t = std::time::Instant::now();
-    m.values().sum::<f64>()
+pub struct Bare;
+impl Governor for Bare {
+    fn f(&self, xs: &[f64]) {
+        for _ in 0..4 {
+            let _ = xs.to_vec();
+        }
+    }
 }
 ";
     analyze(&[SourceFile::from_source(
