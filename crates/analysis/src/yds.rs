@@ -97,7 +97,7 @@ pub enum WorkKind {
 /// # }
 /// ```
 pub fn yds_schedule(jobs: &[JobInstance], work: WorkKind) -> SpeedSchedule {
-    let mut remaining: Vec<(f64, f64, f64)> = jobs
+    let remaining: Vec<(f64, f64, f64)> = jobs
         .iter()
         .filter_map(|j| {
             let w = match work {
@@ -108,9 +108,24 @@ pub fn yds_schedule(jobs: &[JobInstance], work: WorkKind) -> SpeedSchedule {
         })
         .collect();
 
+    schedule_with(remaining, critical_interval)
+}
+
+/// A job as the interval search sees it: `(release, deadline, work)`.
+type Item = (f64, f64, f64);
+
+/// A critical interval: `(z, z', intensity)`.
+type Interval = (f64, f64, f64);
+
+/// The YDS loop over `remaining`, finding each critical interval with
+/// `critical`.
+fn schedule_with(
+    mut remaining: Vec<Item>,
+    critical: fn(&[Item]) -> Option<Interval>,
+) -> SpeedSchedule {
     let mut blocks = Vec::new();
     while !remaining.is_empty() {
-        let Some((z, z_end, intensity)) = critical_interval(&remaining) else {
+        let Some((z, z_end, intensity)) = critical(&remaining) else {
             break;
         };
         blocks.push(SpeedBlock {
@@ -156,55 +171,148 @@ fn collapse(t: f64, z: f64, z_end: f64, len: f64) -> f64 {
 }
 
 /// Finds `(z, z', intensity)` maximizing contained work per unit length.
-/// `O(n² log n)`: for each distinct release `z`, jobs with `r >= z` are
-/// swept in deadline order with a running work sum.
-fn critical_interval(items: &[(f64, f64, f64)]) -> Option<(f64, f64, f64)> {
+/// `O(n²)` after one `O(n log n)` sort: the jobs are stable-sorted by
+/// deadline once, and for each distinct release `z` the jobs with
+/// `r >= z` are swept in that order with a running work sum. Filtering
+/// the stably sorted list gives the same order as stably sorting the
+/// filtered list, so the sums are the ones a per-`z` sort would give.
+/// The sort is per call, not per schedule: collapsing an interval can
+/// tie deadlines that were distinct, and ties keep list order.
+fn critical_interval(items: &[Item]) -> Option<Interval> {
     if items.is_empty() {
         return None;
     }
     let mut releases: Vec<f64> = items.iter().map(|i| i.0).collect();
     releases.sort_by(f64::total_cmp);
     releases.dedup_by(|a, b| (*a - *b).abs() < 1e-15);
+    let mut by_deadline = items.to_vec();
+    by_deadline.sort_by(|a, b| a.1.total_cmp(&b.1));
 
-    let mut best: Option<(f64, f64, f64)> = None;
+    let mut best: Option<Interval> = None;
     let mut scratch: Vec<(f64, f64)> = Vec::with_capacity(items.len());
     for &z in &releases {
         scratch.clear();
         scratch.extend(
-            items
+            by_deadline
                 .iter()
                 .filter(|i| i.0 >= z - 1e-15)
                 .map(|i| (i.1, i.2)),
         );
-        scratch.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut work = 0.0;
-        let mut idx = 0;
-        while idx < scratch.len() {
-            // Accumulate all jobs sharing this deadline before evaluating.
-            let d = scratch[idx].0;
-            while idx < scratch.len() && (scratch[idx].0 - d).abs() < 1e-15 {
-                work += scratch[idx].1;
-                idx += 1;
-            }
-            let span = d - z;
-            if span <= 0.0 {
-                // Zero-length window with positive work: infeasible input;
-                // report an unbounded intensity via a tiny span.
-                return Some((z, z + f64::MIN_POSITIVE, f64::INFINITY));
-            }
-            let g = work / span;
-            if best.is_none_or(|(_, _, bg)| g > bg) {
-                best = Some((z, d, g));
-            }
+        if let Some(found) = sweep(z, &scratch, &mut best) {
+            return Some(found);
         }
     }
     best
 }
 
+/// Sweeps the `(deadline, work)` pairs of the jobs released at or after
+/// `z`, in deadline order, raising `best` to every denser `[z, d]`.
+/// Returns an unbounded intensity at once for a zero-length window with
+/// positive work (infeasible input).
+fn sweep(z: f64, jobs: &[(f64, f64)], best: &mut Option<Interval>) -> Option<Interval> {
+    let mut work = 0.0;
+    let mut idx = 0;
+    while idx < jobs.len() {
+        // Accumulate all jobs sharing this deadline before evaluating.
+        let d = jobs[idx].0;
+        while idx < jobs.len() && (jobs[idx].0 - d).abs() < 1e-15 {
+            work += jobs[idx].1;
+            idx += 1;
+        }
+        let span = d - z;
+        if span <= 0.0 {
+            // Zero-length window with positive work: infeasible input;
+            // report an unbounded intensity via a tiny span.
+            return Some((z, z + f64::MIN_POSITIVE, f64::INFINITY));
+        }
+        let g = work / span;
+        if best.is_none_or(|(_, _, bg)| g > bg) {
+            *best = Some((z, d, g));
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stadvs_sim::rng::Rng;
     use stadvs_sim::{JobId, TaskId};
+
+    /// The critical interval with a stable sort per candidate `z`: the
+    /// reference for the sort-once search.
+    fn critical_interval_resorting(items: &[Item]) -> Option<Interval> {
+        if items.is_empty() {
+            return None;
+        }
+        let mut releases: Vec<f64> = items.iter().map(|i| i.0).collect();
+        releases.sort_by(f64::total_cmp);
+        releases.dedup_by(|a, b| (*a - *b).abs() < 1e-15);
+
+        let mut best: Option<Interval> = None;
+        let mut scratch: Vec<(f64, f64)> = Vec::with_capacity(items.len());
+        for &z in &releases {
+            scratch.clear();
+            scratch.extend(
+                items
+                    .iter()
+                    .filter(|i| i.0 >= z - 1e-15)
+                    .map(|i| (i.1, i.2)),
+            );
+            scratch.sort_by(|a, b| a.0.total_cmp(&b.0));
+            if let Some(found) = sweep(z, &scratch, &mut best) {
+                return Some(found);
+            }
+        }
+        best
+    }
+
+    /// Random `(release, deadline, work)` items on a coarse grid, so
+    /// releases and deadlines tie often, with works that differ in their
+    /// low bits: a tie summed in another order would show in the sums.
+    /// Sets reach past the 20 items below which the standard library's
+    /// unstable sort happens to keep ties in order.
+    fn items(rng: &mut Rng) -> Vec<Item> {
+        (0..rng.below(64))
+            .map(|_| {
+                let release = rng.below(8) as f64 * 0.25;
+                let deadline = release + (1 + rng.below(8)) as f64 * 0.25;
+                (release, deadline, rng.range_f64(0.01, 0.3))
+            })
+            .collect()
+    }
+
+    fn bits(found: Option<Interval>) -> Option<[u64; 3]> {
+        found.map(|(z, end, g)| [z.to_bits(), end.to_bits(), g.to_bits()])
+    }
+
+    /// Property: sorting once per call finds the same `(z, z', g)` bits
+    /// as sorting per candidate start, and builds the same schedule bits.
+    #[test]
+    fn sort_once_matches_the_per_start_sort() {
+        stadvs_sim::rng::check("sort_once_matches_the_per_start_sort", 256, |rng| {
+            let items = items(rng);
+            let (got, want) = (
+                critical_interval(&items),
+                critical_interval_resorting(&items),
+            );
+            if bits(got) != bits(want) {
+                return Err(format!("interval {got:?}, want {want:?} for {items:?}"));
+            }
+            let got = schedule_with(items.clone(), critical_interval);
+            let want = schedule_with(items.clone(), critical_interval_resorting);
+            let blocks = |s: &SpeedSchedule| -> Vec<[u64; 2]> {
+                s.blocks
+                    .iter()
+                    .map(|b| [b.speed.to_bits(), b.duration.to_bits()])
+                    .collect()
+            };
+            if blocks(&got) != blocks(&want) {
+                return Err(format!("schedule {got:?}, want {want:?} for {items:?}"));
+            }
+            Ok(())
+        });
+    }
 
     fn job(task: usize, index: u64, r: f64, d: f64, w: f64) -> JobInstance {
         JobInstance {

@@ -9,6 +9,7 @@
 
 use crate::sketch::{NeumaierSum, QuantileSketch};
 use crate::spec::FleetSpec;
+use crate::FleetError;
 
 /// Lower edge of the normalized-energy sketch range.
 pub const SKETCH_LO: f64 = 0.0;
@@ -155,16 +156,37 @@ impl FleetAggregate {
     /// sketch. Callers must present merges in a pinned order (the shard
     /// merge does) for bit-determinism of the f64 sums.
     ///
+    /// The node, cell and sketch counters are bounded by the fleet's node
+    /// count. Misses, events and jobs are not, so they merge with checked
+    /// arithmetic: only a corrupt checkpoint can carry totals near
+    /// `u64::MAX`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FleetError::Checkpoint`], leaving `self` unchanged, if a
+    /// miss, event or job total would pass `u64::MAX`.
+    ///
     /// # Panics
     ///
     /// Panics if the two aggregates have different shapes.
-    pub fn merge(&mut self, other: &FleetAggregate) {
+    pub fn merge(&mut self, other: &FleetAggregate) -> Result<(), FleetError> {
         assert_eq!(self.cells.len(), other.cells.len(), "cell count mismatch");
         assert_eq!(
             self.sketches.len(),
             other.sketches.len(),
             "sketch count mismatch"
         );
+        let sum = |a: u64, b: u64, what: &str| {
+            a.checked_add(b).ok_or_else(|| {
+                FleetError::Checkpoint(format!("merged {what} total passes u64::MAX"))
+            })
+        };
+        let misses = sum(self.misses, other.misses, "miss")?;
+        let events = sum(self.events, other.events, "event")?;
+        let jobs = sum(self.jobs, other.jobs, "job")?;
+        for (a, b) in self.cells.iter().zip(&other.cells) {
+            sum(a.misses, b.misses, "cell miss")?;
+        }
         for (a, b) in self.cells.iter_mut().zip(&other.cells) {
             a.merge(b);
         }
@@ -173,10 +195,11 @@ impl FleetAggregate {
         }
         self.nodes += other.nodes;
         self.infeasible += other.infeasible;
-        self.misses += other.misses;
-        self.events += other.events;
-        self.jobs += other.jobs;
+        self.misses = misses;
+        self.events = events;
+        self.jobs = jobs;
         self.sims += other.sims;
+        Ok(())
     }
 }
 
@@ -224,7 +247,7 @@ mod tests {
         for o in &outcomes[77..] {
             right.record(o);
         }
-        left.merge(&right);
+        left.merge(&right).unwrap();
 
         assert_eq!(whole.nodes, left.nodes);
         assert_eq!(whole.events, left.events);
@@ -237,6 +260,32 @@ mod tests {
         }
         for (a, b) in whole.sketches.iter().zip(&left.sketches) {
             assert_eq!(a.count(), b.count());
+        }
+    }
+
+    #[test]
+    fn open_ended_totals_refuse_to_wrap() {
+        let spec = FleetSpec::tiny(1);
+        let mut agg = FleetAggregate::new(&spec);
+        agg.record(&outcome(0, 0, 0.5));
+        for what in ["event", "job", "miss", "cell miss"] {
+            let mut resumed = agg.clone();
+            match what {
+                "event" => resumed.events = u64::MAX,
+                "job" => resumed.jobs = u64::MAX,
+                "miss" => resumed.misses = u64::MAX,
+                _ => resumed.cells[0].misses = u64::MAX,
+            }
+            let mut shard = agg.clone();
+            shard.misses = 1;
+            shard.cells[0].misses = 1;
+            let before = resumed.clone();
+            let err = resumed.merge(&shard).unwrap_err();
+            assert!(
+                matches!(&err, FleetError::Checkpoint(msg) if msg.contains(what)),
+                "{what}: {err}"
+            );
+            assert_eq!(resumed, before, "{what}: a refused merge changes nothing");
         }
     }
 

@@ -15,7 +15,7 @@
 use std::fs;
 use std::path::Path;
 
-use crate::agg::{CellStats, FleetAggregate};
+use crate::agg::{CellStats, FleetAggregate, SKETCH_BUCKETS, SKETCH_HI, SKETCH_LO};
 use crate::sketch::{NeumaierSum, QuantileSketch, SketchState};
 use crate::spec::FleetSpec;
 use crate::FleetError;
@@ -139,6 +139,14 @@ fn field_u64_array(line: &str, key: &str) -> Result<Vec<u64>, FleetError> {
                 .map_err(|_| bad(format!("field {key:?} has a non-integer entry")))
         })
         .collect()
+}
+
+/// The sum of a checkpoint's cell `what`, refused when it passes
+/// `u64::MAX`.
+fn checked_sum(mut values: impl Iterator<Item = u64>, what: &str) -> Result<u64, FleetError> {
+    values
+        .try_fold(0u64, u64::checked_add)
+        .ok_or_else(|| bad(format!("cell {what} overflow u64")))
 }
 
 fn pair_json(s: &NeumaierSum) -> String {
@@ -367,8 +375,15 @@ impl Checkpoint {
                 self.shard_size
             )));
         }
+        let sketch_shape = |sketch: &QuantileSketch| {
+            let state = sketch.state();
+            state.lo.to_bits() == SKETCH_LO.to_bits()
+                && state.hi.to_bits() == SKETCH_HI.to_bits()
+                && state.buckets.len() == SKETCH_BUCKETS
+        };
         if self.aggregate.cells.len() != spec.cell_count()
             || self.aggregate.sketches.len() != spec.governors.len()
+            || !self.aggregate.sketches.iter().all(sketch_shape)
         {
             return Err(bad("aggregate shape does not match the spec".to_string()));
         }
@@ -384,6 +399,56 @@ impl Checkpoint {
             return Err(bad(format!(
                 "aggregate covers {} nodes but {} shards of {} imply {expected_nodes}",
                 self.aggregate.nodes, self.shards_done, self.shard_size
+            )));
+        }
+        self.validate_totals(spec)
+    }
+
+    /// Cross-checks the aggregate against itself, so every counter a
+    /// resumed sweep adds to is bounded by the node count: the cells'
+    /// counts and infeasible counts add up to `nodes`, their infeasible
+    /// counts and misses to the totals, each governor's sketch holds one
+    /// value per feasible node of its cells, and `sims` lies between one
+    /// and two per feasible node. Events and jobs have no such bound;
+    /// [`FleetAggregate::merge`] refuses to wrap them.
+    fn validate_totals(&self, spec: &FleetSpec) -> Result<(), FleetError> {
+        let agg = &self.aggregate;
+        let feasible = checked_sum(agg.cells.iter().map(|c| c.count), "counts")?;
+        let infeasible = checked_sum(agg.cells.iter().map(|c| c.infeasible), "infeasible counts")?;
+        let misses = checked_sum(agg.cells.iter().map(|c| c.misses), "misses")?;
+        if feasible.checked_add(infeasible) != Some(agg.nodes) {
+            return Err(bad(format!(
+                "cells hold {feasible} feasible and {infeasible} infeasible nodes, \
+                 totals claim {}",
+                agg.nodes
+            )));
+        }
+        if infeasible != agg.infeasible || misses != agg.misses {
+            return Err(bad(format!(
+                "cells hold {infeasible} infeasible nodes and {misses} misses, \
+                 totals claim {} and {}",
+                agg.infeasible, agg.misses
+            )));
+        }
+        for (g, sketch) in agg.sketches.iter().enumerate() {
+            let counts = agg
+                .cells
+                .iter()
+                .enumerate()
+                .filter(|&(cell, _)| spec.cell_axes(cell).2 == g)
+                .map(|(_, c)| c.count);
+            let count = checked_sum(counts, "counts")?;
+            if sketch.count() != count {
+                return Err(bad(format!(
+                    "governor {g}'s sketch holds {} values, its cells {count} nodes",
+                    sketch.count()
+                )));
+            }
+        }
+        if agg.sims < feasible || agg.sims - feasible > feasible {
+            return Err(bad(format!(
+                "{} simulations for {feasible} feasible nodes (one or two each)",
+                agg.sims
             )));
         }
         Ok(())
@@ -444,6 +509,30 @@ mod tests {
         // 2 shards × 8 nodes = 16 recorded nodes: consistent. 3 shards
         // would imply 24.
         let cp = Checkpoint::parse(&Checkpoint::render(&spec, 8, 3, &agg)).expect("parses");
+        assert!(cp.validate_against(&spec, 8).is_err());
+    }
+
+    #[test]
+    fn totals_must_agree_with_the_cells_and_sketches() {
+        let (spec, agg) = sample();
+        let text = Checkpoint::render(&spec, 8, 2, &agg);
+        // 16 feasible nodes, four per governor, no misses, two
+        // simulations each. The first `count` and `underflow` fields are
+        // cell 0's and governor 0's.
+        for (key, value) in [
+            ("infeasible", "1"),
+            ("misses", "3"),
+            ("sims", "15"),
+            ("sims", "33"),
+            ("count", "2"),
+            ("underflow", "1"),
+        ] {
+            let cp = Checkpoint::parse(&with_field(&text, key, value)).expect("parses");
+            assert!(cp.validate_against(&spec, 8).is_err(), "{key} = {value}");
+        }
+        // A cell sum that wraps past u64::MAX is refused, not summed.
+        let wrapped = with_field(&text, "count", "18446744073709551615");
+        let cp = Checkpoint::parse(&wrapped).expect("parses");
         assert!(cp.validate_against(&spec, 8).is_err());
     }
 

@@ -200,7 +200,7 @@ pub fn run_fleet(spec: &FleetSpec, config: &FleetConfig) -> Result<FleetOutcome,
     };
 
     let mut done = start;
-    let mut io_error: Option<FleetError> = None;
+    let mut error: Option<FleetError> = None;
     let every = config.checkpoint_every.max(1);
     let merged = run_sharded_streaming(
         start..shards_total,
@@ -216,7 +216,10 @@ pub fn run_fleet(spec: &FleetSpec, config: &FleetConfig) -> Result<FleetOutcome,
             local
         },
         |s, local| {
-            aggregate.merge(&local);
+            if let Err(e) = aggregate.merge(&local) {
+                error = Some(e);
+                return ControlFlow::Break(());
+            }
             done = s + 1;
             let at_limit = limit.is_some_and(|l| done >= l);
             let finished = done == shards_total;
@@ -225,7 +228,7 @@ pub fn run_fleet(spec: &FleetSpec, config: &FleetConfig) -> Result<FleetOutcome,
                     if let Err(e) =
                         Checkpoint::save(path, spec, config.shard_size, done, &aggregate)
                     {
-                        io_error = Some(e);
+                        error = Some(e);
                         return ControlFlow::Break(());
                     }
                 }
@@ -237,10 +240,10 @@ pub fn run_fleet(spec: &FleetSpec, config: &FleetConfig) -> Result<FleetOutcome,
             }
         },
     );
-    debug_assert_eq!(done, start + merged);
-    if let Some(e) = io_error {
+    if let Some(e) = error {
         return Err(e);
     }
+    debug_assert_eq!(done, start + merged);
     Ok(FleetOutcome {
         aggregate,
         shards_done: done,
@@ -312,6 +315,115 @@ mod tests {
             ..FleetConfig::default()
         };
         assert!(run_fleet(&spec, &config).is_err());
+    }
+
+    /// A checkpoint path private to one test of this process.
+    fn temp_checkpoint(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "stadvs-fleet-engine-{name}-{}.json",
+            std::process::id()
+        ))
+    }
+
+    /// The tiny fleet cut into shards of 4, merging at most one shard per
+    /// call, checkpointed at `path`.
+    fn one_shard_at_a_time(path: &std::path::Path) -> FleetConfig {
+        FleetConfig {
+            shard_size: 4,
+            threads: Some(1),
+            checkpoint: Some(path.to_path_buf()),
+            max_shards: Some(1),
+            ..FleetConfig::default()
+        }
+    }
+
+    /// The text of the tiny fleet's checkpoint after its first shard.
+    fn first_shard_checkpoint(spec: &FleetSpec, path: &std::path::Path) -> String {
+        let _ = std::fs::remove_file(path);
+        run_fleet(spec, &one_shard_at_a_time(path)).expect("first shard runs");
+        std::fs::read_to_string(path).expect("checkpoint written")
+    }
+
+    /// Events have no bound a checkpoint can be checked against, so a
+    /// total at `u64::MAX` passes validation; the resumed merge must then
+    /// refuse it, not panic on the overflow (dev) or wrap (release).
+    #[test]
+    fn resuming_an_event_total_at_the_limit_is_refused() {
+        let spec = FleetSpec::tiny(9);
+        let path = temp_checkpoint("events");
+        let text = first_shard_checkpoint(&spec, &path);
+        let totals = text.lines().nth(1).expect("a totals line");
+        let start = totals.find("\"events\": ").expect("an events total") + 10;
+        let len = totals[start..]
+            .find(|c: char| !c.is_ascii_digit())
+            .expect("the total ends");
+        let edited = text.replacen(
+            totals,
+            &format!("{}{}{}", &totals[..start], u64::MAX, &totals[start + len..]),
+            1,
+        );
+        std::fs::write(&path, edited).expect("checkpoint rewritten");
+        let resumed = run_fleet(&spec, &one_shard_at_a_time(&path));
+        let _ = std::fs::remove_file(&path);
+        match resumed {
+            Err(FleetError::Checkpoint(msg)) => assert!(msg.contains("event"), "{msg}"),
+            other => panic!("resumed a wrapped event total: {other:?}"),
+        }
+    }
+
+    /// Property: a corrupt checkpoint that parses is resumed to `Ok` or a
+    /// typed error, never a panic. Each case applies one corruption to
+    /// the tiny fleet's first-shard checkpoint: a truncation, one digit
+    /// replaced by another digit or by `u64::MAX`, or one byte replaced by
+    /// another printable ASCII byte. The runner reports a panic inside
+    /// `run_fleet` with its case seed.
+    #[test]
+    fn corrupt_checkpoints_resume_or_fail_typed() {
+        let spec = FleetSpec::tiny(9);
+        let path = temp_checkpoint("corrupt");
+        let text = first_shard_checkpoint(&spec, &path);
+        assert!(text.is_ascii(), "byte edits below keep the text UTF-8");
+        let digits: Vec<usize> = text
+            .char_indices()
+            .filter(|(_, c)| c.is_ascii_digit())
+            .map(|(i, _)| i)
+            .collect();
+        let len = text.len() as u64;
+        stadvs_sim::rng::check("corrupt_checkpoints_resume_or_fail_typed", 256, |rng| {
+            let corrupted = match rng.below(3) {
+                0 => text[..rng.below(len + 1) as usize].to_string(),
+                1 => {
+                    let at = digits[rng.below(digits.len() as u64) as usize];
+                    let with = if rng.below(2) == 0 {
+                        let old = u64::from(text.as_bytes()[at] - b'0');
+                        ((old + 1 + rng.below(9)) % 10).to_string()
+                    } else {
+                        u64::MAX.to_string()
+                    };
+                    format!("{}{with}{}", &text[..at], &text[at + 1..])
+                }
+                _ => {
+                    let mut bytes = text.clone().into_bytes();
+                    let at = rng.below(len) as usize;
+                    // Another of the 95 printable ASCII bytes.
+                    let mut byte = b' ' + rng.below(95) as u8;
+                    if byte == bytes[at] {
+                        byte = if byte == b'~' { b' ' } else { byte + 1 };
+                    }
+                    bytes[at] = byte;
+                    String::from_utf8(bytes).map_err(|e| e.to_string())?
+                }
+            };
+            if Checkpoint::parse(&corrupted).is_err() {
+                return Ok(());
+            }
+            std::fs::write(&path, &corrupted).map_err(|e| e.to_string())?;
+            match run_fleet(&spec, &one_shard_at_a_time(&path)) {
+                Ok(_) | Err(FleetError::Checkpoint(_)) => Ok(()),
+                Err(e) => Err(format!("untyped failure: {e}")),
+            }
+        });
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -7,13 +7,19 @@
 //! the same order as the pre-kernel loop and the results are
 //! bit-identical by construction (pinned by the golden corpus).
 //!
-//! [`drive`] is the one way the simulators step their engines: one engine
-//! for [`crate::Simulator`], one per non-idle core for
-//! [`crate::PlatformSim`]. It repeatedly steps the engine whose pending
-//! *wake* has the least `(time bits, seq, core)` key — exactly the order
-//! in which the typed-event [`crate::Kernel`] delivered engine wakes when
-//! the engines ran inside it — and lends the shared budget ledger, if
-//! any, to each step.
+//! Two loops step the engines: one engine for [`crate::Simulator`], one
+//! per non-idle core for [`crate::PlatformSim`].
+//!
+//! * [`drive_budgeted`] couples the cores through a shared budget ledger.
+//!   It repeatedly steps the engine whose pending *wake* has the least
+//!   `(time bits, seq, core)` key — exactly the order in which the
+//!   typed-event [`crate::Kernel`] delivered engine wakes when the
+//!   engines ran inside it — and lends the ledger to each step.
+//! * [`drive`] steps engines that share nothing: without a ledger no
+//!   engine can observe another's steps, so each runs to the end in core
+//!   order, and each engine's step sequence is the one the global order
+//!   would give it. When several engines fail, it returns the error the
+//!   global order would reach first.
 //!
 //! Each engine counts its own events as the kernel counted them, into
 //! [`crate::SimOutcome::kernel`]. A *wake* (`Release`/`Dispatch`) is the
@@ -53,15 +59,16 @@ pub(crate) enum Step {
 
 /// The ordering key of an engine's pending wake: its time's bits and its
 /// sequence number. Times are non-negative finite, so the bits order
-/// exactly like the values. [`drive`] breaks a tie on the engine's
-/// position, which follows core order.
+/// exactly like the values. [`drive_budgeted`] breaks a tie on the
+/// engine's position, which follows core order.
 pub(crate) type WakeKey = (u64, u64);
 
 /// The key of an engine with no pending wake: all-ones bits are a NaN,
 /// never a wake time, so every pending wake orders before it.
 const NO_WAKE: WakeKey = (u64::MAX, u64::MAX);
 
-/// What [`drive`] steps: a [`CoreEngine`], or a stand-in in its tests.
+/// What [`drive`] and [`drive_budgeted`] step: a [`CoreEngine`], or a
+/// stand-in in their tests.
 pub(crate) trait Stepper {
     /// The key of the pending wake.
     fn wake_key(&self) -> WakeKey;
@@ -70,18 +77,55 @@ pub(crate) trait Stepper {
     fn step(&mut self, ledger: Option<&mut BudgetLedger>) -> Result<Step, SimError>;
 }
 
+/// Steps `engines`, which share no mutable state, until every one is
+/// done: each engine runs to [`Step::Done`] in position order. An
+/// engine's step sequence depends only on its own state, so it is the
+/// same as under the global `(time bits, seq, position)` order of
+/// [`drive_budgeted`], which only a shared ledger can observe.
+///
+/// # Errors
+///
+/// Returns the error of the failing step with the least
+/// `(time bits, seq, position)` key: the error the global order reaches
+/// first. Once an engine has failed, a later engine stops at its first
+/// step not ordered before that failure; the caller discards the
+/// engines of a failed run.
+pub(crate) fn drive<S: Stepper>(engines: &mut [S]) -> Result<(), SimError> {
+    let mut first: Option<(WakeKey, SimError)> = None;
+    for engine in engines.iter_mut() {
+        loop {
+            let key = engine.wake_key();
+            // A later position loses a `(time bits, seq)` tie.
+            if first.as_ref().is_some_and(|(failed, _)| key >= *failed) {
+                break;
+            }
+            match engine.step(None) {
+                Ok(Step::Continue) => {}
+                Ok(Step::Done) => break,
+                Err(error) => {
+                    first = Some((key, error));
+                    break;
+                }
+            }
+        }
+    }
+    first.map_or(Ok(()), |(_, error)| Err(error))
+}
+
 /// Steps `engines` until every one is done, always the one whose pending
 /// wake has the least `(time bits, seq, position)` key, lending `ledger`
-/// to each step. `wakes` is the caller's reusable key buffer.
+/// to each step: a budgeted platform's cores are coupled through the
+/// ledger's draws, so their steps must interleave in time order. `wakes`
+/// is the caller's reusable key buffer.
 ///
 /// # Errors
 ///
 /// Returns the first error a step returns, in step order; the remaining
 /// engines are left where they stopped.
-pub(crate) fn drive<S: Stepper>(
+pub(crate) fn drive_budgeted<S: Stepper>(
     engines: &mut [S],
     wakes: &mut Vec<WakeKey>,
-    mut ledger: Option<&mut BudgetLedger>,
+    ledger: &mut BudgetLedger,
 ) -> Result<(), SimError> {
     wakes.clear();
     wakes.extend(engines.iter().map(Stepper::wake_key));
@@ -101,7 +145,7 @@ pub(crate) fn drive<S: Stepper>(
         debug_assert!(least.0 >= last, "wake order moved backwards");
         last = least.0;
         let engine = &mut engines[position];
-        wakes[position] = match engine.step(ledger.as_deref_mut())? {
+        wakes[position] = match engine.step(Some(&mut *ledger))? {
             Step::Continue => engine.wake_key(),
             Step::Done => NO_WAKE,
         };
@@ -802,7 +846,8 @@ where
         // certificate is already void — recovery wins over the rail).
         if !forced {
             if let Some(ledger) = ledger {
-                let granted = ledger.grant(self.core_index, speed, self.processor);
+                let power = self.acc.active_power(speed);
+                let granted = ledger.grant(self.core_index, speed, power, self.processor);
                 if !granted.same_point(speed) {
                     self.tally.note(EventKind::Budget);
                     speed = granted;
@@ -1223,9 +1268,10 @@ mod tests {
         wakes: Vec<(f64, u64, bool)>,
     }
 
-    /// A stand-in engine for [`drive`]: it follows its script, counts
-    /// its events in a [`Tally`] as a [`CoreEngine`] does, and logs each
-    /// step as `(core, wake time bits)`.
+    /// A stand-in engine for the drive loops: it follows its script,
+    /// counts its events in a [`Tally`] as a [`CoreEngine`] does, and logs
+    /// each step as `(core, wake time bits)`. A failing step's error names
+    /// its core.
     struct Scripted<'a> {
         script: &'a Script,
         next: usize,
@@ -1248,7 +1294,7 @@ mod tests {
                 .borrow_mut()
                 .push((self.script.core, time.to_bits()));
             if fails {
-                return Err(SimError::EventLimitExceeded { limit: 0 });
+                return Err(failure(self.script.core));
             }
             for _ in 0..notes {
                 self.tally.note(EventKind::Completion);
@@ -1278,7 +1324,7 @@ mod tests {
                 .borrow_mut()
                 .push((self.script.core, event.time.to_bits()));
             if fails {
-                return Err(SimError::EventLimitExceeded { limit: 0 });
+                return Err(failure(self.script.core));
             }
             for _ in 0..notes {
                 ctx.emit(ctx.now(), EventKind::Completion, self.sink);
@@ -1300,42 +1346,70 @@ mod tests {
         }
     }
 
-    /// Property: [`drive`] steps engines in exactly the order the kernel
-    /// delivers the same wakes, notes included, and stops at the same
-    /// failing step. Wake times sit on a coarse grid, so bit-tied wakes
-    /// across cores are common and the order often rests on `seq`; cores
-    /// without wakes are idle and get no engine, as on a platform.
+    /// The error a scripted step on `core` fails with.
+    fn failure(core: usize) -> SimError {
+        SimError::EventLimitExceeded { limit: core as u64 }
+    }
+
+    /// Random scripts for up to eight cores. Wake times sit on a coarse
+    /// grid, so bit-tied wakes across cores are common and the global
+    /// order often rests on `seq`; a core may get no wakes, and then no
+    /// engine, as an idle core on a platform. `fails` picks the failing
+    /// steps by `(core, step index)`.
+    fn scripts(rng: &mut crate::rng::Rng, fails: impl Fn(usize, u64) -> bool) -> Vec<Script> {
+        let cores = 1 + rng.below(8) as usize;
+        (0..cores)
+            .map(|core| {
+                let mut time = 0.0;
+                let wakes = (0..rng.below(12))
+                    .map(|i| {
+                        time += rng.below(3) as f64 * 0.5;
+                        (time, rng.below(4), fails(core, i))
+                    })
+                    .collect();
+                Script { core, wakes }
+            })
+            .collect()
+    }
+
+    /// Drives one engine per non-empty script, through the budgeted loop
+    /// with a ledger or through the uncoupled one without, and returns
+    /// the result with the step log.
+    fn drive_scripts(
+        scripts: &[Script],
+        budgeted: bool,
+    ) -> (Result<(), SimError>, Vec<(usize, u64)>) {
+        let log = RefCell::new(Vec::new());
+        let mut engines: Vec<Scripted<'_>> = scripts
+            .iter()
+            .filter(|script| !script.wakes.is_empty())
+            .map(|script| Scripted {
+                script,
+                next: 0,
+                tally: Tally::seeded(),
+                log: &log,
+            })
+            .collect();
+        let result = if budgeted {
+            let mut ledger = BudgetLedger::new(1.0, scripts.len()).unwrap();
+            drive_budgeted(&mut engines, &mut Vec::new(), &mut ledger)
+        } else {
+            drive(&mut engines)
+        };
+        drop(engines);
+        (result, log.into_inner())
+    }
+
+    /// Property: [`drive_budgeted`] steps engines in exactly the order the
+    /// kernel delivers the same wakes, notes included, and stops at the
+    /// same failing step with the same error.
     #[test]
     fn drive_order_matches_kernel_delivery_order() {
         crate::rng::check("drive_order_matches_kernel_delivery_order", 256, |rng| {
-            let cores = 1 + rng.below(8) as usize;
-            let fail_at = (rng.below(2) == 0).then(|| (rng.below(cores as u64), rng.below(12)));
-            let scripts: Vec<Script> = (0..cores)
-                .map(|core| {
-                    let mut time = 0.0;
-                    let wakes = (0..rng.below(12))
-                        .map(|i| {
-                            time += rng.below(3) as f64 * 0.5;
-                            let fails = fail_at == Some((core as u64, i));
-                            (time, rng.below(4), fails)
-                        })
-                        .collect();
-                    Script { core, wakes }
-                })
-                .collect();
-
-            let driven = RefCell::new(Vec::new());
-            let mut engines: Vec<Scripted<'_>> = scripts
-                .iter()
-                .filter(|script| !script.wakes.is_empty())
-                .map(|script| Scripted {
-                    script,
-                    next: 0,
-                    tally: Tally::seeded(),
-                    log: &driven,
-                })
-                .collect();
-            let driven_result = drive(&mut engines, &mut Vec::new(), None);
+            let fail_at = (rng.below(2) == 0).then(|| (rng.below(8) as usize, rng.below(12)));
+            let scripts = scripts(rng, |core, i| fail_at == Some((core, i)));
+            let cores = scripts.len();
+            let (driven_result, driven) = drive_scripts(&scripts, true);
 
             let delivered = RefCell::new(Vec::new());
             let mut kernel = Kernel::new();
@@ -1368,10 +1442,10 @@ mod tests {
             handlers.push(&mut sink);
             let kernel_result = kernel.run(&mut handlers);
 
-            if driven_result.is_ok() != kernel_result.is_ok() {
+            if driven_result != kernel_result {
                 return Err(format!("drive {driven_result:?}, kernel {kernel_result:?}"));
             }
-            let (driven, delivered) = (driven.into_inner(), delivered.into_inner());
+            let delivered = delivered.into_inner();
             if driven != delivered {
                 return Err(format!(
                     "drive order {driven:?}\nkernel order {delivered:?}"
@@ -1379,6 +1453,54 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    /// Property: without a ledger, [`drive`] gives every engine the step
+    /// sequence the global order gives it, and when several engines fail
+    /// it returns the error the global order reaches first. Engines past
+    /// that error may have run further, so the ordered run's steps of each
+    /// core are a prefix of the uncoupled run's, and equal when nothing
+    /// fails.
+    #[test]
+    fn uncoupled_drive_keeps_each_step_sequence_and_the_first_error() {
+        crate::rng::check(
+            "uncoupled_drive_keeps_each_step_sequence_and_the_first_error",
+            256,
+            |rng| {
+                let density = rng.below(4);
+                let seed = rng.next_u64();
+                let fails = move |core: usize, i: u64| {
+                    crate::rng::splitmix64(seed ^ (((core as u64) << 32) | i)) % 16 < density
+                };
+                let scripts = scripts(rng, fails);
+                let (ordered_result, ordered) = drive_scripts(&scripts, true);
+                let (each_result, each) = drive_scripts(&scripts, false);
+                if each_result != ordered_result {
+                    return Err(format!("drive {each_result:?}, ordered {ordered_result:?}"));
+                }
+                for script in &scripts {
+                    let of = |log: &[(usize, u64)]| -> Vec<u64> {
+                        log.iter()
+                            .filter(|(core, _)| *core == script.core)
+                            .map(|&(_, time)| time)
+                            .collect()
+                    };
+                    let (want, got) = (of(&ordered), of(&each));
+                    let same = if ordered_result.is_ok() {
+                        got == want
+                    } else {
+                        got.starts_with(&want)
+                    };
+                    if !same {
+                        return Err(format!(
+                            "core {}: steps {got:?}, ordered {want:?}",
+                            script.core
+                        ));
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     fn record(task: usize, index: u64) -> JobRecord {

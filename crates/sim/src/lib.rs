@@ -17,10 +17,10 @@
 //! * [`SimOutcome`] — energy breakdown, deadline audit, switch counts,
 //!   per-core event accounting ([`KernelStats`]),
 //! * [`PlatformSim`] — N per-core engines under partitioned multiprocessor
-//!   EDF, stepped in one drive loop in global wake order (fresh governor,
-//!   scratch, and energy account per core; no migration), aggregated into
-//!   a [`PlatformOutcome`] — optionally under a shared power cap
-//!   ([`BudgetLedger`]).
+//!   EDF (fresh governor, scratch, and energy account per core; no
+//!   migration), aggregated into a [`PlatformOutcome`] — optionally under
+//!   a shared power cap ([`BudgetLedger`]), whose drive loop steps the
+//!   cores in global wake order.
 //! * [`Kernel`] — a discrete-event kernel: one binary heap of typed
 //!   [`SimEvent`]s on the total `(time, seq, component)` key, delivered
 //!   to pre-registered [`EventHandler`] components. The drive loop

@@ -2,21 +2,21 @@
 //!
 //! Under partitioned EDF there is no migration: each core schedules its
 //! own task subset with its own governor, its own speed state, and its
-//! own energy account. [`PlatformSim`] steps the per-core engines in one
-//! drive loop, always the core whose pending wake has the least
-//! `(time, seq, core)` key — the global order in which the typed-event
-//! kernel delivered them when the cores ran inside it — and each step
-//! executes exactly one iteration of that core's legacy loop. Because
-//! partitioned cores share no mutable state, this interleaving is
-//! bit-identical per core to running the streams sequentially — and a
-//! 1-core platform is *bit-identical* to the uniprocessor [`Simulator`]
-//! (the differential tests pin both).
+//! own energy account. Each step of a core's engine executes exactly one
+//! iteration of that core's legacy loop. Because partitioned cores share
+//! no mutable state, an unbudgeted run steps each core to the end in
+//! core order, and each core's steps are bit-identical to any
+//! interleaving — and a 1-core platform is *bit-identical* to the
+//! uniprocessor [`Simulator`] (the differential tests pin both).
 //!
-//! What the global order adds over sequential stepping is *coupling*:
-//! [`PlatformSim::run_budgeted`] lends a [`BudgetLedger`] to every step,
-//! and because grants happen in global time order the ledger sees a
-//! time-consistent picture of all cores' draws — the platform-level
-//! power cap the old per-core loop could not express.
+//! Only a shared budget couples the cores: [`PlatformSim::run_budgeted`]
+//! lends a [`BudgetLedger`] to every step and steps the cores in one
+//! loop, always the core whose pending wake has the least
+//! `(time, seq, core)` key — the global order in which the typed-event
+//! kernel delivered them when the cores ran inside it. Because grants
+//! happen in global time order the ledger sees a time-consistent picture
+//! of all cores' draws — the platform-level power cap the old per-core
+//! loop could not express.
 //!
 //! Each core gets a **fresh governor instance** from the caller's factory
 //! (governors carry per-run state; sharing one across cores would leak
@@ -26,7 +26,7 @@
 //! energy — an "empty" core is still powered.
 
 use crate::budget::{BudgetLedger, BudgetReport};
-use crate::component::{drive, CoreEngine, CoreScratch, WakeKey};
+use crate::component::{drive, drive_budgeted, CoreEngine, CoreScratch, WakeKey};
 use crate::event::QueueStats;
 use crate::exec::ExecutionSource;
 use crate::fault::{FaultPlan, FaultReport};
@@ -43,9 +43,9 @@ use crate::audit::{audit_outcome, AuditReport};
 
 /// Reusable per-core working memory for [`PlatformSim`] runs.
 ///
-/// One `CoreScratch` per core plus the drive loop's wake-key buffer,
-/// grown on demand and reused across runs — the platform event path
-/// never allocates per event.
+/// One `CoreScratch` per core plus the budgeted drive loop's wake-key
+/// buffer, grown on demand and reused across runs — the platform event
+/// path never allocates per event.
 #[derive(Debug, Clone, Default)]
 pub struct PlatformScratch {
     per_core: Vec<CoreScratch>,
@@ -301,10 +301,9 @@ impl PlatformSim {
     /// plan's seeded draws key on each core's *local* task ids), and
     /// reusable scratch memory.
     ///
-    /// All cores are stepped in one drive loop in global wake order;
-    /// because partitioned cores share no mutable state, that
-    /// interleaving is bit-identical per core to sequential stepping
-    /// (module docs).
+    /// Each core is stepped to the end in core order: partitioned cores
+    /// share no mutable state, so each core's steps are the same as in
+    /// the global wake order a budgeted run steps them in (module docs).
     ///
     /// # Errors
     ///
@@ -312,7 +311,9 @@ impl PlatformSim {
     ///   per core;
     /// * any [`Simulator`] run error from a core's event loop
     ///   ([`SimError::DeadlineMiss`] under `MissPolicy::Fail`,
-    ///   [`SimError::EventLimitExceeded`], …).
+    ///   [`SimError::EventLimitExceeded`], …). When several cores fail,
+    ///   the error is the one whose step comes first in global wake
+    ///   order.
     pub fn run_faulted_with_scratch<G, E>(
         &self,
         make_governor: G,
@@ -362,8 +363,9 @@ impl PlatformSim {
     }
 
     /// The one platform drive path: builds an engine per non-idle core,
-    /// steps them all in one drive loop that lends `ledger` (budgeted
-    /// runs only) to each step, and assembles the per-core outcomes.
+    /// steps them (in global wake order, lending `ledger` to each step,
+    /// on budgeted runs; each to the end in core order otherwise), and
+    /// assembles the per-core outcomes.
     fn run_cores<G, E>(
         &self,
         mut make_governor: G,
@@ -419,7 +421,10 @@ impl PlatformSim {
                 }
             }
         }
-        drive(&mut engines, wakes, ledger.as_mut())?;
+        match ledger.as_mut() {
+            Some(ledger) => drive_budgeted(&mut engines, wakes, ledger)?,
+            None => drive(&mut engines)?,
+        }
         let mut outcomes = Vec::with_capacity(n);
         for engine in engines {
             outcomes.push(engine.finish()?);

@@ -1,13 +1,13 @@
 //! The event-driven preemptive EDF / DVS simulation engine.
 //!
 //! [`Simulator`] runs one [`CoreEngine`] to completion through the same
-//! drive loop ([`drive`]) that steps a platform's cores, so a 1-core
-//! platform and the uniprocessor simulator share every instruction,
-//! event accounting included.
+//! drive loop ([`drive`]) that steps an unbudgeted platform's cores, so a
+//! 1-core platform and the uniprocessor simulator share every
+//! instruction, event accounting included.
 
 use stadvs_power::Processor;
 
-use crate::component::{drive, CoreEngine, CoreScratch, WakeKey};
+use crate::component::{drive, CoreEngine, CoreScratch};
 use crate::event::QueueStats;
 use crate::exec::ExecutionSource;
 use crate::fault::FaultPlan;
@@ -160,16 +160,15 @@ impl SimConfig {
 /// Reusable working memory for [`Simulator::run_with_scratch`].
 ///
 /// One simulation run needs the per-core scheduling buffers (ready set,
-/// release queue, per-task counters) plus the drive loop's wake-key
-/// buffer. All of them are sized by the task set, not the horizon, and
-/// all of them are fully reset at the start of each run — so a single
+/// release queue, per-task counters). All of them are sized by the task
+/// set, not the horizon, and all of them are fully reset at the start of
+/// each run — so a single
 /// `SimScratch` can be threaded through thousands of runs (the
 /// experiment sweeps do exactly this, one scratch per worker thread)
 /// without re-allocating per case.
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
     core: CoreScratch,
-    wakes: Vec<WakeKey>,
 }
 
 impl SimScratch {
@@ -356,7 +355,7 @@ impl Simulator {
             &mut scratch.core,
             0,
         );
-        drive(std::slice::from_mut(&mut engine), &mut scratch.wakes, None)?;
+        drive(std::slice::from_mut(&mut engine))?;
         engine.finish()
     }
 }

@@ -35,12 +35,14 @@ const HOT_PATH_CRATES: &[&str] = &["sim"];
 
 /// Individual files outside [`HOT_PATH_CRATES`] that are also on the
 /// per-dispatch path: the slack analysis and the st-edf governor run once
-/// per dispatch, so a stray allocation there multiplies the same way.
+/// per dispatch, and the energy accumulator once per execution segment,
+/// so a stray allocation there multiplies the same way.
 /// One-time cache growth is fine — escape it with
 /// `// xtask:allow(hot-path-alloc): <reason>`.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/sources/demand.rs",
     "crates/core/src/slack_edf.rs",
+    "crates/power/src/energy.rs",
     "crates/fleet/src/engine.rs",
     // The simulators' per-step path lives inside the `sim` crate and is
     // already covered by HOT_PATH_CRATES; it is pinned here by name so
@@ -252,6 +254,16 @@ mod tests {
         assert_eq!(report.violations.len(), 1);
         // Other core files stay exempt.
         assert!(one("crates/core/src/ledger.rs", "core", LOOP_ALLOC).is_clean());
+    }
+
+    #[test]
+    fn hot_path_alloc_covers_the_energy_accumulator() {
+        // The accumulator runs once per execution segment of every core;
+        // the rest of the power crate is not on the per-segment path.
+        let report = one("crates/power/src/energy.rs", "power", LOOP_ALLOC);
+        assert_eq!(report.violations.len(), 1);
+        assert_eq!(report.violations[0].rule, "hot-path-alloc");
+        assert!(one("crates/power/src/processor.rs", "power", LOOP_ALLOC).is_clean());
     }
 
     #[test]
