@@ -1,6 +1,7 @@
-//! # stadvs-analysis — schedulability, trace auditing, and clairvoyant bounds
+//! # stadvs-analysis — schedulability and clairvoyant bounds
 //!
-//! The off-line referee of the `stadvs` reproduction:
+//! The off-line analysis of the `stadvs` reproduction (the run referee is
+//! `stadvs_sim::audit_outcome`):
 //!
 //! * [`edf_schedulable`] / [`dbf`] — EDF schedulability at full speed
 //!   (utilization bound for implicit deadlines, demand-bound function and
@@ -10,8 +11,6 @@
 //! * [`yds_schedule`] / [`optimal_static_speed`] — the Yao–Demers–Shenker
 //!   optimal offline voltage schedule and the oracle static speed, the
 //!   lower bounds every on-line governor is measured against,
-//! * [`validate_outcome`] — the hard-real-time audit of a simulation run
-//!   (deadlines, work conservation, speed availability, timeline tiling),
 //! * [`Summary`] and friends — replication statistics,
 //! * [`stable_sum`] / [`compensated_sum`] — order-stable f64
 //!   accumulation for aggregating from unordered sources without
@@ -40,7 +39,6 @@ mod response;
 mod schedulability;
 mod static_speed;
 mod stats;
-mod validate;
 mod yds;
 
 pub use accum::{compensated_sum, stable_sum};
@@ -49,5 +47,4 @@ pub use response::{response_profile, TaskResponse};
 pub use schedulability::{busy_period, dbf, edf_schedulable, SchedulabilityTest};
 pub use static_speed::minimum_static_speed;
 pub use stats::{geometric_mean, normalize, Summary};
-pub use validate::{recompute_energy, validate_outcome, Issue, ValidationReport};
 pub use yds::{optimal_static_speed, yds_schedule, SpeedBlock, SpeedSchedule, WorkKind};

@@ -85,20 +85,6 @@ impl Args {
         }
     }
 
-    /// A required typed option.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArgError`] if missing or unparsable.
-    #[allow(dead_code)] // part of the parser's complete API; exercised in tests
-    pub fn required<T: std::str::FromStr>(&self, name: &str) -> Result<T, ArgError> {
-        let raw = self
-            .get(name)
-            .ok_or_else(|| ArgError(format!("missing required option --{name}")))?;
-        raw.parse()
-            .map_err(|_| ArgError(format!("invalid value `{raw}` for --{name}")))
-    }
-
     /// A comma-separated list option (empty when absent).
     pub fn list(&self, name: &str) -> Vec<String> {
         self.get(name)
@@ -142,8 +128,6 @@ mod tests {
     fn typed_errors() {
         let args = Args::parse(["--tasks", "eight"]);
         assert!(args.opt::<usize>("tasks", 0).is_err());
-        assert!(args.required::<usize>("tasks").is_err());
-        assert!(args.required::<usize>("absent").is_err());
         assert_eq!(args.opt::<usize>("absent", 7).unwrap(), 7);
     }
 

@@ -3,7 +3,7 @@
 use std::error::Error;
 
 use stadvs_analysis::{
-    edf_schedulable, minimum_static_speed, response_profile, validate_outcome, SchedulabilityTest,
+    edf_schedulable, minimum_static_speed, response_profile, SchedulabilityTest,
 };
 use stadvs_experiments::experiments::{all, by_id, RunOptions};
 use stadvs_experiments::{
@@ -12,8 +12,8 @@ use stadvs_experiments::{
 };
 use stadvs_fleet::{fleet_table, run_fleet, FleetConfig, FleetSpec};
 use stadvs_power::Processor;
-use stadvs_sim::{SimConfig, Simulator, Task, TaskSet};
-use stadvs_workload::{reference, DemandPattern};
+use stadvs_sim::{audit_outcome, FaultPlan, SimConfig, Simulator, Task, TaskSet};
+use stadvs_workload::{reference, DemandPattern, ExecutionModel, TaskSetSpec};
 
 use crate::args::{ArgError, Args};
 
@@ -80,24 +80,9 @@ pub fn compare(args: &Args) -> CmdResult {
     let seeds: u64 = args.opt("seeds", 10)?;
     let bcet: f64 = args.opt("bcet", 0.5)?;
     let horizon: f64 = args.opt("horizon", 4.0)?;
+    SimConfig::new(horizon)?;
     let processor = processor_by_name(args.get("processor").unwrap_or("ideal"))?;
-    let pattern = DemandPattern::Uniform {
-        min: bcet,
-        max: 1.0,
-    };
-
-    let cases: Vec<WorkloadCase> = if let Some(set_name) = args.get("refset") {
-        let tasks = refset_by_name(set_name)?;
-        (0..seeds)
-            .map(|seed| WorkloadCase::fixed(tasks.clone(), pattern.clone(), seed))
-            .collect()
-    } else {
-        let n_tasks: usize = args.opt("tasks", 8)?;
-        let utilization: f64 = args.opt("util", 0.7)?;
-        (0..seeds)
-            .map(|seed| WorkloadCase::synthetic(n_tasks, utilization, pattern.clone(), seed))
-            .collect()
-    };
+    let case = workload(args, bcet, 8)?;
 
     let mut lineup: Vec<String> = {
         let requested = args.list("governors");
@@ -111,6 +96,13 @@ pub fn compare(args: &Args) -> CmdResult {
         lineup.push(ORACLE.to_string());
         lineup.push(YDS_BOUND.to_string());
     }
+    if let Some(unknown) = lineup
+        .iter()
+        .find(|name| *name != ORACLE && *name != YDS_BOUND && make_governor(name).is_none())
+    {
+        return Err(ArgError(format!("unknown governor `{unknown}`")).into());
+    }
+    let cases: Vec<WorkloadCase> = (0..seeds).map(case).collect();
     let comparison =
         Comparison::new(processor, horizon).with_governors(lineup.iter().map(String::as_str));
     let aggregated = comparison.run_cases(&cases);
@@ -198,6 +190,33 @@ pub fn refsets(_args: &Args) -> CmdResult {
     Ok(())
 }
 
+/// Builds the workload case of one seed.
+type CaseBuilder = Box<dyn Fn(u64) -> WorkloadCase>;
+
+/// The workload of `compare` and `trace`: a builder of one case per seed,
+/// over the `--refset` task set or a synthetic `--tasks`/`--util` one,
+/// with demands uniform in `[bcet, 1]` of the WCET. The values are checked
+/// here, by the constructors `WorkloadCase` would otherwise panic in.
+fn workload(args: &Args, bcet: f64, default_tasks: usize) -> Result<CaseBuilder, Box<dyn Error>> {
+    let pattern = DemandPattern::Uniform {
+        min: bcet,
+        max: 1.0,
+    };
+    ExecutionModel::new(pattern.clone())?;
+    if let Some(set_name) = args.get("refset") {
+        let tasks = refset_by_name(set_name)?;
+        return Ok(Box::new(move |seed| {
+            WorkloadCase::fixed(tasks.clone(), pattern.clone(), seed)
+        }));
+    }
+    let n_tasks: usize = args.opt("tasks", default_tasks)?;
+    let utilization: f64 = args.opt("util", 0.7)?;
+    TaskSetSpec::new(n_tasks, utilization)?;
+    Ok(Box::new(move |seed| {
+        WorkloadCase::synthetic(n_tasks, utilization, pattern.clone(), seed)
+    }))
+}
+
 fn refset_by_name(name: &str) -> Result<TaskSet, ArgError> {
     reference::all()
         .into_iter()
@@ -218,28 +237,15 @@ pub fn trace(args: &Args) -> CmdResult {
     let bcet: f64 = args.opt("bcet", 0.5)?;
     let seed: u64 = args.opt("seed", 0)?;
     let horizon: f64 = args.opt("horizon", 1.0)?;
+    let config = SimConfig::new(horizon)?.with_trace(true);
     let processor = processor_by_name(args.get("processor").unwrap_or("ideal"))?;
-    let pattern = DemandPattern::Uniform {
-        min: bcet,
-        max: 1.0,
-    };
-    let case = if let Some(set_name) = args.get("refset") {
-        WorkloadCase::fixed(refset_by_name(set_name)?, pattern, seed)
-    } else {
-        let n_tasks: usize = args.opt("tasks", 4)?;
-        let utilization: f64 = args.opt("util", 0.7)?;
-        WorkloadCase::synthetic(n_tasks, utilization, pattern, seed)
-    };
+    let case = workload(args, bcet, 4)?(seed);
 
-    let sim = Simulator::new(
-        case.tasks.clone(),
-        processor.clone(),
-        SimConfig::new(horizon)?.with_trace(true),
-    )?;
+    let sim = Simulator::new(case.tasks.clone(), processor, config)?;
     let mut governor = make_governor(&governor_name)
         .ok_or_else(|| ArgError(format!("unknown governor `{governor_name}`")))?;
     let outcome = sim.run(governor.as_mut(), &case.exec)?;
-    let report = validate_outcome(&outcome, &case.tasks, &processor);
+    let report = audit_outcome(&outcome, &case.tasks, &FaultPlan::NONE);
 
     eprintln!(
         "{governor_name}: energy {:.6} J, {} switches, {} jobs, audit: {report}",
@@ -303,8 +309,12 @@ pub fn fleet(args: &Args) -> CmdResult {
         ),
         None => None,
     };
+    let shard_size: u64 = args.opt("shard-size", 256)?;
+    if shard_size == 0 {
+        return Err(ArgError("--shard-size must be positive".into()).into());
+    }
     let config = FleetConfig {
-        shard_size: args.opt("shard-size", 256)?,
+        shard_size,
         threads,
         checkpoint: args.get("checkpoint").map(std::path::PathBuf::from),
         ..FleetConfig::default()
@@ -394,50 +404,5 @@ mod tests {
         assert!(refset_by_name("ins").is_ok());
         assert!(refset_by_name("avionics").is_ok());
         assert!(refset_by_name("martian").is_err());
-    }
-
-    #[test]
-    fn analyze_parses_specs() {
-        let args = Args::parse(["analyze", "1:4", "2:8:6"]);
-        assert!(analyze(&args).is_ok());
-        let bad = Args::parse(["analyze", "nope"]);
-        assert!(analyze(&bad).is_err());
-        let empty = Args::parse(["analyze"]);
-        assert!(analyze(&empty).is_err());
-    }
-
-    #[test]
-    fn compare_smoke() {
-        let args = Args::parse([
-            "compare",
-            "--tasks",
-            "3",
-            "--seeds",
-            "2",
-            "--horizon",
-            "0.5",
-            "--governors",
-            "no-dvs,st-edf",
-        ]);
-        assert!(compare(&args).is_ok());
-    }
-
-    #[test]
-    fn trace_smoke() {
-        let args = Args::parse([
-            "trace",
-            "--tasks",
-            "2",
-            "--horizon",
-            "0.2",
-            "--governor",
-            "dra",
-            "--out",
-            "/tmp/stadvs-cli-test-trace.csv",
-        ]);
-        assert!(trace(&args).is_ok());
-        let csv = std::fs::read_to_string("/tmp/stadvs-cli-test-trace.csv").unwrap();
-        assert!(csv.starts_with("start,end,speed,kind"));
-        let _ = std::fs::remove_file("/tmp/stadvs-cli-test-trace.csv");
     }
 }

@@ -1,14 +1,15 @@
 //! `tab3_misses` — the hard-real-time audit.
 //!
 //! Every governor, across a stress mix of utilizations and demand
-//! patterns, with full trace recording and the independent
-//! `stadvs-analysis` audit: deadline misses, work-conservation violations,
-//! speed-availability violations, broken timelines. Every row must read
-//! zero for a hard-real-time claim to stand.
+//! patterns, with full trace recording and the independent referee
+//! (`stadvs_sim::audit_outcome` under the no-fault plan): deadline misses,
+//! release-pattern and record-stream violations, work and wall-time
+//! conservation, speed availability, broken timelines and the energy
+//! re-derivation. Every row must read zero for a hard-real-time claim to
+//! stand.
 
-use stadvs_analysis::validate_outcome;
 use stadvs_power::Processor;
-use stadvs_sim::{SimConfig, Simulator};
+use stadvs_sim::{audit_outcome, FaultPlan, SimConfig, Simulator};
 use stadvs_workload::DemandPattern;
 
 use crate::experiments::RunOptions;
@@ -68,7 +69,7 @@ pub fn run(opts: &RunOptions) -> Table {
                 let outcome = sim
                     .run(governor.as_mut(), &case.exec)
                     .expect("simulation succeeds");
-                let report = validate_outcome(&outcome, &case.tasks, &processor);
+                let report = audit_outcome(&outcome, &case.tasks, &FaultPlan::NONE);
                 jobs += outcome.jobs.len();
                 misses += outcome.miss_count();
                 issues += report.issues.len();

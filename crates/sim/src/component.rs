@@ -404,7 +404,9 @@ where
             .sum();
         let records: Vec<JobRecord> = Vec::with_capacity(expected_jobs.min(1 << 20));
         let acc = processor.energy_accumulator();
-        let trace = config.records_trace().then(Trace::new);
+        let trace = config
+            .records_trace()
+            .then(|| Trace::new(processor.clone()));
 
         governor.on_start(tasks, processor);
 

@@ -458,7 +458,7 @@ impl PlatformSim {
         let mut acc = processor.energy_accumulator();
         acc.add_idle(horizon);
         let trace = self.config.records_trace().then(|| {
-            let mut t = Trace::new();
+            let mut t = Trace::new(processor.clone());
             t.push(Segment {
                 start: 0.0,
                 end: horizon,
@@ -509,20 +509,11 @@ impl PlatformSim {
         for (core, sim) in self.cores.iter().enumerate() {
             let report = match sim {
                 Some(sim) => audit_outcome(&outcome.cores[core], sim.tasks(), plan),
-                None => clean_report(),
+                None => AuditReport::default(),
             };
             reports.push(report);
         }
         Ok(reports)
-    }
-}
-
-/// The audit report of a core that ran nothing.
-fn clean_report() -> AuditReport {
-    AuditReport {
-        issues: Vec::new(),
-        jobs_checked: 0,
-        attributed_misses: 0,
     }
 }
 

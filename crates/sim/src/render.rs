@@ -128,7 +128,7 @@ mod tests {
     use crate::job::JobId;
     use crate::task::{Task, TaskId};
     use crate::trace::Segment;
-    use stadvs_power::Speed;
+    use stadvs_power::{Processor, Speed};
 
     fn trace_fixture() -> (Trace, TaskSet) {
         let tasks = TaskSet::new(vec![
@@ -136,7 +136,7 @@ mod tests {
             Task::new(1.0, 4.0).unwrap(),
         ])
         .unwrap();
-        let mut trace = Trace::new();
+        let mut trace = Trace::new(Processor::ideal_continuous());
         let seg = |start: f64, end: f64, speed: f64, kind| Segment {
             start,
             end,
@@ -174,7 +174,10 @@ mod tests {
     #[test]
     fn empty_trace_is_handled() {
         let tasks = TaskSet::new(vec![Task::new(1.0, 4.0).unwrap()]).unwrap();
-        assert_eq!(render_gantt(&Trace::new(), &tasks, 10), "(empty trace)\n");
+        assert_eq!(
+            render_gantt(&Trace::new(Processor::ideal_continuous()), &tasks, 10),
+            "(empty trace)\n"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Execution traces (who ran when, at which speed).
 
-use stadvs_power::Speed;
+use stadvs_power::{Processor, Speed};
 
 use crate::job::JobId;
 
@@ -39,20 +39,32 @@ impl Segment {
     }
 }
 
-/// A complete, ordered execution trace of one simulation run.
+/// A complete, ordered execution trace of one simulation run, with the
+/// processor it ran on (the audit re-derives speeds and energy from it).
 ///
 /// Consecutive segments with the same kind and speed are merged on insertion
 /// so traces stay compact; segments are guaranteed contiguous and
 /// non-overlapping.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
+    /// Boxed: every outcome holds an `Option<Trace>`, and an inline
+    /// processor would grow untraced outcomes too.
+    processor: Box<Processor>,
     segments: Vec<Segment>,
 }
 
 impl Trace {
-    /// Creates an empty trace.
-    pub fn new() -> Trace {
-        Trace::default()
+    /// Creates an empty trace of a run on `processor`.
+    pub fn new(processor: Processor) -> Trace {
+        Trace {
+            processor: Box::new(processor),
+            segments: Vec::new(),
+        }
+    }
+
+    /// The processor the traced run executed on.
+    pub fn processor(&self) -> &Processor {
+        &self.processor
     }
 
     /// Appends a segment, merging it with the previous one when the state is
@@ -174,7 +186,7 @@ mod tests {
 
     #[test]
     fn push_merges_identical_neighbours() {
-        let mut t = Trace::new();
+        let mut t = Trace::new(Processor::ideal_continuous());
         t.push(seg(0.0, 1.0, 1.0, SegmentKind::Execute { job: job(0) }));
         t.push(seg(1.0, 2.0, 1.0, SegmentKind::Execute { job: job(0) }));
         t.push(seg(2.0, 3.0, 0.5, SegmentKind::Execute { job: job(0) }));
@@ -187,7 +199,7 @@ mod tests {
 
     #[test]
     fn time_accounting_by_kind() {
-        let mut t = Trace::new();
+        let mut t = Trace::new(Processor::ideal_continuous());
         t.push(seg(0.0, 2.0, 1.0, SegmentKind::Execute { job: job(0) }));
         t.push(seg(2.0, 2.5, 1.0, SegmentKind::Transition));
         t.push(seg(2.5, 4.5, 0.5, SegmentKind::Execute { job: job(1) }));
@@ -199,7 +211,7 @@ mod tests {
 
     #[test]
     fn csv_rendering() {
-        let mut t = Trace::new();
+        let mut t = Trace::new(Processor::ideal_continuous());
         t.push(seg(0.0, 1.0, 0.5, SegmentKind::Execute { job: job(2) }));
         t.push(seg(1.0, 2.0, 0.5, SegmentKind::Idle));
         t.push(seg(2.0, 2.1, 1.0, SegmentKind::Transition));
@@ -213,7 +225,7 @@ mod tests {
 
     #[test]
     fn work_executed_scales_with_speed() {
-        let mut t = Trace::new();
+        let mut t = Trace::new(Processor::ideal_continuous());
         t.push(seg(0.0, 2.0, 0.5, SegmentKind::Execute { job: job(0) }));
         t.push(seg(2.0, 3.0, 1.0, SegmentKind::Execute { job: job(0) }));
         t.push(seg(3.0, 4.0, 1.0, SegmentKind::Execute { job: job(1) }));

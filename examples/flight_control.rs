@@ -7,9 +7,9 @@
 //! cargo run --release --example flight_control
 //! ```
 
-use stadvs::analysis::{edf_schedulable, validate_outcome, SchedulabilityTest};
+use stadvs::analysis::{edf_schedulable, SchedulabilityTest};
 use stadvs::power::Processor;
-use stadvs::sim::{SimConfig, Simulator};
+use stadvs::sim::{audit_outcome, FaultPlan, SimConfig, Simulator};
 use stadvs::workload::{reference, ExecutionModel};
 use stadvs_experiments::make_governor;
 
@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for name in ["no-dvs", "static-edf", "dra", "st-edf", "st-edf-oa"] {
             let mut governor = make_governor(name).expect("resolves");
             let out = sim.run(governor.as_mut(), &demand)?;
-            let report = validate_outcome(&out, &tasks, &processor);
+            let report = audit_outcome(&out, &tasks, &FaultPlan::NONE);
             let energy = out.total_energy();
             let b = *base.get_or_insert(energy);
             println!(

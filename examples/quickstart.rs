@@ -5,11 +5,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use stadvs::analysis::{edf_schedulable, validate_outcome};
+use stadvs::analysis::edf_schedulable;
 use stadvs::baselines::{NoDvs, StaticEdf};
 use stadvs::core::SlackEdf;
 use stadvs::power::Processor;
-use stadvs::sim::{MissPolicy, SimConfig, Simulator, Task, TaskSet};
+use stadvs::sim::{audit_outcome, FaultPlan, MissPolicy, SimConfig, Simulator, Task, TaskSet};
 use stadvs::workload::ExecutionModel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -58,8 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Independent audit: deadlines, work conservation, speed availability.
-    let report = validate_outcome(&stedf, &tasks, &processor);
+    // Independent audit: deadlines, release pattern, work conservation,
+    // speed availability, energy.
+    let report = audit_outcome(&stedf, &tasks, &FaultPlan::NONE);
     println!(
         "\naudit: {report} — saved {:.1} % of the no-DVS energy with zero deadline misses",
         (1.0 - stedf.total_energy() / full.total_energy()) * 100.0

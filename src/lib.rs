@@ -7,8 +7,9 @@
 //!
 //! * [`power`] — variable-voltage processor, power, and energy models,
 //! * [`sim`] — event-driven preemptive EDF scheduler and DVS simulator,
+//!   and the referee that audits its runs,
 //! * [`workload`] — task-set and execution-time generators,
-//! * [`analysis`] — schedulability, trace validation, clairvoyant bounds,
+//! * [`analysis`] — schedulability, clairvoyant bounds, statistics,
 //! * [`baselines`] — published baseline governors (ccEDF, laEDF, lppsEDF,
 //!   DRA, …),
 //! * [`core`] — the paper's contribution: the slack-time-analysis governor,
@@ -35,12 +36,14 @@ pub use stadvs_workload as workload;
 /// Convenience prelude importing the names used by almost every program.
 pub mod prelude {
     pub use stadvs_analysis::{
-        edf_schedulable, minimum_static_speed, response_profile, validate_outcome,
-        SchedulabilityTest,
+        edf_schedulable, minimum_static_speed, response_profile, SchedulabilityTest,
     };
     pub use stadvs_baselines::{CcEdf, Dra, FeedbackEdf, LaEdf, LppsEdf, NoDvs, StaticEdf};
     pub use stadvs_core::{SlackEdf, SlackEdfConfig};
     pub use stadvs_power::{Processor, Speed};
-    pub use stadvs_sim::{render_gantt, Governor, MissPolicy, SimConfig, Simulator, Task, TaskSet};
+    pub use stadvs_sim::{
+        audit_outcome, render_gantt, FaultPlan, Governor, MissPolicy, SimConfig, Simulator, Task,
+        TaskSet,
+    };
     pub use stadvs_workload::{DemandPattern, ExecutionModel, TaskSetSpec};
 }

@@ -4,8 +4,8 @@
 //! across [`stadvs_core`] — including the pitfalls that were discovered as
 //! *real deadline misses* by the randomized test suite and then root-caused.
 //! It is documentation, not code; every claim here is enforced by
-//! `tests/hard_guarantee.rs` and the independent audit in
-//! [`stadvs_analysis::validate_outcome`].
+//! `tests/hard_guarantee.rs` and the independent referee
+//! [`stadvs_sim::audit_outcome`].
 //!
 //! ## 1. Model
 //!

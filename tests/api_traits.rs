@@ -20,7 +20,7 @@ fn data_structures_are_clone_and_debug() {
     is_data_structure::<stadvs::workload::ExecutionModel>();
     is_data_structure::<stadvs::analysis::JobInstance>();
     is_data_structure::<stadvs::analysis::SpeedSchedule>();
-    is_data_structure::<stadvs::analysis::ValidationReport>();
+    is_data_structure::<stadvs::sim::AuditReport>();
     is_data_structure::<stadvs::core::SlackEdfConfig>();
     is_data_structure::<stadvs::experiments::Table>();
 }

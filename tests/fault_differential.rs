@@ -116,7 +116,8 @@ fn run_governor(case: &WorkloadCase, plan: &FaultPlan, name: &str) -> Result<Sim
         Processor::ideal_continuous(),
         SimConfig::new(HORIZON)
             .expect("valid horizon")
-            .with_miss_policy(MissPolicy::Fail),
+            .with_miss_policy(MissPolicy::Fail)
+            .with_trace(true),
     )
     .expect("generated sets are feasible");
     let mut governor = make_governor(name).expect("governor resolves");
@@ -244,13 +245,19 @@ fn overruns_degrade_gracefully_and_only_where_injected() {
                 assert_records_in_id_order(&outcome, name);
                 // A governor's own policy, where it differs from the
                 // override (`dra` aborts, `feedback-edf` sheds the next
-                // release), pushes records in yet another order.
+                // release), pushes records in yet another order, and its
+                // aborted or shed jobs must still satisfy the referee.
                 let policy = make_governor(name)
                     .expect("governor resolves")
                     .overrun_policy();
                 if policy != OverrunPolicy::CompleteAtMax {
                     let own = run_governor(&case, &declared, name)?;
                     assert_records_in_id_order(&own, name);
+                    let audit = audit_outcome(&own, &case.tasks, &declared);
+                    assert!(
+                        audit.is_clean(),
+                        "{name} ({policy:?}) failed the audit: {audit}"
+                    );
                 }
                 assert_eq!(
                     outcome.unattributed_misses(),

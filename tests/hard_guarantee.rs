@@ -1,18 +1,16 @@
 //! The central property of the whole repository: **every governor meets
 //! every deadline on every feasible workload** — enforced with randomized
 //! task sets, demand patterns, and utilizations, under the strict
-//! [`MissPolicy::Fail`] policy plus the independent trace audit.
+//! [`MissPolicy::Fail`] policy plus the independent referee
+//! ([`audit_outcome`]) on the recorded traces.
 //!
 //! Case counts: 48 per property by default, raised in CI's full job via
 //! `STADVS_PROPTEST_CASES`.
 
-use stadvs::analysis::validate_outcome;
 use stadvs::experiments::{make_governor, WorkloadCase};
 use stadvs::power::Processor;
 use stadvs::sim::rng::{check, Rng};
-use stadvs::sim::{
-    audit_outcome, FaultPlan, MissPolicy, SimConfig, SimOutcome, Simulator, TaskSet,
-};
+use stadvs::sim::{audit_outcome, FaultPlan, MissPolicy, SimConfig, Simulator};
 use stadvs::workload::DemandPattern;
 
 const GOVERNORS: &[&str] = &[
@@ -31,22 +29,6 @@ const GOVERNORS: &[&str] = &[
     "st-edf-pace",
     "st-edf-cs",
 ];
-
-/// The shared referee: the fault-unaware trace validator (deadlines, trace
-/// tiling, energy recomputation) *and* the fault-aware release/attribution
-/// audit, here with the empty plan — on fault-free runs any overrun or
-/// unattributed miss it finds is an engine bug.
-fn referee(outcome: &SimOutcome, tasks: &TaskSet, processor: &Processor) -> Result<(), String> {
-    let report = validate_outcome(outcome, tasks, processor);
-    if !report.is_clean() {
-        return Err(format!("{report}"));
-    }
-    let audit = audit_outcome(outcome, tasks, &FaultPlan::NONE);
-    if !audit.is_clean() {
-        return Err(format!("{audit}"));
-    }
-    Ok(())
-}
 
 /// A demand pattern drawn from one of five families, with its parameters.
 fn random_pattern(rng: &mut Rng) -> DemandPattern {
@@ -91,10 +73,9 @@ fn no_governor_ever_misses() {
         let pattern = random_pattern(rng);
         let seed = rng.below(1_000_000);
         let case = WorkloadCase::synthetic(n_tasks, utilization, pattern, seed);
-        let processor = Processor::ideal_continuous();
         let sim = Simulator::new(
             case.tasks.clone(),
-            processor.clone(),
+            Processor::ideal_continuous(),
             SimConfig::new(1.5)
                 .expect("valid horizon")
                 .with_miss_policy(MissPolicy::Fail)
@@ -106,19 +87,16 @@ fn no_governor_ever_misses() {
             let outcome = sim
                 .run(governor.as_mut(), &case.exec)
                 .unwrap_or_else(|e| panic!("{name} violated the hard guarantee: {e}"));
-            let verdict = referee(&outcome, &case.tasks, &processor);
-            assert!(
-                verdict.is_ok(),
-                "{name} failed the audit: {}",
-                verdict.unwrap_err()
-            );
+            let audit = audit_outcome(&outcome, &case.tasks, &FaultPlan::NONE);
+            assert!(audit.is_clean(), "{name} failed the audit: {audit}");
         }
         Ok(())
     });
 }
 
 /// Discrete platforms quantize speeds up; the guarantee must survive
-/// coarse operating-point grids.
+/// coarse operating-point grids, and every traced execution speed must be
+/// one of the grid's operating points.
 #[test]
 fn discrete_platforms_preserve_the_guarantee() {
     check("discrete_platforms_preserve_the_guarantee", 48, |rng| {
@@ -141,7 +119,8 @@ fn discrete_platforms_preserve_the_guarantee() {
             processor,
             SimConfig::new(1.0)
                 .expect("valid horizon")
-                .with_miss_policy(MissPolicy::Fail),
+                .with_miss_policy(MissPolicy::Fail)
+                .with_trace(true),
         )
         .expect("feasible");
         for name in ["static-edf", "cc-edf", "dra", "la-edf", "st-edf"] {
@@ -190,10 +169,9 @@ fn constrained_deadlines_preserve_the_guarantee() {
                 .collect(),
         )
         .expect("non-empty");
-        let processor = Processor::ideal_continuous();
         let sim = Simulator::new(
             tasks.clone(),
-            processor.clone(),
+            Processor::ideal_continuous(),
             SimConfig::new(1.5)
                 .expect("valid horizon")
                 .with_miss_policy(MissPolicy::Fail)
@@ -217,12 +195,8 @@ fn constrained_deadlines_preserve_the_guarantee() {
             let outcome = sim
                 .run(governor.as_mut(), &base.exec)
                 .unwrap_or_else(|e| panic!("{name} missed under constrained deadlines: {e}"));
-            let verdict = referee(&outcome, &tasks, &processor);
-            assert!(
-                verdict.is_ok(),
-                "{name} failed the audit: {}",
-                verdict.unwrap_err()
-            );
+            let audit = audit_outcome(&outcome, &tasks, &FaultPlan::NONE);
+            assert!(audit.is_clean(), "{name} failed the audit: {audit}");
         }
         Ok(())
     });
@@ -249,10 +223,9 @@ fn random_phases_preserve_the_guarantee() {
         let exec = ExecutionModel::uniform_bcet(bcet)
             .expect("valid")
             .with_seed(seed ^ 0xFEED);
-        let processor = Processor::ideal_continuous();
         let sim = Simulator::new(
             tasks.clone(),
-            processor.clone(),
+            Processor::ideal_continuous(),
             SimConfig::new(1.5)
                 .expect("valid horizon")
                 .with_miss_policy(MissPolicy::Fail)
@@ -264,12 +237,8 @@ fn random_phases_preserve_the_guarantee() {
             let outcome = sim
                 .run(governor.as_mut(), &exec)
                 .unwrap_or_else(|e| panic!("{name} missed with phases: {e}"));
-            let verdict = referee(&outcome, &tasks, &processor);
-            assert!(
-                verdict.is_ok(),
-                "{name} failed the audit: {}",
-                verdict.unwrap_err()
-            );
+            let audit = audit_outcome(&outcome, &tasks, &FaultPlan::NONE);
+            assert!(audit.is_clean(), "{name} failed the audit: {audit}");
         }
         Ok(())
     });
@@ -333,13 +302,13 @@ fn mixed_models_preserve_the_hard_guarantee_under_faults() {
                 .with_switch_drops(drop_p)
                 .expect("valid channel")
                 .with_policy_override(OverrunPolicy::CompleteAtMax);
-            let processor = Processor::ideal_continuous();
             let sim = Simulator::new(
                 tasks.clone(),
-                processor,
+                Processor::ideal_continuous(),
                 SimConfig::new(1.2)
                     .expect("valid horizon")
-                    .with_miss_policy(MissPolicy::Fail),
+                    .with_miss_policy(MissPolicy::Fail)
+                    .with_trace(true),
             )
             .expect("feasible");
             for name in GOVERNORS

@@ -5,14 +5,13 @@
 //! change re-samples what each replay checks.
 
 use stadvs::analysis::{
-    materialize_jobs, minimum_static_speed, optimal_static_speed, validate_outcome, yds_schedule,
-    WorkKind,
+    materialize_jobs, minimum_static_speed, optimal_static_speed, yds_schedule, WorkKind,
 };
 use stadvs::experiments::{make_governor, WorkloadCase};
 use stadvs::power::{Processor, Speed};
 use stadvs::sim::{
-    ConstantRatio, Governor, MissPolicy, SchedulerView, SimConfig, Simulator, Task, TaskSet,
-    WorstCase,
+    audit_outcome, ConstantRatio, FaultPlan, Governor, MissPolicy, SchedulerView, SimConfig,
+    Simulator, Task, TaskSet, WorstCase,
 };
 use stadvs::workload::{DemandPattern, TaskSetSpec};
 
@@ -142,10 +141,9 @@ fn constrained_case(
             .collect(),
     )
     .expect("non-empty");
-    let processor = Processor::ideal_continuous();
     let sim = Simulator::new(
         tasks.clone(),
-        processor.clone(),
+        Processor::ideal_continuous(),
         SimConfig::new(1.5)
             .expect("valid horizon")
             .with_miss_policy(MissPolicy::Fail)
@@ -169,7 +167,7 @@ fn constrained_case(
         let outcome = sim
             .run(governor.as_mut(), &base.exec)
             .unwrap_or_else(|e| panic!("{name} missed under constrained deadlines: {e}"));
-        let report = validate_outcome(&outcome, &tasks, &processor);
+        let report = audit_outcome(&outcome, &tasks, &FaultPlan::NONE);
         assert!(report.is_clean(), "{name} failed the audit: {report}");
     }
 }
