@@ -57,8 +57,8 @@ pub fn regenerate(id: &str, opts: &RunOptions) -> Table {
 ///
 /// # Panics
 ///
-/// Panics if the sweep fails, leaves nodes unswept, or the result files
-/// cannot be written (binaries crash loudly on harness errors).
+/// Panics if the sweep fails or the result files cannot be written
+/// (binaries crash loudly on harness errors).
 pub fn regenerate_fleet(quick: bool, threads: Option<usize>) -> Table {
     let spec = if quick {
         FleetSpec::quick(42)
@@ -76,7 +76,6 @@ pub fn regenerate_fleet(quick: bool, threads: Option<usize>) -> Table {
         spec.replications
     );
     let outcome = run_fleet(&spec, &config).expect("fleet sweep runs");
-    assert!(outcome.complete(), "an unchecked run sweeps everything");
     let table = fleet_table(&spec, &outcome);
     println!("{table}");
     write_markdown(&table, "results/fleet.md").expect("write results markdown");

@@ -1,5 +1,6 @@
-//! A tiny, dependency-free option parser: `--key value` flags, `--flag`
-//! booleans, and positional arguments, with typed accessors.
+//! A tiny, dependency-free option parser: each subcommand declares the
+//! `--key value` options and bare `--flag`s it takes, and any other
+//! `--name` is refused. Other tokens are positional arguments.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -26,34 +27,45 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses a raw argument list (without the program name).
+    /// Parses the arguments after a subcommand's name against the
+    /// `options` (each takes the next token as its value) and bare `flags`
+    /// it declares, both named without their leading `--`.
     ///
-    /// A token starting with `--` is a flag; if the *next* token exists and
-    /// does not itself start with `--`, it becomes the flag's value.
-    pub fn parse<I, S>(raw: I) -> Args
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let tokens: Vec<String> = raw.into_iter().map(Into::into).collect();
+    /// # Errors
+    ///
+    /// Returns [`ArgError`] for an undeclared `--name`, for an option
+    /// given twice, or for one whose value is missing or starts with `--`.
+    pub fn parse<S: AsRef<str>>(
+        raw: &[S],
+        options: &[&str],
+        flags: &[&str],
+    ) -> Result<Args, ArgError> {
         let mut args = Args::default();
-        let mut i = 0;
-        while i < tokens.len() {
-            let token = &tokens[i];
-            if let Some(name) = token.strip_prefix("--") {
-                if i + 1 < tokens.len() && !tokens[i + 1].starts_with("--") {
-                    args.options.insert(name.to_string(), tokens[i + 1].clone());
-                    i += 2;
-                } else {
-                    args.flags.push(name.to_string());
-                    i += 1;
+        let mut tokens = raw.iter().map(AsRef::as_ref);
+        while let Some(token) = tokens.next() {
+            let Some(name) = token.strip_prefix("--") else {
+                args.positional.push(token.to_string());
+                continue;
+            };
+            if options.contains(&name) {
+                let value = tokens
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| ArgError(format!("--{name} needs a value")))?;
+                if args
+                    .options
+                    .insert(name.to_string(), value.to_string())
+                    .is_some()
+                {
+                    return Err(ArgError(format!("--{name} is given twice")));
                 }
+            } else if flags.contains(&name) {
+                args.flags.push(name.to_string());
             } else {
-                args.positional.push(token.clone());
-                i += 1;
+                return Err(ArgError(format!("unknown option `{token}`")));
             }
         }
-        args
+        Ok(args)
     }
 
     /// The positional arguments.
@@ -97,9 +109,16 @@ impl Args {
 mod tests {
     use super::*;
 
+    const OPTIONS: &[&str] = &["tasks", "governors", "out", "phase"];
+    const FLAGS: &[&str] = &["quick", "dry-run"];
+
+    fn parse(raw: &[&str]) -> Result<Args, ArgError> {
+        Args::parse(raw, OPTIONS, FLAGS)
+    }
+
     #[test]
     fn parses_mixture() {
-        let args = Args::parse([
+        let args = parse(&[
             "run",
             "--tasks",
             "8",
@@ -107,34 +126,49 @@ mod tests {
             "--governors",
             "a,b , c",
             "fig1",
-        ]);
+        ])
+        .unwrap();
         assert_eq!(args.positional(), ["run", "fig1"]);
         assert_eq!(args.opt::<usize>("tasks", 0).unwrap(), 8);
         assert!(args.flag("quick"));
-        assert!(!args.flag("verbose"));
+        assert!(!args.flag("dry-run"));
         assert_eq!(args.list("governors"), vec!["a", "b", "c"]);
-        assert!(args.list("missing").is_empty());
+        assert!(args.list("out").is_empty());
     }
 
     #[test]
-    fn flag_followed_by_flag() {
-        let args = Args::parse(["--quick", "--out", "dir", "--dry-run"]);
+    fn a_flag_takes_no_value() {
+        let args = parse(&["--quick", "tab1_refsets", "--out", "dir", "--dry-run"]).unwrap();
         assert!(args.flag("quick"));
         assert!(args.flag("dry-run"));
+        assert_eq!(args.positional(), ["tab1_refsets"]);
         assert_eq!(args.get("out"), Some("dir"));
     }
 
     #[test]
+    fn malformed_options_are_refused() {
+        for (raw, message) in [
+            (&["--horizn", "3"][..], "unknown option `--horizn`"),
+            (&["--shard_size", "8"], "unknown option `--shard_size`"),
+            (&["--tasks"], "--tasks needs a value"),
+            (&["--tasks", "--quick"], "--tasks needs a value"),
+            (&["--tasks", "1", "--tasks", "2"], "--tasks is given twice"),
+        ] {
+            assert_eq!(parse(raw).unwrap_err().0, message);
+        }
+    }
+
+    #[test]
     fn typed_errors() {
-        let args = Args::parse(["--tasks", "eight"]);
+        let args = parse(&["--tasks", "eight"]).unwrap();
         assert!(args.opt::<usize>("tasks", 0).is_err());
-        assert_eq!(args.opt::<usize>("absent", 7).unwrap(), 7);
+        assert_eq!(args.opt::<usize>("out", 7).unwrap(), 7);
     }
 
     #[test]
     fn negative_numbers_are_values_not_flags() {
         // A minus-prefixed value does not start with `--`, so it binds.
-        let args = Args::parse(["--phase", "-1.5"]);
+        let args = parse(&["--phase", "-1.5"]).unwrap();
         assert_eq!(args.get("phase"), Some("-1.5"));
     }
 }

@@ -1,4 +1,4 @@
-//! The CLI subcommands.
+//! The CLI subcommands, each with its usage and the options it declares.
 
 use std::error::Error;
 
@@ -18,6 +18,116 @@ use stadvs_workload::{reference, DemandPattern, ExecutionModel, TaskSetSpec};
 use crate::args::{ArgError, Args};
 
 type CmdResult = Result<(), Box<dyn Error>>;
+
+/// One subcommand: its usage text, the options it declares, and its body.
+pub struct Command {
+    /// The name after `stadvs`.
+    pub name: &'static str,
+    /// The usage text, continuation lines indented to follow a two-space
+    /// margin.
+    pub usage: &'static str,
+    /// Options that take a value, named without their leading `--`.
+    options: &'static [&'static str],
+    /// Bare flags, named without their leading `--`.
+    flags: &'static [&'static str],
+    /// Whether positional arguments are taken.
+    positional: bool,
+    body: fn(&Args) -> CmdResult,
+}
+
+impl Command {
+    /// Parses `raw` (the arguments after the name) and runs the command.
+    ///
+    /// # Errors
+    ///
+    /// Returns an undeclared option, an unexpected positional argument, or
+    /// the command's own error.
+    pub fn run(&self, raw: &[String]) -> CmdResult {
+        let args = Args::parse(raw, self.options, self.flags)?;
+        match args.positional().first() {
+            Some(extra) if !self.positional => {
+                Err(ArgError(format!("unexpected argument `{extra}`")).into())
+            }
+            _ => (self.body)(&args),
+        }
+    }
+}
+
+/// Every subcommand, in usage order.
+pub const COMMANDS: [Command; 6] = [
+    Command {
+        name: "experiments",
+        usage: "stadvs experiments [list | all | <id>...] [--quick] [--out DIR]",
+        options: &["out"],
+        flags: &["quick"],
+        positional: true,
+        body: experiments,
+    },
+    Command {
+        name: "compare",
+        usage: "stadvs compare  [--tasks N] [--util U] [--bcet R] [--seeds K]
+                  [--horizon S] [--processor P] [--governors a,b,c]
+                  [--refset cnc|ins|avionics] [--bounds]",
+        options: &[
+            "tasks",
+            "util",
+            "bcet",
+            "seeds",
+            "horizon",
+            "processor",
+            "governors",
+            "refset",
+        ],
+        flags: &["bounds"],
+        positional: false,
+        body: compare,
+    },
+    Command {
+        name: "analyze",
+        usage: "stadvs analyze  <wcet:period[:deadline]>...",
+        options: &[],
+        flags: &[],
+        positional: true,
+        body: analyze,
+    },
+    Command {
+        name: "refsets",
+        usage: "stadvs refsets",
+        options: &[],
+        flags: &[],
+        positional: false,
+        body: refsets,
+    },
+    Command {
+        name: "trace",
+        usage: "stadvs trace    [--governor NAME] [--tasks N | --refset NAME] [--util U]
+                  [--bcet R] [--seed K] [--horizon S] [--processor P]
+                  [--out FILE] [--chart]",
+        options: &[
+            "governor",
+            "tasks",
+            "refset",
+            "util",
+            "bcet",
+            "seed",
+            "horizon",
+            "processor",
+            "out",
+        ],
+        flags: &["chart"],
+        positional: false,
+        body: trace,
+    },
+    Command {
+        name: "fleet",
+        usage: "stadvs fleet    [--quick] [--nodes N] [--seed K] [--threads T]
+                  [--shard-size N] [--out DIR]",
+        options: &["nodes", "seed", "threads", "shard-size", "out"],
+        flags: &["quick"],
+        positional: false,
+        body: fleet,
+    },
+];
 
 /// Resolves `--processor NAME` (`ideal`, `xscale`, `strongarm`, `crusoe`,
 /// or `levels:<n>`).
@@ -40,9 +150,10 @@ pub fn processor_by_name(name: &str) -> Result<Processor, ArgError> {
     }
 }
 
-/// `stadvs experiments [list | all | <id>...] [--quick] [--out DIR]`
-pub fn experiments(args: &Args) -> CmdResult {
-    let rest = &args.positional()[1..];
+/// Lists the registry, or runs the named experiments and writes their
+/// tables to `--out`.
+fn experiments(args: &Args) -> CmdResult {
+    let rest = args.positional();
     if rest.is_empty() || rest[0] == "list" {
         println!("{:<16} description", "id");
         for e in all() {
@@ -73,11 +184,13 @@ pub fn experiments(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `stadvs compare [--tasks N] [--util U] [--bcet R] [--seeds K]
-///                 [--horizon S] [--processor P] [--governors a,b,c]
-///                 [--refset NAME] [--bounds]`
-pub fn compare(args: &Args) -> CmdResult {
+/// Runs the governor lineup over `--seeds` seeded workloads and prints
+/// each governor's energy normalized to `no-dvs`.
+fn compare(args: &Args) -> CmdResult {
     let seeds: u64 = args.opt("seeds", 10)?;
+    if seeds == 0 {
+        return Err(ArgError("--seeds must be positive".into()).into());
+    }
     let bcet: f64 = args.opt("bcet", 0.5)?;
     let horizon: f64 = args.opt("horizon", 4.0)?;
     SimConfig::new(horizon)?;
@@ -132,9 +245,9 @@ pub fn compare(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `stadvs analyze <wcet:period[:deadline]>...`
-pub fn analyze(args: &Args) -> CmdResult {
-    let specs = &args.positional()[1..];
+/// Prints the schedulability and speed bounds of the given task set.
+fn analyze(args: &Args) -> CmdResult {
+    let specs = args.positional();
     if specs.is_empty() {
         return Err(ArgError("usage: stadvs analyze <wcet:period[:deadline]>...".into()).into());
     }
@@ -180,8 +293,8 @@ fn print_analysis(set: &TaskSet) {
     );
 }
 
-/// `stadvs refsets`
-pub fn refsets(_args: &Args) -> CmdResult {
+/// Prints the analysis of each reference embedded task set.
+fn refsets(_args: &Args) -> CmdResult {
     for (name, set) in reference::all() {
         println!("== {name} ==");
         print_analysis(&set);
@@ -229,10 +342,9 @@ fn refset_by_name(name: &str) -> Result<TaskSet, ArgError> {
         })
 }
 
-/// `stadvs trace [--governor NAME] [--tasks N | --refset NAME] [--util U]
-///               [--bcet R] [--seed K] [--horizon S] [--processor P]
-///               [--out FILE]`
-pub fn trace(args: &Args) -> CmdResult {
+/// Runs one governor on one workload, prints the referee's verdict and
+/// the response profile, and writes the trace as CSV.
+fn trace(args: &Args) -> CmdResult {
     let governor_name = args.get("governor").unwrap_or("st-edf").to_string();
     let bcet: f64 = args.opt("bcet", 0.5)?;
     let seed: u64 = args.opt("seed", 0)?;
@@ -281,21 +393,20 @@ pub fn trace(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// `stadvs fleet [--quick] [--nodes N] [--seed K] [--threads T]
-///               [--shard-size N] [--checkpoint FILE] [--out DIR]`
-///
 /// The fleet-scale streaming sweep: ~10⁵ nodes by default, ~10⁴ with
-/// `--quick`, or an explicit `--nodes` count. With `--checkpoint FILE`
-/// an interrupted sweep resumes from the file and finishes bit-identical
-/// to an uninterrupted run. Timing/throughput goes to stderr (the engine
-/// itself is wall-clock-free); the aggregate table goes to stdout and
+/// `--quick`, or an explicit positive `--nodes` count (at least one node
+/// per grid cell). Timing/throughput goes to stderr (the engine itself is
+/// wall-clock-free); the aggregate table goes to stdout and
 /// `OUT/fleet.{md,csv}`.
-pub fn fleet(args: &Args) -> CmdResult {
+fn fleet(args: &Args) -> CmdResult {
     let seed: u64 = args.opt("seed", 42)?;
     let spec = if let Some(raw) = args.get("nodes") {
         let nodes: u64 = raw
             .parse()
             .map_err(|_| ArgError(format!("invalid node count `{raw}`")))?;
+        if nodes == 0 {
+            return Err(ArgError("--nodes must be positive".into()).into());
+        }
         FleetSpec::standard(seed).with_nodes(nodes)
     } else if args.flag("quick") {
         FleetSpec::quick(seed)
@@ -316,8 +427,6 @@ pub fn fleet(args: &Args) -> CmdResult {
     let config = FleetConfig {
         shard_size,
         threads,
-        checkpoint: args.get("checkpoint").map(std::path::PathBuf::from),
-        ..FleetConfig::default()
     };
     let out_dir = args.get("out").unwrap_or("results").to_string();
 
@@ -343,38 +452,15 @@ pub fn fleet(args: &Args) -> CmdResult {
     write_csv(&table, format!("{out_dir}/fleet.csv"))?;
 
     let agg = &outcome.aggregate;
-    let swept = agg
-        .nodes
-        .saturating_sub((outcome.resumed_from as u64).saturating_mul(config.shard_size));
-    let status = if outcome.complete() {
-        String::new()
-    } else {
-        format!(
-            "; PARTIAL: {} of {} shards",
-            outcome.shards_done, outcome.shards_total
-        )
-    };
-    if outcome.resumed_from == 0 {
-        eprintln!(
-            "swept {swept} nodes in {elapsed:.2} s — {:.0} nodes/s, {:.0} events/s \
-             ({} sims, {} events{status})",
-            swept as f64 / elapsed,
-            agg.events as f64 / elapsed,
-            agg.sims,
-            agg.events,
-        );
-    } else {
-        // Event counters are cumulative across resumes; only the node
-        // rate of *this* call is meaningful.
-        eprintln!(
-            "resumed at shard {} — swept {swept} more nodes in {elapsed:.2} s \
-             ({:.0} nodes/s; {} sims, {} events cumulative{status})",
-            outcome.resumed_from,
-            swept as f64 / elapsed,
-            agg.sims,
-            agg.events,
-        );
-    }
+    eprintln!(
+        "swept {} nodes in {elapsed:.2} s — {:.0} nodes/s, {:.0} events/s \
+         ({} sims, {} events)",
+        agg.nodes,
+        agg.nodes as f64 / elapsed,
+        agg.events as f64 / elapsed,
+        agg.sims,
+        agg.events,
+    );
     Ok(())
 }
 

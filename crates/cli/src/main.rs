@@ -16,51 +16,47 @@
 mod args;
 mod commands;
 
-use args::Args;
+use commands::{Command, COMMANDS};
 
-const USAGE: &str = "\
-stadvs — slack-time-analysis DVS for EDF hard real-time systems
+const HEADER: &str = "stadvs — slack-time-analysis DVS for EDF hard real-time systems\n\n";
 
-USAGE:
-  stadvs experiments [list | all | <id>...] [--quick] [--out DIR]
-  stadvs compare  [--tasks N] [--util U] [--bcet R] [--seeds K]
-                  [--horizon S] [--processor P] [--governors a,b,c]
-                  [--refset cnc|ins|avionics] [--bounds]
-  stadvs analyze  <wcet:period[:deadline]>...
-  stadvs refsets
-  stadvs trace    [--governor NAME] [--tasks N | --refset NAME] [--util U]
-                  [--bcet R] [--seed K] [--horizon S] [--processor P]
-                  [--out FILE] [--chart]
-  stadvs fleet    [--quick] [--nodes N] [--seed K] [--threads T]
-                  [--shard-size N] [--checkpoint FILE] [--out DIR]
-
+const FOOTER: &str = "\
 PROCESSORS: ideal (default), xscale, strongarm, crusoe, levels:<n>
 GOVERNORS:  no-dvs, static-edf, lpps-edf, cc-edf, dra, dra-ote,
             feedback-edf, la-edf, st-edf, st-edf-oa, st-edf-cs,
             st-edf-pace, st-edf[r], st-edf[a], st-edf[d]
 ";
 
+/// The usage text of `commands`, then the processor and governor names.
+fn usage(commands: &[Command]) -> String {
+    let mut text = String::from("USAGE:\n");
+    for command in commands {
+        text.push_str(&format!("  {}\n", command.usage));
+    }
+    text.push('\n');
+    text.push_str(FOOTER);
+    text
+}
+
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = Args::parse(raw);
-    let command = args.positional().first().map(String::as_str);
-    let result = match command {
-        Some("experiments") => commands::experiments(&args),
-        Some("compare") => commands::compare(&args),
-        Some("analyze") => commands::analyze(&args),
-        Some("refsets") => commands::refsets(&args),
-        Some("trace") => commands::trace(&args),
-        Some("fleet") => commands::fleet(&args),
-        Some("help") | None => {
-            print!("{USAGE}");
-            Ok(())
+    let name = match raw.first().map(String::as_str) {
+        None | Some("help" | "--help") => {
+            print!("{HEADER}{}", usage(&COMMANDS));
+            return;
         }
-        Some(other) => {
-            eprintln!("unknown command `{other}`\n\n{USAGE}");
-            std::process::exit(2);
-        }
+        Some(name) => name,
     };
-    if let Err(error) = result {
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        eprintln!("unknown command `{name}`\n\n{}", usage(&COMMANDS));
+        std::process::exit(2);
+    };
+    let rest = &raw[1..];
+    if rest.iter().any(|a| a == "--help") {
+        print!("{}", usage(std::slice::from_ref(command)));
+        return;
+    }
+    if let Err(error) = command.run(rest) {
         eprintln!("error: {error}");
         std::process::exit(1);
     }

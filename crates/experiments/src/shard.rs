@@ -19,11 +19,11 @@
 //! * [`run_sharded_streaming`] delivers results to a merge callback in
 //!   strict index order *as they complete*, holding only out-of-order
 //!   results (bounded by the number of in-flight workers) — the
-//!   bounded-memory path of the fleet engine, with early-stop support
-//!   for checkpointed partial runs.
+//!   bounded-memory path of the fleet engine. The callback may stop the
+//!   run early, as the fleet engine does when a merge is refused.
 
 use std::collections::BTreeMap;
-use std::ops::{ControlFlow, Range};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -103,7 +103,7 @@ where
         .collect()
 }
 
-/// Runs `run_shard` for every shard index in `shards` across a scoped
+/// Runs `run_shard` for every shard index in `0..shards` across a scoped
 /// worker pool, delivering each result to `merge` in **strict ascending
 /// index order**, and returns how many shards were merged.
 ///
@@ -114,14 +114,13 @@ where
 /// as each prefix extends. Returning [`ControlFlow::Break`] from `merge`
 /// stops the run: workers quit after their in-flight shard and every
 /// result past the break point is discarded. The merged prefix is always
-/// `shards.start .. shards.start + merged`, so a checkpoint written at a
-/// break resumes exactly where the merge stopped.
+/// `0..merged`, the breaking shard included.
 ///
 /// # Panics
 ///
 /// Propagates panics from worker threads.
 pub fn run_sharded_streaming<W, R, MW, RS, M>(
-    shards: Range<usize>,
+    shards: usize,
     threads: Option<usize>,
     make_worker: MW,
     run_shard: RS,
@@ -134,16 +133,14 @@ where
     RS: Fn(&mut W, usize) -> R + Sync,
     M: FnMut(usize, R) -> ControlFlow<()>,
 {
-    let (start, end) = (shards.start, shards.end);
-    let total = end.saturating_sub(start);
-    if total == 0 {
+    if shards == 0 {
         return 0;
     }
-    let threads = resolve_threads(threads, total);
+    let threads = resolve_threads(threads, shards);
     let mut merged = 0usize;
     if threads <= 1 {
         let mut worker = make_worker();
-        for s in start..end {
+        for s in 0..shards {
             let result = run_shard(&mut worker, s);
             merged += 1;
             if merge(s, result).is_break() {
@@ -152,7 +149,7 @@ where
         }
         return merged;
     }
-    let next = AtomicUsize::new(start);
+    let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let (next, stop) = (&next, &stop);
     let make_worker = &make_worker;
@@ -168,7 +165,7 @@ where
                         break;
                     }
                     let s = next.fetch_add(1, Ordering::Relaxed);
-                    if s >= end {
+                    if s >= shards {
                         break;
                     }
                     let result = run_shard(&mut worker, s);
@@ -182,12 +179,10 @@ where
         // worker has finished and released its clone.
         drop(tx);
         let mut pending: BTreeMap<usize, R> = BTreeMap::new();
-        let mut next_merge = start;
         'recv: for (s, result) in rx {
             pending.insert(s, result);
-            while let Some(result) = pending.remove(&next_merge) {
-                let index = next_merge;
-                next_merge += 1;
+            while let Some(result) = pending.remove(&merged) {
+                let index = merged;
                 merged += 1;
                 if merge(index, result).is_break() {
                     // Stop the cursor; in-flight sends land in the (soon
@@ -239,7 +234,7 @@ mod tests {
         let out: Vec<u32> = run_sharded(0, Some(4), || (), |_, s| s as u32);
         assert!(out.is_empty());
         let merged = run_sharded_streaming(
-            5..5,
+            0,
             Some(4),
             || (),
             |_, s| s,
@@ -253,7 +248,7 @@ mod tests {
         for threads in [Some(1), Some(3), Some(7)] {
             let mut seen = Vec::new();
             let merged = run_sharded_streaming(
-                10..50,
+                40,
                 threads,
                 || (),
                 |_, s| s * 2,
@@ -263,7 +258,7 @@ mod tests {
                 },
             );
             assert_eq!(merged, 40);
-            let expected: Vec<(usize, usize)> = (10..50).map(|s| (s, s * 2)).collect();
+            let expected: Vec<(usize, usize)> = (0..40).map(|s| (s, s * 2)).collect();
             assert_eq!(seen, expected, "threads = {threads:?}");
         }
     }
@@ -273,7 +268,7 @@ mod tests {
         for threads in [Some(1), Some(4)] {
             let mut seen = Vec::new();
             let merged = run_sharded_streaming(
-                0..100,
+                100,
                 threads,
                 || (),
                 |_, s| s,

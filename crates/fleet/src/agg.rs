@@ -4,8 +4,7 @@
 //!
 //! The engine builds one [`FleetAggregate`] per shard (nodes folded in
 //! node-index order) and merges shards in shard-index order, so the
-//! result is bit-identical for any thread count. A checkpointed
-//! aggregate restores through the same public fields it exposes here.
+//! result is bit-identical for any thread count.
 
 use crate::sketch::{NeumaierSum, QuantileSketch};
 use crate::spec::FleetSpec;
@@ -87,11 +86,10 @@ pub struct NodeOutcome {
     pub sims: u64,
 }
 
-/// The streaming aggregate of a (partial or complete) fleet sweep.
+/// The streaming aggregate of a fleet sweep.
 ///
-/// All fields are public so the checkpoint codec can serialize and
-/// restore state losslessly; the engine and the codec are the only
-/// writers.
+/// All fields are public for readers (the family table, digests over
+/// the totals); the engine is the only writer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetAggregate {
     /// One entry per grid cell, indexed by flat cell index.
@@ -158,12 +156,11 @@ impl FleetAggregate {
     ///
     /// The node, cell and sketch counters are bounded by the fleet's node
     /// count. Misses, events and jobs are not, so they merge with checked
-    /// arithmetic: only a corrupt checkpoint can carry totals near
-    /// `u64::MAX`.
+    /// arithmetic, which refuses a wrapped total in every build profile.
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::Checkpoint`], leaving `self` unchanged, if a
+    /// Returns [`FleetError::Overflow`], leaving `self` unchanged, if a
     /// miss, event or job total would pass `u64::MAX`.
     ///
     /// # Panics
@@ -176,11 +173,7 @@ impl FleetAggregate {
             other.sketches.len(),
             "sketch count mismatch"
         );
-        let sum = |a: u64, b: u64, what: &str| {
-            a.checked_add(b).ok_or_else(|| {
-                FleetError::Checkpoint(format!("merged {what} total passes u64::MAX"))
-            })
-        };
+        let sum = |a: u64, b: u64, what| a.checked_add(b).ok_or(FleetError::Overflow(what));
         let misses = sum(self.misses, other.misses, "miss")?;
         let events = sum(self.events, other.events, "event")?;
         let jobs = sum(self.jobs, other.jobs, "job")?;
@@ -269,23 +262,23 @@ mod tests {
         let mut agg = FleetAggregate::new(&spec);
         agg.record(&outcome(0, 0, 0.5));
         for what in ["event", "job", "miss", "cell miss"] {
-            let mut resumed = agg.clone();
+            let mut full = agg.clone();
             match what {
-                "event" => resumed.events = u64::MAX,
-                "job" => resumed.jobs = u64::MAX,
-                "miss" => resumed.misses = u64::MAX,
-                _ => resumed.cells[0].misses = u64::MAX,
+                "event" => full.events = u64::MAX,
+                "job" => full.jobs = u64::MAX,
+                "miss" => full.misses = u64::MAX,
+                _ => full.cells[0].misses = u64::MAX,
             }
             let mut shard = agg.clone();
             shard.misses = 1;
             shard.cells[0].misses = 1;
-            let before = resumed.clone();
-            let err = resumed.merge(&shard).unwrap_err();
+            let before = full.clone();
+            let err = full.merge(&shard).unwrap_err();
             assert!(
-                matches!(&err, FleetError::Checkpoint(msg) if msg.contains(what)),
+                matches!(err, FleetError::Overflow(total) if total == what),
                 "{what}: {err}"
             );
-            assert_eq!(resumed, before, "{what}: a refused merge changes nothing");
+            assert_eq!(full, before, "{what}: a refused merge changes nothing");
         }
     }
 

@@ -52,16 +52,11 @@ pub fn fleet_table(spec: &FleetSpec, outcome: &FleetOutcome) -> Table {
     table.push_row("mean", mean_row);
 
     table.note(format!(
-        "nodes {} / {} (shards {} / {}{})",
+        "nodes {} / {} (shards {} / {})",
         agg.nodes,
         spec.nodes(),
         outcome.shards_done,
         outcome.shards_total,
-        if outcome.complete() {
-            ""
-        } else {
-            "; PARTIAL sweep"
-        },
     ));
     table.note(format!(
         "infeasible {}, misses {}, sims {}, events {}, jobs {}",
@@ -113,7 +108,6 @@ mod tests {
             aggregate: agg,
             shards_done: 3,
             shards_total: 3,
-            resumed_from: 0,
         }
     }
 
@@ -129,14 +123,5 @@ mod tests {
         assert_eq!(table.rows[6].0, "mean");
         // Totals + one note per governor.
         assert_eq!(table.notes.len(), 2 + spec.governors.len());
-    }
-
-    #[test]
-    fn partial_sweeps_are_flagged() {
-        let spec = FleetSpec::tiny(5);
-        let mut outcome = fake_outcome(&spec);
-        outcome.shards_done = 1;
-        let table = fleet_table(&spec, &outcome);
-        assert!(table.notes[0].contains("PARTIAL"));
     }
 }

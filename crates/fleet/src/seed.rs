@@ -1,9 +1,8 @@
 //! Splittable counter-based per-node seed derivation.
 //!
 //! A fleet node's seed must be a pure function of `(master_seed,
-//! node_index)`: workers claim shards in nondeterministic order, resumed
-//! runs start mid-fleet, and a single node must be reproducible in
-//! isolation for debugging. Sequential RNG streams cannot do any of
+//! node_index)`: workers claim shards in nondeterministic order, and a
+//! single node must be reproducible in isolation for debugging. Sequential RNG streams cannot do any of
 //! that, so seeds come from the SplitMix64 output function applied to a
 //! golden-ratio-spaced counter — exactly the construction SplitMix64
 //! itself uses per step, evaluated at an arbitrary step index instead of

@@ -5,13 +5,11 @@
 //! nodes into shard-local accumulators in node-index order, then merges
 //! shard accumulators in shard-index order, so every f64 operation
 //! sequence — and therefore every output bit — is independent of thread
-//! count. The checkpoint format serializes both losslessly (f64 state as
-//! IEEE bit patterns), which is what makes a resumed sweep bit-identical
-//! to an uninterrupted one.
+//! count.
 
 /// A running Neumaier-compensated sum: the incremental form of
 /// `stadvs_analysis::compensated_sum`, with the `(sum, compensation)`
-/// state held explicitly so it can be checkpointed and merged.
+/// state held explicitly so it can be merged.
 ///
 /// Adding the same values in the same order as `compensated_sum` yields
 /// the same bits (pinned by a test below). Merging appends the other
@@ -61,27 +59,6 @@ impl NeumaierSum {
             self.sum
         }
     }
-}
-
-/// The full state of a [`QuantileSketch`], for checkpointing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SketchState {
-    /// Inclusive lower edge of the bucketed range.
-    pub lo: f64,
-    /// Exclusive upper edge of the bucketed range.
-    pub hi: f64,
-    /// Per-bucket counts over `[lo, hi)`, equal width.
-    pub buckets: Vec<u64>,
-    /// Count of recorded values below `lo`.
-    pub underflow: u64,
-    /// Count of recorded values at or above `hi`.
-    pub overflow: u64,
-    /// Smallest recorded value (`+∞` when empty).
-    pub min: f64,
-    /// Largest recorded value (`-∞` when empty).
-    pub max: f64,
-    /// Compensated sum of every recorded value.
-    pub sum: NeumaierSum,
 }
 
 /// A deterministic fixed-bucket quantile sketch over a known range.
@@ -230,57 +207,6 @@ impl QuantileSketch {
         }
         self.max
     }
-
-    /// Snapshots the full state (for checkpointing).
-    pub fn state(&self) -> SketchState {
-        SketchState {
-            lo: self.lo,
-            hi: self.hi,
-            buckets: self.buckets.clone(),
-            underflow: self.underflow,
-            overflow: self.overflow,
-            min: self.min,
-            max: self.max,
-            sum: self.sum,
-        }
-    }
-
-    /// Rebuilds a sketch from checkpointed state. The count is re-derived
-    /// from the stored counters, so state and count cannot disagree.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the problem if the state is structurally
-    /// invalid (empty buckets, degenerate range, non-finite edges) or its
-    /// counters sum past `u64::MAX`.
-    pub fn from_state(state: SketchState) -> Result<QuantileSketch, String> {
-        if state.buckets.is_empty() {
-            return Err("sketch state has no buckets".to_string());
-        }
-        if !(state.lo.is_finite() && state.hi.is_finite() && state.hi > state.lo) {
-            return Err(format!(
-                "sketch state range [{}, {}) is degenerate",
-                state.lo, state.hi
-            ));
-        }
-        let count = state
-            .buckets
-            .iter()
-            .try_fold(state.underflow, |acc, &b| acc.checked_add(b))
-            .and_then(|c| c.checked_add(state.overflow))
-            .ok_or_else(|| "sketch state counters overflow u64".to_string())?;
-        Ok(QuantileSketch {
-            lo: state.lo,
-            hi: state.hi,
-            buckets: state.buckets,
-            underflow: state.underflow,
-            overflow: state.overflow,
-            count,
-            min: state.min,
-            max: state.max,
-            sum: state.sum,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -370,28 +296,7 @@ mod tests {
         left.merge(&right);
         assert_eq!(whole.count(), left.count());
         assert_eq!(whole.quantile(0.5).to_bits(), left.quantile(0.5).to_bits());
-        assert_eq!(whole.state().buckets, left.state().buckets);
-    }
-
-    #[test]
-    fn state_round_trips() {
-        let mut s = QuantileSketch::new(0.0, 1.5, 96);
-        for i in 0..123 {
-            s.record(i as f64 / 100.0);
-        }
-        let rebuilt = QuantileSketch::from_state(s.state()).expect("valid state");
-        assert_eq!(s, rebuilt);
-        assert_eq!(rebuilt.count(), 123);
-    }
-
-    #[test]
-    fn invalid_state_is_rejected() {
-        let mut state = QuantileSketch::new(0.0, 1.0, 4).state();
-        state.buckets.clear();
-        assert!(QuantileSketch::from_state(state).is_err());
-        let mut bad_range = QuantileSketch::new(0.0, 1.0, 4).state();
-        bad_range.hi = -1.0;
-        assert!(QuantileSketch::from_state(bad_range).is_err());
+        assert_eq!(whole.buckets, left.buckets);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use stadvs_workload::{DemandPattern, ExecutionModel};
 /// from `[min, max]` seconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PeriodSpread {
-    /// Short label used in table row keys and the spec hash.
+    /// Short label used in table row keys.
     pub label: String,
     /// Shortest period, in seconds.
     pub min: f64,
@@ -37,8 +37,7 @@ impl PeriodSpread {
 /// `i` belongs to cell `i / replications`, with the governor axis
 /// varying fastest (see [`FleetSpec::node`]). The *entire* fleet is
 /// determined by this struct: two processes holding equal specs produce
-/// bit-identical aggregates, which is what [`FleetSpec::spec_hash`]
-/// certifies when a checkpoint is resumed.
+/// bit-identical aggregates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetSpec {
     /// Master seed; every node seed derives from it via
@@ -170,46 +169,6 @@ impl FleetSpec {
         format!("{}/{}", self.utilizations[u], self.spreads[s].label)
     }
 
-    /// A canonical, line-oriented description of the spec. Floats are
-    /// rendered as IEEE bit patterns, so the description — and therefore
-    /// [`FleetSpec::spec_hash`] — changes exactly when the sweep's
-    /// numeric results could.
-    pub fn describe(&self) -> String {
-        let mut out = String::from("stadvs-fleet-spec-v1\n");
-        out.push_str(&format!("master_seed={:016x}\n", self.master_seed));
-        out.push_str(&format!("n_tasks={}\n", self.n_tasks));
-        out.push_str(&format!("horizon={:016x}\n", self.horizon.to_bits()));
-        out.push_str(&format!("replications={}\n", self.replications));
-        out.push_str(&format!("pattern={:?}\n", self.pattern));
-        out.push_str("processor=ideal-continuous\n");
-        for u in &self.utilizations {
-            out.push_str(&format!("utilization={:016x}\n", u.to_bits()));
-        }
-        for s in &self.spreads {
-            out.push_str(&format!(
-                "spread={}:{:016x}:{:016x}\n",
-                s.label,
-                s.min.to_bits(),
-                s.max.to_bits()
-            ));
-        }
-        for g in &self.governors {
-            out.push_str(&format!("governor={g}\n"));
-        }
-        out
-    }
-
-    /// FNV-1a 64-bit hash of [`FleetSpec::describe`]; checkpoints store
-    /// it and refuse to resume under a different spec.
-    pub fn spec_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.describe().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
     /// Checks every axis and parameter.
     ///
     /// # Errors
@@ -310,16 +269,6 @@ mod tests {
         assert_eq!(b.cell, 1);
         assert_eq!((a.governor, b.governor), (0, 1));
         assert_eq!((a.spread, b.spread), (0, 0));
-    }
-
-    #[test]
-    fn hash_tracks_numeric_content() {
-        let spec = FleetSpec::tiny(42);
-        assert_eq!(spec.spec_hash(), FleetSpec::tiny(42).spec_hash());
-        assert_ne!(spec.spec_hash(), FleetSpec::tiny(43).spec_hash());
-        let mut tweaked = FleetSpec::tiny(42);
-        tweaked.horizon = 0.5 + f64::EPSILON;
-        assert_ne!(spec.spec_hash(), tweaked.spec_hash());
     }
 
     #[test]
