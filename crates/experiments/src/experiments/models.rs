@@ -22,7 +22,9 @@
 //! list (see [`crate::runner::governor_caps`]).
 
 use stadvs_power::Processor;
-use stadvs_sim::{audit_outcome, AuditIssue, FaultPlan, SimConfig, SimOutcome, Simulator, TaskSet};
+use stadvs_sim::{
+    audit_outcome, AuditIssue, FaultPlan, SimConfig, SimOutcome, SimScratch, Simulator, TaskSet,
+};
 use stadvs_workload::{DemandPattern, ExecutionModel, ModelMix, TaskSetSpec};
 
 use crate::experiments::RunOptions;
@@ -67,12 +69,18 @@ const STAT_COLUMNS: &[&str] = &[
     "max_streak",
 ];
 
-fn simulate(tasks: &TaskSet, exec: &ExecutionModel, name: &str, horizon: f64) -> SimOutcome {
+fn simulate(
+    tasks: &TaskSet,
+    exec: &ExecutionModel,
+    name: &str,
+    horizon: f64,
+    scratch: &mut SimScratch,
+) -> SimOutcome {
     let mut governor = make_governor(name).expect("lineup names resolve");
     let config = SimConfig::new(horizon).expect("experiment horizon is valid");
     let sim = Simulator::new(tasks.clone(), Processor::ideal_continuous(), config)
         .expect("generated sets are valid");
-    sim.run(governor.as_mut(), exec)
+    sim.run_with_scratch(governor.as_mut(), exec, scratch)
         .expect("simulation succeeds on valid input")
 }
 
@@ -85,6 +93,7 @@ pub fn run(opts: &RunOptions) -> Table {
         "mix/governor",
         columns,
     );
+    let mut scratch = SimScratch::new();
     for (label, mix) in mixes() {
         // The same workload seeds under every mix, so a column reads as
         // "this exact workload set, re-modelled".
@@ -106,7 +115,9 @@ pub fn run(opts: &RunOptions) -> Table {
         let lineup = capable_lineup(STANDARD_LINEUP, required_caps(&cases[0].0));
         let baseline: Vec<f64> = cases
             .iter()
-            .map(|(tasks, exec)| simulate(tasks, exec, "no-dvs", opts.horizon).total_energy())
+            .map(|(tasks, exec)| {
+                simulate(tasks, exec, "no-dvs", opts.horizon, &mut scratch).total_energy()
+            })
             .collect();
         let mut audit_issues = 0usize;
         for name in &lineup {
@@ -118,7 +129,7 @@ pub fn run(opts: &RunOptions) -> Table {
             let mut frame_misses = 0u64;
             let mut max_streak = 0u64;
             for ((tasks, exec), base) in cases.iter().zip(&baseline) {
-                let out = simulate(tasks, exec, name, opts.horizon);
+                let out = simulate(tasks, exec, name, opts.horizon, &mut scratch);
                 let audit = audit_outcome(&out, tasks, &FaultPlan::NONE);
                 audit_issues += audit.issues.len();
                 mk_violations += audit

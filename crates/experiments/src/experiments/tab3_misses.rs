@@ -9,7 +9,7 @@
 //! stand.
 
 use stadvs_power::Processor;
-use stadvs_sim::{audit_outcome, FaultPlan, SimConfig, Simulator};
+use stadvs_sim::{audit_outcome, FaultPlan, SimConfig, SimScratch, Simulator};
 use stadvs_workload::DemandPattern;
 
 use crate::experiments::RunOptions;
@@ -48,6 +48,7 @@ pub fn run(opts: &RunOptions) -> Table {
         ],
     );
     let processor = Processor::ideal_continuous();
+    let mut scratch = SimScratch::new();
     for name in STANDARD_LINEUP {
         let mut jobs = 0usize;
         let mut misses = 0usize;
@@ -67,7 +68,7 @@ pub fn run(opts: &RunOptions) -> Table {
                 .expect("feasible");
                 let mut governor = make_governor(name).expect("lineup resolves");
                 let outcome = sim
-                    .run(governor.as_mut(), &case.exec)
+                    .run_with_scratch(governor.as_mut(), &case.exec, &mut scratch)
                     .expect("simulation succeeds");
                 let report = audit_outcome(&outcome, &case.tasks, &FaultPlan::NONE);
                 jobs += outcome.jobs.len();

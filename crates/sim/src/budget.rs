@@ -23,15 +23,18 @@
 //!   and a fixed-iteration bisection on the monotone speed→power curve.
 //!   A throttled grant is a pure function of the requested speed's bits,
 //!   the headroom's bits and the core's processor (its floor and power
-//!   model), so each core remembers its recent throttled grants in a
-//!   fixed table and a repeated request skips the bisection's 62 power
-//!   evaluations. The table returns the bits the bisection would, so a
-//!   hit still counts a grant and a throttle, and the report is unchanged.
+//!   model), so recent throttled grants are remembered in fixed tables
+//!   and a repeated request skips the bisection's 62 power evaluations.
+//!   Cores whose processors are equal share a table, so a homogeneous
+//!   platform bisects each request once rather than once per core, while
+//!   heterogeneous cores stay apart. A table returns the bits the
+//!   bisection would, so a hit still counts a grant and a throttle, and
+//!   the report is unchanged.
 //! * The engine passes the requested speed's active power along with
 //!   the request (its energy accumulator already evaluated it), and that
 //!   power is the core's draw when the request fits.
 
-use stadvs_power::{Processor, Speed};
+use stadvs_power::{Platform, Processor, Speed};
 
 use crate::SimError;
 
@@ -40,14 +43,14 @@ use crate::SimError;
 /// every grant (determinism).
 const BISECT_STEPS: u32 = 60;
 
-/// Slots in each core's table of throttled grants. A power of two: a
-/// slot's index is the top bits of a hash of its key. A `no-dvs` run of
-/// the benchmark's `platform-budget` workload under its 4 W cap throttles
-/// about a thousand times over about 110 distinct `(core, request,
-/// headroom)` triples. Measured there (a warm-up and three passes), 64
-/// slots miss 30 172 times against 28 136 first occurrences, 32 slots
-/// 70 688 times.
-const GRANT_SLOTS: usize = 64;
+/// Slots in a table of throttled grants. A power of two: a slot's index
+/// is the top bits of a hash of its key. Measured on the benchmark's
+/// `platform-budget` workload (eight equal cores under a 4 W cap; seed
+/// 42, a warm-up and three passes), one table shared by the eight cores
+/// misses 11 368 times at 64 slots, 7 344 at 128, 7 108 at 256, 6 840 at
+/// 1024 and 6 832 at 2048, against 30 172 for the former 64-slot table
+/// per core.
+const GRANT_SLOTS: usize = 256;
 
 /// One remembered throttled grant: the request and headroom bits it
 /// answers, the granted speed and that speed's active power.
@@ -67,7 +70,7 @@ const EMPTY_SLOT: GrantSlot = GrantSlot {
     draw: 0.0,
 };
 
-/// The slot of a `(request, headroom)` key in a core's table.
+/// The slot of a `(request, headroom)` key in a table.
 fn slot_index(requested: u64, headroom: u64) -> usize {
     let hash = (requested ^ headroom.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     (hash >> (64 - GRANT_SLOTS.trailing_zeros())) as usize
@@ -97,16 +100,35 @@ fn throttle(requested: Speed, headroom: f64, processor: &Processor) -> Speed {
     Speed::clamped(lo, floor)
 }
 
+/// Where a core's throttled grants are remembered.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Route {
+    /// Not throttled yet: the table will be that of the lowest-numbered
+    /// core whose processor equals this core's (the core itself if none
+    /// does, or if the ledger was never told the processors).
+    Class(usize),
+    /// The table that starts at this slot of `tables`.
+    Table(usize),
+}
+
+/// One core's entry in the ledger: its current active draw and where its
+/// throttled grants are remembered.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CoreEntry {
+    draw: f64,
+    route: Route,
+}
+
 /// The shared power-budget ledger: one draw slot per core, a cap, the
-/// throttle statistics, and each core's table of throttled grants.
+/// throttle statistics, and the tables of throttled grants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BudgetLedger {
     cap: f64,
-    draw: Vec<f64>,
-    /// One table per core, so a key needs no processor: a core's
-    /// processor is the same on every grant, while a platform's cores may
-    /// differ.
-    throttled: Vec<[GrantSlot; GRANT_SLOTS]>,
+    cores: Vec<CoreEntry>,
+    /// [`GRANT_SLOTS`] slots per table, one table per class of cores with
+    /// equal processors, each added on its class's first throttle. A key
+    /// needs no processor: every core that reads a table has the same one.
+    tables: Vec<GrantSlot>,
     grants: u64,
     throttles: u64,
     peak: f64,
@@ -128,12 +150,30 @@ impl BudgetLedger {
         }
         Ok(BudgetLedger {
             cap: cap_watts,
-            draw: vec![0.0; cores],
-            throttled: vec![[EMPTY_SLOT; GRANT_SLOTS]; cores],
+            cores: (0..cores)
+                .map(|core| CoreEntry {
+                    draw: 0.0,
+                    route: Route::Class(core),
+                })
+                .collect(),
+            tables: Vec::new(),
             grants: 0,
             throttles: 0,
             peak: 0.0,
         })
+    }
+
+    /// Lets the cores of `platform` whose processors are equal share one
+    /// table of throttled grants; call it before the first grant. Without
+    /// this call each core keeps its own.
+    pub(crate) fn share_tables(&mut self, platform: &Platform) {
+        for core in 0..self.cores.len() {
+            if let Some(first) =
+                (0..core).find(|&other| platform.core(other) == platform.core(core))
+            {
+                self.cores[core].route = Route::Class(first);
+            }
+        }
     }
 
     /// The configured cap, in watts.
@@ -159,9 +199,9 @@ impl BudgetLedger {
             "the request's power is not the model's"
         );
         let mut others = 0.0;
-        for (i, d) in self.draw.iter().enumerate() {
+        for (i, entry) in self.cores.iter().enumerate() {
             if i != core {
-                others += d;
+                others += entry.draw;
             }
         }
         self.grants += 1;
@@ -171,7 +211,8 @@ impl BudgetLedger {
             self.throttles += 1;
             let headroom = (self.cap - others).max(0.0);
             let (requested_bits, headroom_bits) = (requested.ratio().to_bits(), headroom.to_bits());
-            let slot = &mut self.throttled[core][slot_index(requested_bits, headroom_bits)];
+            let table = self.table_of(core);
+            let slot = &mut self.tables[table + slot_index(requested_bits, headroom_bits)];
             if slot.requested != requested_bits || slot.headroom != headroom_bits {
                 let granted = throttle(requested, headroom, processor);
                 *slot = GrantSlot {
@@ -183,17 +224,37 @@ impl BudgetLedger {
             }
             (slot.granted, slot.draw)
         };
-        self.draw[core] = draw;
-        let total: f64 = self.draw.iter().sum();
+        self.cores[core].draw = draw;
+        let total: f64 = self.cores.iter().map(|entry| entry.draw).sum();
         if total > self.peak {
             self.peak = total;
         }
         granted
     }
 
+    /// The first slot of `core`'s table of throttled grants, adding its
+    /// class's table on the class's first throttle.
+    fn table_of(&mut self, core: usize) -> usize {
+        let first = match self.cores[core].route {
+            Route::Table(table) => return table,
+            Route::Class(first) => first,
+        };
+        let table = match self.cores[first].route {
+            Route::Table(table) => table,
+            Route::Class(_) => {
+                let table = self.tables.len();
+                self.tables.resize(table + GRANT_SLOTS, EMPTY_SLOT);
+                self.cores[first].route = Route::Table(table);
+                table
+            }
+        };
+        self.cores[core].route = Route::Table(table);
+        table
+    }
+
     /// Marks `core` idle: its active draw leaves the rail.
     pub(crate) fn settle_idle(&mut self, core: usize) {
-        self.draw[core] = 0.0;
+        self.cores[core].draw = 0.0;
     }
 
     /// The run's budget statistics.
@@ -393,28 +454,42 @@ mod tests {
         }
     }
 
-    /// Property: the ledger with its per-core tables grants the same bits,
-    /// keeps the same draws and reports the same statistics as the
-    /// ledger that evaluates the model on every grant and bisects on every
-    /// throttle. Requests come from a small shared pool (full speed
-    /// included) and idle settles are frequent, so `(request, headroom)`
-    /// pairs repeat on one core and across cores; half the platforms are
-    /// heterogeneous, where a table shared by the cores would hand one
-    /// core another's grant.
+    /// Property: the ledger with its tables grants the same bits, keeps
+    /// the same draws and reports the same statistics as the ledger that
+    /// evaluates the model on every grant and bisects on every throttle.
+    /// Requests come from a small shared pool (full speed included) and
+    /// idle settles are frequent, so `(request, headroom)` pairs repeat on
+    /// one core and across cores. A third of the platforms are
+    /// homogeneous, a third heterogeneous and a third two equal cores and
+    /// one different core, in random order, where a table shared by
+    /// unequal cores would hand one core another's grant. Most ledgers
+    /// share tables among equal cores; the rest keep one per core.
     #[test]
     fn cached_grants_match_the_bisection() {
         crate::rng::check("cached_grants_match_the_bisection", 256, |rng| {
-            let cores = 1 + rng.below(8) as usize;
-            let processors: Vec<Processor> = if rng.below(2) == 0 {
-                vec![processor(rng); cores]
-            } else {
-                (0..cores).map(|_| processor(rng)).collect()
+            let processors: Vec<Processor> = match rng.below(3) {
+                0 => vec![processor(rng); 1 + rng.below(8) as usize],
+                1 => (0..1 + rng.below(8)).map(|_| processor(rng)).collect(),
+                _ => {
+                    let equal = processor(rng);
+                    let mut other = processor(rng);
+                    while other == equal {
+                        other = processor(rng);
+                    }
+                    let mut cores = vec![equal.clone(), equal];
+                    cores.insert(rng.below(3) as usize, other);
+                    cores
+                }
             };
+            let cores = processors.len();
             let cap = rng.range_f64(0.05, 0.8 * cores as f64);
             let pool: Vec<f64> = std::iter::once(1.0)
                 .chain((0..rng.below(4)).map(|_| rng.range_f64(0.05, 1.0)))
                 .collect();
             let mut ledger = BudgetLedger::new(cap, cores).map_err(|e| e.to_string())?;
+            if rng.below(4) != 0 {
+                ledger.share_tables(&Platform::new(processors.clone()).map_err(|e| e.to_string())?);
+            }
             let mut reference = Reference {
                 cap,
                 draw: vec![0.0; cores],
@@ -444,11 +519,12 @@ mod tests {
                         "step {step}, core {core}: granted {got:?}, want {want:?}"
                     ));
                 }
-                let draws = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                if draws(&ledger.draw) != draws(&reference.draw) {
+                let draws: Vec<f64> = ledger.cores.iter().map(|entry| entry.draw).collect();
+                let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                if bits(&draws) != bits(&reference.draw) {
                     return Err(format!(
-                        "step {step}: draws {:?}, want {:?}",
-                        ledger.draw, reference.draw
+                        "step {step}: draws {draws:?}, want {:?}",
+                        reference.draw
                     ));
                 }
             }

@@ -21,6 +21,13 @@
 //!   would give it. When several engines fail, it returns the error the
 //!   global order would reach first.
 //!
+//! An engine takes its releases from its core scratch's
+//! [`ReleaseSchedule`]: every release instant of the run in release order,
+//! walked with a cursor. The next arrival is the cursor's entry, and a
+//! step releases the run of entries due at its instant, in ascending task
+//! order. Release instants do not depend on the governor, so a governor
+//! lineup on one task set replays one schedule.
+//!
 //! Each engine counts its own events as the kernel counted them, into
 //! [`crate::SimOutcome::kernel`]. A *wake* (`Release`/`Dispatch`) is the
 //! event an engine schedules for its own next step. A *note*
@@ -42,7 +49,7 @@ use crate::job::{ActiveJob, JobId, JobRecord};
 use crate::kernel::KernelStats;
 use crate::model::{mk_skip_allowed, ModelReport, SkipPolicy};
 use crate::outcome::SimOutcome;
-use crate::queue::{ReadySet, ReleaseQueue};
+use crate::queue::{ReadySet, Recurrence, ReleaseSchedule};
 use crate::simulator::{MissPolicy, SimConfig, TIME_EPS, WORK_EPS};
 use crate::task::{TaskId, TaskKind, TaskSet};
 use crate::trace::{Segment, SegmentKind, Trace};
@@ -227,7 +234,7 @@ pub(crate) struct TaskHot {
 
 impl TaskHot {
     /// Refills the arrays from `tasks` (allocation-free once warm).
-    fn fill(&mut self, tasks: &TaskSet) {
+    pub(crate) fn fill(&mut self, tasks: &TaskSet) {
         self.wcet.clear();
         self.deadline.clear();
         self.period.clear();
@@ -244,7 +251,7 @@ impl TaskHot {
 
     /// Nominal release instant of job `index` of `task` — the same
     /// expression as [`crate::task::Task::release_of`].
-    fn release_of(&self, task: usize, index: u64) -> f64 {
+    pub(crate) fn release_of(&self, task: usize, index: u64) -> f64 {
         self.phase[task] + index as f64 * self.period[task]
     }
 }
@@ -255,12 +262,13 @@ impl TaskHot {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CoreScratch {
     pub(crate) ready: ReadySet,
-    pub(crate) releases: ReleaseQueue,
+    /// The run's releases; kept across runs, and reused while their key
+    /// is unchanged.
+    pub(crate) releases: ReleaseSchedule,
     pub(crate) hot: TaskHot,
     /// Per-task release counters (the index of each task's next job);
     /// [`CoreEngine::finish`] turns them into record offsets.
     pub(crate) next_index: Vec<u64>,
-    pub(crate) due: Vec<usize>,
     /// Per-task flag set by [`OverrunPolicy::SkipNext`]: the task's next
     /// release is suppressed. Fully reset at the start of each run — a
     /// stale flag would silently shed a job of the *next* workload.
@@ -298,7 +306,8 @@ pub(crate) struct CoreEngine<'s, G, E: ?Sized> {
     /// The core's slot in the budget ledger.
     core_index: usize,
     faults_on: bool,
-    jittered: bool,
+    /// The plan, when it injects release jitter.
+    jitter: Option<&'s FaultPlan>,
     // Run state (the legacy loop's locals).
     now: f64,
     events: u64,
@@ -358,29 +367,24 @@ where
         let n = tasks.len();
 
         // Fault-injection state. `faults_on` is checked once per gate so the
-        // no-fault path stays branch-predictable; `jittered` additionally
-        // gates the sporadic release recurrence, which is float-identical to
-        // the periodic one only in the absence of delays.
+        // no-fault path stays branch-predictable; `jitter` additionally
+        // selects the jittered release recurrences, which are
+        // float-identical to the plain ones only in the absence of delays.
         let faults_on = !plan.is_none();
-        let jittered = faults_on && plan.has_jitter();
+        let jitter = plan.has_jitter().then_some(plan);
 
         scratch.ready.reset(n);
         scratch.hot.fill(tasks);
-        let hot = &scratch.hot;
-        if jittered {
-            scratch.releases.reset(
-                hot.phase
-                    .iter()
-                    .zip(&hot.period)
-                    .enumerate()
-                    .map(|(i, (&phase, &period))| phase + plan.release_delay(TaskId(i), 0, period)),
-            );
-        } else {
-            scratch.releases.reset(hot.phase.iter().copied());
-        }
+        scratch.releases.start(
+            horizon,
+            Recurrence {
+                tasks,
+                hot: &scratch.hot,
+                jitter,
+            },
+        );
         scratch.next_index.clear();
         scratch.next_index.resize(n, 0);
-        scratch.due.clear();
         scratch.skip_next.clear();
         scratch.skip_next.resize(n, false);
         scratch.mk_met.clear();
@@ -392,16 +396,7 @@ where
         // Pre-size for the jobs this horizon generates (capped: the records
         // move into the outcome, so a hostile horizon must not pre-book
         // unbounded memory).
-        let expected_jobs: usize = tasks
-            .iter()
-            .map(|(_, t)| {
-                if t.phase() >= horizon {
-                    0
-                } else {
-                    ((horizon - t.phase()) / t.period()).ceil() as usize + 1
-                }
-            })
-            .sum();
+        let expected_jobs = scratch.releases.job_capacity();
         let records: Vec<JobRecord> = Vec::with_capacity(expected_jobs.min(1 << 20));
         let acc = processor.energy_accumulator();
         let trace = config
@@ -423,7 +418,7 @@ where
             skip_policy: config.skip_policy(),
             core_index,
             faults_on,
-            jittered,
+            jitter,
             now: 0.0,
             events: 0,
             records,
@@ -479,17 +474,24 @@ where
 
         // 1. Release every job due at (or within tolerance of) `now`, in
         //    ascending task order, draining the whole same-instant batch
-        //    in one pass (the due scan collects the batch; each task may
-        //    owe several jobs if its period is tiny). Per-task parameters
-        //    come from the SoA copy in scratch; the `Task` struct is only
-        //    touched on the lazy paths (demand sampling, sporadic gaps).
+        //    in one pass (the schedule hands over the batch's tasks; each
+        //    task may owe several jobs if its period is tiny). Per-task
+        //    parameters come from the SoA copy in scratch; the `Task`
+        //    struct is only touched on the lazy paths (demand sampling,
+        //    sporadic gaps).
         let mut batch_size: u64 = 0;
-        self.scratch
-            .releases
-            .pop_due(now, horizon, &mut self.scratch.due);
+        let scratch = &mut *self.scratch;
+        let batch = scratch.releases.take_due(
+            now,
+            Recurrence {
+                tasks: self.tasks,
+                hot: &scratch.hot,
+                jitter: self.jitter,
+            },
+        );
         let mut d = 0;
-        while d < self.scratch.due.len() {
-            let i = self.scratch.due[d];
+        while d < self.scratch.releases.due().len() {
+            let i = self.scratch.releases.due()[d];
             while self.scratch.releases.time(i) <= now + TIME_EPS
                 && self.scratch.releases.time(i) < horizon
             {
@@ -589,7 +591,7 @@ where
                             // so no branch.
                             job.actual *= self.plan.overrun_factor(id.task, id.index);
                             let nominal = self.scratch.hot.release_of(i, id.index);
-                            if self.jittered && release > nominal + TIME_EPS {
+                            if self.jitter.is_some() && release > nominal + TIME_EPS {
                                 self.report.jittered_releases += 1;
                                 self.report.events.push(FaultEvent {
                                     job: id,
@@ -608,58 +610,19 @@ where
                     }
                 }
                 self.scratch.next_index[i] += 1;
-                if matches!(kind, TaskKind::Sporadic { .. }) {
-                    // Sporadic recurrence: the next arrival trails this
-                    // one by the seeded gap (≥ the period, so arrivals
-                    // never precede the periodic lattice — the same
-                    // safety class as delay-only jitter). Under a jitter
-                    // channel the injected delay adds on top.
-                    let gap = self
-                        .tasks
-                        .task(TaskId(i))
-                        .arrival_gap(self.scratch.next_index[i]);
-                    let next = if self.jittered {
-                        release
-                            + gap
-                            + self.plan.release_delay(
-                                id.task,
-                                self.scratch.next_index[i],
-                                self.scratch.hot.period[i],
-                            )
-                    } else {
-                        release + gap
-                    };
-                    self.scratch.releases.set_time(i, next);
-                } else if self.jittered {
-                    // Jittered periodic recurrence: delay the nominal
-                    // release but never compress inter-arrival times
-                    // below the period — compression could overload even
-                    // a full-speed EDF schedule, which would make the
-                    // injected jitter indistinguishable from an
-                    // algorithm bug.
-                    let nominal = self.scratch.hot.release_of(i, self.scratch.next_index[i]);
-                    let delay = self.plan.release_delay(
-                        id.task,
-                        self.scratch.next_index[i],
-                        self.scratch.hot.period[i],
-                    );
-                    self.scratch.releases.set_time(
-                        i,
-                        (nominal + delay).max(release + self.scratch.hot.period[i]),
-                    );
-                } else {
-                    self.scratch.releases.set_time(
-                        i,
-                        self.scratch.hot.release_of(i, self.scratch.next_index[i]),
-                    );
-                }
+                let scratch = &mut *self.scratch;
+                scratch.releases.advance(
+                    i,
+                    scratch.next_index[i],
+                    Recurrence {
+                        tasks: self.tasks,
+                        hot: &scratch.hot,
+                        jitter: self.jitter,
+                    },
+                );
                 self.release_epoch += 1;
                 if !fault_shed {
-                    // The release tree already holds this task's advanced
-                    // instant (set_time above) and the not-yet-processed
-                    // due tasks' current ones, so its root is exact
-                    // mid-batch — no staging to fold back in.
-                    let next_arrival = self.scratch.releases.next_arrival();
+                    let next_arrival = self.scratch.releases.arrival_within_batch(d);
                     let view = SchedulerView::new(
                         now,
                         self.tasks,
@@ -683,6 +646,10 @@ where
             }
             d += 1;
         }
+        debug_assert_eq!(
+            batch_size, batch as u64,
+            "released other than the due batch"
+        );
         if batch_size > 0 {
             // Exponential buckets: 1, 2, 3, 4, 5–8, 9–16, 17–32, 33+.
             let bucket = match batch_size {

@@ -405,6 +405,14 @@ impl FaultPlan {
         self.jitter.is_some()
     }
 
+    /// Everything a release instant reads of the plan, as bits: the seed
+    /// and the jitter channel's probability and magnitude; `None` without
+    /// a jitter channel, when releases read nothing of the plan.
+    pub(crate) fn jitter_bits(&self) -> Option<[u64; 3]> {
+        self.jitter
+            .map(|j| [self.seed, j.probability.to_bits(), j.max_fraction.to_bits()])
+    }
+
     /// A deterministic uniform draw in `[0, 1)` keyed on
     /// `(seed, stream, a, b)`.
     fn chance(&self, stream: u64, a: u64, b: u64) -> f64 {

@@ -97,8 +97,8 @@ impl<'a> SchedulerView<'a> {
 
     /// The earliest next release instant over all tasks.
     ///
-    /// `O(1)`: the simulator maintains this incrementally in its release
-    /// queue instead of folding over the per-task instants on every query.
+    /// `O(1)`: the simulator reads it off its release schedule instead of
+    /// folding over the per-task instants on every query.
     pub fn next_release_global(&self) -> f64 {
         self.next_arrival
     }

@@ -351,7 +351,8 @@ impl PlatformSim {
         G: FnMut(usize) -> Box<dyn Governor>,
         E: ExecutionSource,
     {
-        let ledger = BudgetLedger::new(cap_watts, self.cores.len())?;
+        let mut ledger = BudgetLedger::new(cap_watts, self.cores.len())?;
+        ledger.share_tables(&self.platform);
         let (outcome, report) = self.run_cores(
             make_governor,
             execs,

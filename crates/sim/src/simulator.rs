@@ -160,12 +160,14 @@ impl SimConfig {
 /// Reusable working memory for [`Simulator::run_with_scratch`].
 ///
 /// One simulation run needs the per-core scheduling buffers (ready set,
-/// release queue, per-task counters). All of them are sized by the task
-/// set, not the horizon, and all of them are fully reset at the start of
-/// each run — so a single
-/// `SimScratch` can be threaded through thousands of runs (the
-/// experiment sweeps do exactly this, one scratch per worker thread)
-/// without re-allocating per case.
+/// release schedule, per-task counters). All of them are reset at the
+/// start of each run, except the release schedule: it is a pure function
+/// of the horizon, the plan's jitter channel and the tasks' phases,
+/// periods and kinds, so a run with the same inputs as the last one
+/// replays it instead of generating it again. So a single `SimScratch` can
+/// be threaded through thousands of runs (the experiment sweeps do exactly
+/// this, one scratch per worker thread) without re-allocating per case,
+/// and a governor lineup on one task set generates its releases once.
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
     core: CoreScratch,
@@ -532,6 +534,25 @@ mod tests {
         .unwrap();
         let err = s.run(&mut FullSpeed, &WorstCase).unwrap_err();
         assert!(matches!(err, SimError::EventLimitExceeded { limit: 10 }));
+
+        // A horizon of 1e12 s is 2.5e11 releases of the first task: the
+        // guard must trip before the schedule books them, so it holds at
+        // most one window past the last release the run reached. A window
+        // spans 64 shortest periods, so at most 65 releases of each task.
+        let s = Simulator::new(
+            two_task_set(),
+            stadvs_power::Processor::ideal_continuous(),
+            SimConfig::new(1.0e12).unwrap().with_max_events(10).unwrap(),
+        )
+        .unwrap();
+        let mut scratch = SimScratch::new();
+        let err = s
+            .run_with_scratch(&mut FullSpeed, &WorstCase, &mut scratch)
+            .unwrap_err();
+        assert!(matches!(err, SimError::EventLimitExceeded { limit: 10 }));
+        let releases = &scratch.core.releases;
+        assert!(releases.holds_one_window_past_cursor());
+        assert!(releases.generated() <= 2 * 65, "{}", releases.generated());
     }
 
     #[test]
