@@ -13,11 +13,10 @@
 //! * [`LaEdf`] — look-ahead work deferral (Pillai & Shin),
 //! * [`OracleStatic`] — the clairvoyant constant-speed bound (not on-line).
 //!
-//! The [`registry`] module holds the single table describing every
-//! baseline (name, fresh-instance factory, jitter-support flag);
-//! [`baseline_suite`] returns them boxed in comparison order and
-//! [`registry::make`] builds one fresh instance per call (one per core in
-//! multiprocessor runs).
+//! Each on-line baseline is selectable by name through the governor table
+//! of `stadvs-experiments` (`GOVERNORS`, `make_governor`), one row per
+//! governor with its capability flags and a one-sentence deadline-safety
+//! argument; each type's docs here keep the full argument.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +42,6 @@ mod la_edf;
 mod lpps_edf;
 mod no_dvs;
 mod oracle;
-pub mod registry;
 mod static_edf;
 
 pub use cc_edf::CcEdf;
@@ -53,5 +51,4 @@ pub use la_edf::LaEdf;
 pub use lpps_edf::LppsEdf;
 pub use no_dvs::NoDvs;
 pub use oracle::OracleStatic;
-pub use registry::{baseline_by_name, baseline_suite, BaselineEntry, GovernorCaps};
 pub use static_edf::StaticEdf;

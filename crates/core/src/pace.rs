@@ -45,10 +45,15 @@ pub struct PaceStep {
     pub work: f64,
 }
 
-/// The energy-optimal step plan for `remaining` worst-case work in
-/// `allowance` wall time, given per-chunk survival probabilities
-/// `survival[k] = P(job still runs in chunk k)` and the platform's maximum
-/// achievable speed `cap`.
+/// The water-filling step planner, with its working buffers.
+///
+/// [`PacePlanner::plan`] computes the energy-optimal step plan for
+/// `remaining` worst-case work in `allowance` wall time, given per-chunk
+/// survival probabilities `survival[k] = P(job still runs in chunk k)` and
+/// the platform's maximum achievable speed `cap`. A planner kept across
+/// calls re-plans without allocating once its buffers have grown to the
+/// largest step count it has seen; each call starts from cleared buffers,
+/// so its plan depends on its arguments alone.
 ///
 /// Survival values are clamped into `[1e-3, 1]`; an empty slice yields an
 /// empty plan. No step exceeds `cap`, and the plan's worst case consumes
@@ -65,65 +70,96 @@ pub struct PaceStep {
 /// *inside* the optimization (water-filling) and the remaining chunks are
 /// re-solved under the correspondingly reduced allowance, which restores
 /// the KKT conditions of the capped problem.
-pub fn plan(remaining: f64, allowance: f64, cap: f64, survival: &[f64]) -> Vec<PaceStep> {
-    if survival.is_empty() || remaining <= WORK_EPS || allowance <= 0.0 || cap <= 0.0 {
-        return Vec::new();
-    }
-    let n = count_to_f64(survival.len());
-    let w = remaining / n;
-    let roots: Vec<f64> = survival
-        .iter()
-        .map(|p| p.clamp(1.0e-3, 1.0).cbrt())
-        .collect();
-    let mut capped = vec![false; roots.len()];
-    loop {
-        let free_norm: f64 = roots
-            .iter()
-            .zip(&capped)
-            .filter(|&(_, &c)| !c)
-            .map(|(r, _)| w * r)
-            .sum();
-        let capped_wall = count_to_f64(capped.iter().filter(|&&c| c).count()) * (w / cap);
-        let avail = allowance - capped_wall;
-        if free_norm <= 0.0 || avail <= 0.0 {
-            // Every chunk saturates (allowance ≤ remaining/cap): the best
-            // achievable schedule is flat at the cap.
-            return roots
-                .iter()
-                .map(|_| PaceStep {
-                    speed: cap,
-                    work: w,
-                })
-                .collect();
-        }
-        let mut newly_capped = false;
-        for (k, r) in roots.iter().enumerate() {
-            if !capped[k] && free_norm / (avail * r) > cap {
-                capped[k] = true;
-                newly_capped = true;
-            }
-        }
-        if !newly_capped {
-            return roots
-                .iter()
-                .zip(&capped)
-                .map(|(r, &c)| PaceStep {
-                    speed: if c { cap } else { free_norm / (avail * r) },
-                    work: w,
-                })
-                .collect();
-        }
-    }
+#[derive(Debug, Clone, Default)]
+pub struct PacePlanner {
+    /// `P_k^{1/3}` per chunk.
+    roots: Vec<f64>,
+    /// Whether chunk `k` is pinned to the cap.
+    capped: Vec<bool>,
+    /// The last plan.
+    steps: Vec<PaceStep>,
 }
 
-/// The first step of [`plan`] — the only one that actually runs before the
-/// governor re-plans. Returns `None` when there is nothing to plan
-/// (`remaining ≈ 0`, no slowdown possible, or no chunks).
-pub fn first_step(remaining: f64, allowance: f64, cap: f64, survival: &[f64]) -> Option<PaceStep> {
-    if allowance <= remaining {
-        return None;
+impl PacePlanner {
+    /// A planner with empty buffers.
+    pub fn new() -> PacePlanner {
+        PacePlanner::default()
     }
-    plan(remaining, allowance, cap, survival).into_iter().next()
+
+    /// The energy-optimal step plan (see the type docs).
+    pub fn plan(
+        &mut self,
+        remaining: f64,
+        allowance: f64,
+        cap: f64,
+        survival: &[f64],
+    ) -> &[PaceStep] {
+        self.steps.clear();
+        if survival.is_empty() || remaining <= WORK_EPS || allowance <= 0.0 || cap <= 0.0 {
+            return &self.steps;
+        }
+        let n = count_to_f64(survival.len());
+        let w = remaining / n;
+        self.roots.clear();
+        self.roots
+            .extend(survival.iter().map(|p| p.clamp(1.0e-3, 1.0).cbrt()));
+        self.capped.clear();
+        self.capped.resize(self.roots.len(), false);
+        loop {
+            let free_norm: f64 = self
+                .roots
+                .iter()
+                .zip(&self.capped)
+                .filter(|&(_, &c)| !c)
+                .map(|(r, _)| w * r)
+                .sum();
+            let capped_wall = count_to_f64(self.capped.iter().filter(|&&c| c).count()) * (w / cap);
+            let avail = allowance - capped_wall;
+            if free_norm <= 0.0 || avail <= 0.0 {
+                // Every chunk saturates (allowance ≤ remaining/cap): the
+                // best achievable schedule is flat at the cap.
+                self.steps.extend(self.roots.iter().map(|_| PaceStep {
+                    speed: cap,
+                    work: w,
+                }));
+                return &self.steps;
+            }
+            let mut newly_capped = false;
+            for (r, c) in self.roots.iter().zip(self.capped.iter_mut()) {
+                if !*c && free_norm / (avail * r) > cap {
+                    *c = true;
+                    newly_capped = true;
+                }
+            }
+            if !newly_capped {
+                self.steps
+                    .extend(self.roots.iter().zip(&self.capped).map(|(r, &c)| PaceStep {
+                        speed: if c { cap } else { free_norm / (avail * r) },
+                        work: w,
+                    }));
+                return &self.steps;
+            }
+        }
+    }
+
+    /// The first step of [`PacePlanner::plan`] — the only one that
+    /// actually runs before the governor re-plans. Returns `None` when
+    /// there is nothing to plan (`remaining ≈ 0`, no slowdown possible, or
+    /// no chunks).
+    pub fn first_step(
+        &mut self,
+        remaining: f64,
+        allowance: f64,
+        cap: f64,
+        survival: &[f64],
+    ) -> Option<PaceStep> {
+        if allowance <= remaining {
+            return None;
+        }
+        self.plan(remaining, allowance, cap, survival)
+            .first()
+            .copied()
+    }
 }
 
 /// Uniform-demand survival probabilities, `P_k = 1 − (k−1)/n` — the
@@ -196,31 +232,34 @@ impl SurvivalEstimator {
 
     /// Per-chunk conditional survival for a job that has already executed
     /// `executed` of its `wcet`, about to run `steps` chunks covering the
-    /// remaining work: `P_k = S(executed + k·w) / S(executed)`.
-    pub fn chunk_survival(&self, executed: f64, wcet: f64, steps: u32) -> Vec<f64> {
+    /// remaining work: `P_k = S(executed + k·w) / S(executed)`, written
+    /// into `out` (cleared first; left empty when `steps` is zero or
+    /// `wcet` is not positive).
+    pub fn chunk_survival(&self, executed: f64, wcet: f64, steps: u32, out: &mut Vec<f64>) {
+        out.clear();
         if steps == 0 || wcet <= 0.0 {
-            return Vec::new();
+            return;
         }
         let remaining = (wcet - executed).max(0.0);
         let w = remaining / f64::from(steps);
         let base = self.survival(executed / wcet).max(1.0e-9);
-        (0..steps)
-            .map(|k| {
-                let fraction = (executed + f64::from(k) * w) / wcet;
-                (self.survival(fraction) / base).clamp(0.0, 1.0)
-            })
-            .collect()
+        out.extend((0..steps).map(|k| {
+            let fraction = (executed + f64::from(k) * w) / wcet;
+            (self.survival(fraction) / base).clamp(0.0, 1.0)
+        }));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stadvs_sim::rng::{check, Rng};
 
     #[test]
     fn plan_meets_the_worst_case_exactly() {
+        let mut planner = PacePlanner::new();
         for steps in [1u32, 2, 4, 8, 32] {
-            let p = plan(2.0, 5.0, f64::INFINITY, &uniform_survival(steps));
+            let p = planner.plan(2.0, 5.0, f64::INFINITY, &uniform_survival(steps));
             assert_eq!(p.len(), steps as usize);
             let wall: f64 = p.iter().map(|s| s.work / s.speed).sum();
             assert!(
@@ -235,8 +274,8 @@ mod tests {
 
     #[test]
     fn flat_survival_collapses_to_constant_speed() {
-        let p = plan(2.0, 5.0, f64::INFINITY, &[1.0, 1.0, 1.0, 1.0]);
-        for step in &p {
+        let mut planner = PacePlanner::new();
+        for step in planner.plan(2.0, 5.0, f64::INFINITY, &[1.0, 1.0, 1.0, 1.0]) {
             assert!((step.speed - 0.4).abs() < 1e-12);
         }
     }
@@ -244,9 +283,11 @@ mod tests {
     #[test]
     fn first_step_is_slower_than_constant_under_decaying_survival() {
         let constant = 2.0 / 5.0;
+        let mut planner = PacePlanner::new();
         for steps in [2u32, 4, 16] {
-            let s =
-                first_step(2.0, 5.0, f64::INFINITY, &uniform_survival(steps)).expect("plannable");
+            let s = planner
+                .first_step(2.0, 5.0, f64::INFINITY, &uniform_survival(steps))
+                .expect("plannable");
             assert!(
                 s.speed < constant,
                 "{steps} steps: first speed {} !< {constant}",
@@ -257,17 +298,18 @@ mod tests {
 
     #[test]
     fn capped_plan_never_exceeds_the_cap_and_still_fits_the_allowance() {
+        let mut planner = PacePlanner::new();
         // Tight allowance: the unconstrained tail would need speed > 1.
         for (rem, allowance) in [(0.9, 1.0), (0.95, 1.0), (0.5, 0.52), (1.9, 2.0)] {
             for steps in [2u32, 4, 8, 32] {
-                let p = plan(rem, allowance, 1.0, &uniform_survival(steps));
+                let p = planner.plan(rem, allowance, 1.0, &uniform_survival(steps));
                 assert_eq!(p.len(), steps as usize);
                 let wall: f64 = p.iter().map(|s| s.work / s.speed).sum();
                 assert!(
                     wall <= allowance + 1e-9,
                     "rem={rem} A={allowance} n={steps}: worst case {wall} overruns"
                 );
-                for s in &p {
+                for s in p {
                     assert!(
                         s.speed <= 1.0 + 1e-12,
                         "rem={rem} A={allowance} n={steps}: speed {} beyond cap",
@@ -284,9 +326,12 @@ mod tests {
 
     #[test]
     fn loose_allowance_is_unaffected_by_the_cap() {
-        let free = plan(2.0, 5.0, f64::INFINITY, &uniform_survival(8));
-        let capped = plan(2.0, 5.0, 1.0, &uniform_survival(8));
-        for (a, b) in free.iter().zip(&capped) {
+        let mut planner = PacePlanner::new();
+        let free = planner
+            .plan(2.0, 5.0, f64::INFINITY, &uniform_survival(8))
+            .to_vec();
+        let capped = planner.plan(2.0, 5.0, 1.0, &uniform_survival(8));
+        for (a, b) in free.iter().zip(capped) {
             assert!((a.speed - b.speed).abs() < 1e-12);
         }
     }
@@ -294,8 +339,8 @@ mod tests {
     #[test]
     fn infeasible_allowance_degenerates_to_flat_cap() {
         // allowance < remaining/cap: nothing better than flat-out exists.
-        let p = plan(1.0, 0.5, 1.0, &uniform_survival(4));
-        for s in &p {
+        let mut planner = PacePlanner::new();
+        for s in planner.plan(1.0, 0.5, 1.0, &uniform_survival(4)) {
             assert!((s.speed - 1.0).abs() < 1e-12);
         }
     }
@@ -304,7 +349,8 @@ mod tests {
     fn expected_energy_beats_constant_for_matching_distribution() {
         let (w_total, allowance, steps) = (2.0_f64, 5.0_f64, 16u32);
         let survival = uniform_survival(steps);
-        let p = plan(w_total, allowance, f64::INFINITY, &survival);
+        let mut planner = PacePlanner::new();
+        let p = planner.plan(w_total, allowance, f64::INFINITY, &survival);
         let n = steps as f64;
         let expected = |speeds: &[f64]| -> f64 {
             speeds
@@ -320,11 +366,80 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        assert!(first_step(0.0, 1.0, 1.0, &[1.0]).is_none());
-        assert!(first_step(1.0, 0.5, 1.0, &[1.0]).is_none());
-        assert!(first_step(1.0, 2.0, 1.0, &[]).is_none());
-        assert!(plan(1.0, -1.0, 1.0, &[1.0]).is_empty());
-        assert!(plan(1.0, 1.0, 0.0, &[1.0]).is_empty());
+        let mut planner = PacePlanner::new();
+        assert!(planner.first_step(0.0, 1.0, 1.0, &[1.0]).is_none());
+        assert!(planner.first_step(1.0, 0.5, 1.0, &[1.0]).is_none());
+        assert!(planner.first_step(1.0, 2.0, 1.0, &[]).is_none());
+        assert!(planner.plan(1.0, -1.0, 1.0, &[1.0]).is_empty());
+        assert!(planner.plan(1.0, 1.0, 0.0, &[1.0]).is_empty());
+    }
+
+    /// Random survival values in `[0, 1]`, with some exact ones and zeros.
+    fn random_survival(rng: &mut Rng, steps: u64, out: &mut Vec<f64>) {
+        out.clear();
+        for _ in 0..steps {
+            out.push(match rng.below(4) {
+                0 => 1.0,
+                1 => 0.0,
+                _ => rng.range_inclusive_f64(0.0, 1.0),
+            });
+        }
+    }
+
+    /// A planner reused across calls returns, at every call, the plan a
+    /// fresh planner returns for the same arguments, bit for bit: no
+    /// buffer (the chunk roots, the capped flags, the steps) carries
+    /// state from one call into the next.
+    #[test]
+    fn a_reused_planner_plans_like_a_fresh_one() {
+        check("a_reused_planner_plans_like_a_fresh_one", 256, |rng| {
+            let mut reused = PacePlanner::new();
+            let mut survival = Vec::new();
+            for call in 0..24 {
+                // 0 chunks (an empty survival vector) to 32, changing
+                // between calls.
+                let steps = rng.below(33);
+                random_survival(rng, steps, &mut survival);
+                let remaining = rng.range_inclusive_f64(0.01, 2.0);
+                let cap = [1.0, 0.5, rng.range_inclusive_f64(0.1, 1.0)][rng.below(3) as usize];
+                // Allowances at the all-saturated point `remaining/cap`,
+                // below it, and in the range where the cap pins some
+                // chunks and leaves the others free.
+                let floor = remaining / cap;
+                let allowance = match rng.below(4) {
+                    0 => floor,
+                    1 => floor * rng.range_inclusive_f64(0.1, 1.0),
+                    2 => floor * rng.range_inclusive_f64(1.0, 1.2),
+                    _ => floor * rng.range_inclusive_f64(1.0, 8.0),
+                };
+                let bits = |s: &PaceStep| (s.speed.to_bits(), s.work.to_bits());
+                let want: Vec<_> = PacePlanner::new()
+                    .plan(remaining, allowance, cap, &survival)
+                    .iter()
+                    .map(bits)
+                    .collect();
+                let got: Vec<_> = reused
+                    .plan(remaining, allowance, cap, &survival)
+                    .iter()
+                    .map(bits)
+                    .collect();
+                if got != want {
+                    let k = (0..).find(|&k| got.get(k) != want.get(k)).unwrap_or(0);
+                    return Err(format!(
+                        "call {call}: {steps} chunks, remaining {remaining}, allowance \
+                         {allowance}, cap {cap}: step {k} differs from a fresh planner's"
+                    ));
+                }
+                let want = PacePlanner::new().first_step(remaining, allowance, cap, &survival);
+                let got = reused.first_step(remaining, allowance, cap, &survival);
+                if got.as_ref().map(bits) != want.as_ref().map(bits) {
+                    return Err(format!(
+                        "call {call}: first step {got:?} reused, {want:?} fresh"
+                    ));
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]
@@ -348,14 +463,19 @@ mod tests {
         for _ in 0..50 {
             est.record(1.0);
         }
-        let pk = est.chunk_survival(0.0, 1.0, 8);
+        let mut pk = Vec::new();
+        est.chunk_survival(0.0, 1.0, 8, &mut pk);
         for p in &pk {
             assert!(*p > 0.95, "survival {p} should stay near 1 at worst case");
         }
         // The plan therefore collapses to (nearly) constant speed.
-        let steps = plan(1.0, 2.0, f64::INFINITY, &pk);
+        let mut planner = PacePlanner::new();
+        let steps = planner.plan(1.0, 2.0, f64::INFINITY, &pk);
         let spread = steps.last().expect("nonempty").speed - steps[0].speed;
         assert!(spread < 0.02, "speed spread {spread} should be negligible");
+        // No chunks, or no positive WCET: an empty buffer, not a stale one.
+        est.chunk_survival(0.0, 1.0, 0, &mut pk);
+        assert!(pk.is_empty());
     }
 
     #[test]
@@ -366,7 +486,8 @@ mod tests {
         }
         // Having executed half the wcet, the chance of surviving to 75 %
         // is about 0.5 (uniform demand), not 0.25.
-        let pk = est.chunk_survival(0.5, 1.0, 2);
+        let mut pk = Vec::new();
+        est.chunk_survival(0.5, 1.0, 2, &mut pk);
         assert!((pk[0] - 1.0).abs() < 1e-9);
         assert!((pk[1] - 0.5).abs() < 0.1, "conditional survival {}", pk[1]);
     }

@@ -6,6 +6,7 @@ use stadvs_sim::{
 };
 
 use crate::config::SlackEdfConfig;
+use crate::pace::{PacePlanner, SurvivalEstimator};
 use crate::sources::{arrival_allowance, DemandAnalysis, ReclaimedPool};
 
 /// Slack-time-analysis EDF (stEDF): at every scheduling point, estimate the
@@ -84,8 +85,19 @@ pub struct SlackEdf {
     critical_floor: Option<Speed>,
     /// Work after which to re-plan (PACE step boundary), set per dispatch.
     pending_review: Option<f64>,
-    /// Per-task online demand profiles (PACE mode only).
-    profiles: Vec<crate::pace::SurvivalEstimator>,
+    /// PACE mode's state, `Some` exactly when `config.pace_steps > 0`.
+    /// Out of line: a governor is built per run, and the other variants
+    /// need not carry, copy or allocate the planner's buffers.
+    pacing: Option<Box<Pacing>>,
+}
+
+/// PACE mode's state: the per-task online demand profiles, and the
+/// buffers a paced dispatch plans in, kept so that it allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct Pacing {
+    profiles: Vec<SurvivalEstimator>,
+    survival: Vec<f64>,
+    planner: PacePlanner,
 }
 
 impl SlackEdf {
@@ -104,7 +116,7 @@ impl SlackEdf {
             committed: None,
             critical_floor: None,
             pending_review: None,
-            profiles: Vec::new(),
+            pacing: (config.pace_steps > 0).then(Box::default),
         }
     }
 
@@ -200,13 +212,11 @@ impl Governor for SlackEdf {
         // per-task claims; drop every cached analysis layer with it.
         self.demand.invalidate();
         self.demand.reset_stats();
-        self.profiles = if self.config.pace_steps > 0 {
-            (0..tasks.len())
-                .map(|_| crate::pace::SurvivalEstimator::new(64))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        if let Some(pacing) = self.pacing.as_deref_mut() {
+            pacing.profiles = (0..tasks.len())
+                .map(|_| SurvivalEstimator::new(64))
+                .collect();
+        }
     }
 
     fn select_speed(&mut self, view: &SchedulerView<'_>, job: &ActiveJob) -> Speed {
@@ -240,7 +250,11 @@ impl Governor for SlackEdf {
         } else {
             rem / allowance
         };
-        if self.config.pace_steps > 0 && !self.config.overhead_aware {
+        if let Some(pacing) = self
+            .pacing
+            .as_deref_mut()
+            .filter(|_| !self.config.overhead_aware)
+        {
             // The simulator floors review points at 1 µs to guarantee
             // progress; each floored step can therefore run up to 1 µs
             // longer than planned at a low speed. Reserve that slop out of
@@ -249,16 +263,21 @@ impl Governor for SlackEdf {
             // steps would be microscopic.
             let guard = 2.0e-6 * f64::from(self.config.pace_steps);
             let paced_allowance = allowance - guard;
-            let survival = self.profiles[job.id.task.0].chunk_survival(
+            pacing.profiles[job.id.task.0].chunk_survival(
                 job.executed(),
                 job.wcet,
                 self.config.pace_steps,
+                &mut pacing.survival,
             );
             // The platform cannot exceed full speed; planning the tail
             // above it would make the worst case silently infeasible once
-            // dispatch clamps the speed (see [`crate::pace::plan`]).
+            // dispatch clamps the speed (see [`PacePlanner`]).
             let cap = Speed::FULL.ratio();
-            if let Some(step) = crate::pace::first_step(rem, paced_allowance, cap, &survival) {
+            if let Some(step) =
+                pacing
+                    .planner
+                    .first_step(rem, paced_allowance, cap, &pacing.survival)
+            {
                 if step.work / step.speed.max(1e-12) >= 4.0e-6 {
                     requested = step.speed;
                     self.pending_review = Some(step.work);
@@ -306,7 +325,8 @@ impl Governor for SlackEdf {
 
     fn on_completion(&mut self, _view: &SchedulerView<'_>, record: &JobRecord) {
         self.pool.settle(record, self.config.reclaiming);
-        if let Some(profile) = self.profiles.get_mut(record.id.task.0) {
+        let profiles = self.pacing.as_deref_mut().map(|p| &mut p.profiles);
+        if let Some(profile) = profiles.and_then(|p| p.get_mut(record.id.task.0)) {
             profile.record(record.actual / record.wcet);
         }
     }

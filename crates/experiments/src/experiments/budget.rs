@@ -28,7 +28,8 @@ use stadvs_sim::{PlatformScratch, PlatformSim, SimConfig, TaskSet};
 use stadvs_workload::{partitioner_by_name, DemandPattern};
 
 use crate::experiments::RunOptions;
-use crate::runner::{make_governor, PlatformWorkload, WorkloadCase, STANDARD_LINEUP};
+use crate::governors::{make_governor, STANDARD_LINEUP};
+use crate::runner::{PlatformWorkload, WorkloadCase};
 use crate::table::Table;
 
 /// Cores on the shared-budget platform.

@@ -22,7 +22,8 @@ use stadvs_power::Processor;
 use stadvs_workload::{DemandPattern, FaultPlanSpec};
 
 use crate::experiments::RunOptions;
-use crate::runner::{jitter_safe_lineup, Comparison, WorkloadCase, STANDARD_LINEUP};
+use crate::governors::{jitter_safe_lineup, STANDARD_LINEUP};
+use crate::runner::{Comparison, WorkloadCase};
 use crate::table::Table;
 
 /// Tasks per synthetic set.
@@ -67,7 +68,7 @@ pub fn run(opts: &RunOptions) -> Table {
     for (label, spec) in regimes() {
         let plan = spec.build().expect("named regimes are valid");
         // laEDF's safety argument does not extend to jittered releases
-        // (module docs); the registry's capability table keeps it off
+        // (module docs); the governor table's capability column keeps it off
         // regimes without periodic arrivals.
         let lineup = jitter_safe_lineup(STANDARD_LINEUP, &plan);
         let comparison = Comparison::new(Processor::ideal_continuous(), opts.horizon)

@@ -11,7 +11,8 @@ use stadvs_power::Processor;
 use stadvs_workload::DemandPattern;
 
 use crate::experiments::RunOptions;
-use crate::runner::{Comparison, WorkloadCase, STANDARD_LINEUP};
+use crate::governors::STANDARD_LINEUP;
+use crate::runner::{Comparison, WorkloadCase};
 use crate::table::Table;
 
 /// Tasks per synthetic set.

@@ -21,7 +21,8 @@ use stadvs_power::{Platform, Processor};
 use stadvs_workload::{partitioner_by_name, DemandPattern};
 
 use crate::experiments::RunOptions;
-use crate::runner::{PlatformComparison, PlatformWorkload, WorkloadCase, STANDARD_LINEUP};
+use crate::governors::STANDARD_LINEUP;
+use crate::runner::{PlatformComparison, PlatformWorkload, WorkloadCase};
 use crate::table::Table;
 
 /// Tasks per core of every union workload.

@@ -19,7 +19,7 @@
 //! are delay-only, the same safety class as release jitter, and laEDF's
 //! lookahead requires strictly periodic arrivals (DESIGN.md §10). The
 //! exclusion is derived from the governor capability table, not a name
-//! list (see [`crate::runner::governor_caps`]).
+//! list (see [`crate::governor_caps`]).
 
 use stadvs_power::Processor;
 use stadvs_sim::{
@@ -28,7 +28,7 @@ use stadvs_sim::{
 use stadvs_workload::{DemandPattern, ExecutionModel, ModelMix, TaskSetSpec};
 
 use crate::experiments::RunOptions;
-use crate::runner::{capable_lineup, make_governor, required_caps, STANDARD_LINEUP};
+use crate::governors::{capable_lineup, make_governor, required_caps, STANDARD_LINEUP};
 use crate::table::Table;
 
 /// Tasks per synthetic set.

@@ -14,7 +14,8 @@ use stadvs_power::Processor;
 use stadvs_workload::{reference, DemandPattern};
 
 use crate::experiments::RunOptions;
-use crate::runner::{Comparison, WorkloadCase, STANDARD_LINEUP};
+use crate::governors::STANDARD_LINEUP;
+use crate::runner::{Comparison, WorkloadCase};
 use crate::table::Table;
 
 /// Execution-demand pattern.

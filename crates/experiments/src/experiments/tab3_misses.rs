@@ -13,7 +13,8 @@ use stadvs_sim::{audit_outcome, FaultPlan, SimConfig, SimScratch, Simulator};
 use stadvs_workload::DemandPattern;
 
 use crate::experiments::RunOptions;
-use crate::runner::{make_governor, WorkloadCase, STANDARD_LINEUP};
+use crate::governors::{make_governor, STANDARD_LINEUP};
+use crate::runner::WorkloadCase;
 use crate::table::Table;
 
 /// The stress mix: (utilization, pattern label, pattern).

@@ -37,15 +37,18 @@
 mod csv;
 pub mod experiments;
 pub mod golden;
+mod governors;
 mod runner;
 pub mod shard;
 mod table;
 
 pub use csv::{write_csv, write_markdown};
-pub use runner::{
-    capable_lineup, governor_caps, governor_supports_jitter, jitter_safe_lineup, make_governor,
-    required_caps, AggregatedOutcome, Comparison, GovernorOutcome, PlatformComparison,
-    PlatformWorkload, WorkloadCase, ORACLE, STANDARD_LINEUP, YDS_BOUND,
+pub use governors::{
+    capable_lineup, governor_caps, governor_entry, governor_supports_jitter, jitter_safe_lineup,
+    make_governor, required_caps, GovernorCaps, GovernorEntry, GOVERNORS, STANDARD_LINEUP,
 };
-pub use stadvs_baselines::GovernorCaps;
+pub use runner::{
+    AggregatedOutcome, Comparison, GovernorOutcome, PlatformComparison, PlatformWorkload,
+    WorkloadCase, ORACLE, YDS_BOUND,
+};
 pub use table::Table;

@@ -1,14 +1,15 @@
 //! The comparison machinery: run many governors on identical workloads.
 
 use stadvs_analysis::{due_within, materialize_jobs, optimal_static_speed, yds_schedule, WorkKind};
-use stadvs_baselines::{registry, GovernorCaps, OracleStatic};
-use stadvs_core::{SlackEdf, SlackEdfConfig};
+use stadvs_baselines::OracleStatic;
 use stadvs_power::{Platform, Processor, Speed};
 use stadvs_sim::{
-    FaultPlan, Governor, PlatformOutcome, PlatformScratch, PlatformSim, SimConfig, SimOutcome,
-    SimScratch, Simulator, TaskSet,
+    FaultPlan, PlatformOutcome, PlatformScratch, PlatformSim, SimConfig, SimOutcome, SimScratch,
+    Simulator, TaskSet,
 };
 use stadvs_workload::{DemandPattern, ExecutionModel, PartitionReport, Partitioner, TaskSetSpec};
+
+use crate::governors::{make_governor, STANDARD_LINEUP};
 
 /// One reproducible workload: a task set plus its execution-demand model.
 #[derive(Debug, Clone)]
@@ -164,144 +165,10 @@ impl GovernorOutcome {
     }
 }
 
-/// The standard governor lineup of the evaluation, in comparison order.
-pub const STANDARD_LINEUP: &[&str] = &[
-    "no-dvs",
-    "static-edf",
-    "lpps-edf",
-    "cc-edf",
-    "dra",
-    "dra-ote",
-    "feedback-edf",
-    "la-edf",
-    "st-edf",
-];
-
 /// Pseudo-governors resolved analytically rather than by simulation.
 pub const ORACLE: &str = "oracle-static";
 /// The clairvoyant YDS lower bound (not a governor at all).
 pub const YDS_BOUND: &str = "yds-bound";
-
-/// One row of the `st-edf` variant table (the experiments-layer complement
-/// of `baselines::registry`: same shape — name, fresh-instance factory,
-/// jitter-support flag).
-struct StEdfVariant {
-    name: &'static str,
-    factory: fn() -> Box<dyn Governor>,
-}
-
-/// The paper governor and its configuration variants. Every variant's
-/// slack analysis re-derives bounds from *actual* release instants, so all
-/// of them keep their guarantee under bounded release jitter.
-static ST_EDF_VARIANTS: &[StEdfVariant] = &[
-    StEdfVariant {
-        name: "st-edf",
-        factory: || Box::new(SlackEdf::new()),
-    },
-    StEdfVariant {
-        name: "st-edf-oa",
-        factory: || Box::new(SlackEdf::with_config(SlackEdfConfig::overhead_aware())),
-    },
-    StEdfVariant {
-        name: "st-edf[r]",
-        factory: || Box::new(SlackEdf::with_config(SlackEdfConfig::reclaiming_only())),
-    },
-    StEdfVariant {
-        name: "st-edf[a]",
-        factory: || Box::new(SlackEdf::with_config(SlackEdfConfig::arrival_only())),
-    },
-    StEdfVariant {
-        name: "st-edf[d]",
-        factory: || Box::new(SlackEdf::with_config(SlackEdfConfig::demand_only())),
-    },
-    StEdfVariant {
-        name: "st-edf-cs",
-        factory: || Box::new(SlackEdf::with_config(SlackEdfConfig::critical_speed())),
-    },
-    StEdfVariant {
-        name: "st-edf-pace",
-        factory: || Box::new(SlackEdf::with_config(SlackEdfConfig::pacing(8))),
-    },
-];
-
-/// Builds a fresh governor by name: the baseline registry names, `st-edf`
-/// and its variants (`st-edf-oa`, `st-edf[r]`, `st-edf[a]`, `st-edf[d]`,
-/// `st-edf-cs`, `st-edf-pace`). Each call returns a new instance — one
-/// per run, and one per core in multiprocessor runs.
-///
-/// Returns `None` for unknown names and for the analytic pseudo-governors
-/// ([`ORACLE`], [`YDS_BOUND`]), which [`Comparison::run_case`] resolves
-/// itself.
-pub fn make_governor(name: &str) -> Option<Box<dyn Governor>> {
-    ST_EDF_VARIANTS
-        .iter()
-        .find(|v| v.name == name)
-        .map(|v| (v.factory)())
-        .or_else(|| registry::make(name))
-}
-
-/// The capability flags for `name`, derived from the governor tables (the
-/// baseline registry's [`GovernorCaps`] column; every `st-edf` variant
-/// supports every regime). `None` for unknown names and pseudo-governors.
-///
-/// This is the single source of truth behind every per-regime governor
-/// exclusion (jitter, sporadic, weakly-hard) — tests and experiments
-/// filter lineups through it instead of hard-coding name lists.
-pub fn governor_caps(name: &str) -> Option<GovernorCaps> {
-    if ST_EDF_VARIANTS.iter().any(|v| v.name == name) {
-        return Some(GovernorCaps::ALL);
-    }
-    registry::entry(name).map(|e| e.caps)
-}
-
-/// Whether `name`'s hard-real-time argument survives bounded release
-/// jitter (the jitter column of [`governor_caps`]). `None` for unknown
-/// names and pseudo-governors.
-pub fn governor_supports_jitter(name: &str) -> Option<bool> {
-    governor_caps(name).map(|c| c.jitter)
-}
-
-/// Filters a lineup down to the governors whose capabilities cover
-/// `required` (see [`GovernorCaps::covers`]); unknown names are dropped.
-pub fn capable_lineup<'a>(names: &[&'a str], required: GovernorCaps) -> Vec<&'a str> {
-    names
-        .iter()
-        .copied()
-        .filter(|name| governor_caps(name).is_some_and(|caps| caps.covers(required)))
-        .collect()
-}
-
-/// Filters a lineup down to the governors safe to run under a plan with
-/// release jitter (no-op for plans without a jitter channel).
-pub fn jitter_safe_lineup<'a>(names: &[&'a str], plan: &FaultPlan) -> Vec<&'a str> {
-    if !plan.has_jitter() {
-        return names.to_vec();
-    }
-    capable_lineup(
-        names,
-        GovernorCaps {
-            jitter: true,
-            ..GovernorCaps::default()
-        },
-    )
-}
-
-/// The capability requirements of running `tasks`: sporadic and
-/// weakly-hard flags are set when the set contains a task of that model.
-/// Frame tasks require no extra capability — the boost floor is applied
-/// by the simulator above whatever speed the governor picks.
-pub fn required_caps(tasks: &TaskSet) -> GovernorCaps {
-    use stadvs_sim::TaskKind;
-    let mut required = GovernorCaps::default();
-    for (_, t) in tasks.iter() {
-        match t.kind() {
-            TaskKind::Hard | TaskKind::Frame { .. } => {}
-            TaskKind::WeaklyHard { .. } => required.weakly_hard = true,
-            TaskKind::Sporadic { .. } => required.sporadic = true,
-        }
-    }
-    required
-}
 
 /// A configured comparison: platform, horizon, and governor lineup.
 #[derive(Debug, Clone)]
@@ -778,17 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn lineup_resolves() {
-        for name in STANDARD_LINEUP {
-            assert!(make_governor(name).is_some(), "{name}");
-        }
-        assert!(make_governor("st-edf[r]").is_some());
-        assert!(make_governor("st-edf-oa").is_some());
-        assert!(make_governor("bogus").is_none());
-        assert!(make_governor(ORACLE).is_none()); // resolved by run_case
-    }
-
-    #[test]
     fn comparison_orders_governors_sensibly() {
         let cmp = Comparison::new(Processor::ideal_continuous(), 2.0).with_governors([
             "no-dvs",
@@ -870,72 +726,6 @@ mod tests {
             assert_eq!(o.fault_misses, 0, "{}", o.name);
             assert_eq!(o.misses, 0, "{}", o.name);
         }
-    }
-
-    #[test]
-    fn jitter_support_is_table_derived() {
-        assert_eq!(governor_supports_jitter("la-edf"), Some(false));
-        assert_eq!(governor_supports_jitter("cc-edf"), Some(true));
-        assert_eq!(governor_supports_jitter("st-edf"), Some(true));
-        assert_eq!(governor_supports_jitter("st-edf[r]"), Some(true));
-        assert_eq!(governor_supports_jitter(ORACLE), None);
-        assert_eq!(governor_supports_jitter("bogus"), None);
-
-        let jittery = stadvs_workload::FaultPlanSpec::noisy_releases(0xA1)
-            .build()
-            .unwrap();
-        let filtered = jitter_safe_lineup(STANDARD_LINEUP, &jittery);
-        assert!(!filtered.contains(&"la-edf"));
-        assert_eq!(filtered.len(), STANDARD_LINEUP.len() - 1);
-        let quiet = jitter_safe_lineup(STANDARD_LINEUP, &FaultPlan::NONE);
-        assert_eq!(quiet, STANDARD_LINEUP);
-    }
-
-    #[test]
-    fn caps_are_table_derived() {
-        assert_eq!(governor_caps("la-edf"), Some(GovernorCaps::PERIODIC_ONLY));
-        assert_eq!(governor_caps("cc-edf"), Some(GovernorCaps::ALL));
-        assert_eq!(governor_caps("st-edf"), Some(GovernorCaps::ALL));
-        assert_eq!(governor_caps("st-edf-pace"), Some(GovernorCaps::ALL));
-        assert_eq!(governor_caps(ORACLE), None);
-        assert_eq!(governor_caps("bogus"), None);
-
-        // Sporadic requirements exclude exactly the jitter exclusions.
-        let sporadic_need = GovernorCaps {
-            sporadic: true,
-            ..GovernorCaps::default()
-        };
-        let filtered = capable_lineup(STANDARD_LINEUP, sporadic_need);
-        assert!(!filtered.contains(&"la-edf"));
-        assert_eq!(filtered.len(), STANDARD_LINEUP.len() - 1);
-        // Weakly-hard requirements exclude nobody.
-        let wh_need = GovernorCaps {
-            weakly_hard: true,
-            ..GovernorCaps::default()
-        };
-        assert_eq!(capable_lineup(STANDARD_LINEUP, wh_need), STANDARD_LINEUP);
-        // No requirements: unknown names are still dropped.
-        let with_bogus = ["cc-edf", "bogus"];
-        assert_eq!(
-            capable_lineup(&with_bogus, GovernorCaps::default()),
-            ["cc-edf"]
-        );
-    }
-
-    #[test]
-    fn required_caps_reflect_task_models() {
-        use stadvs_sim::Task;
-        let hard = TaskSet::new(vec![Task::new(1.0, 4.0).unwrap()]).unwrap();
-        assert_eq!(required_caps(&hard), GovernorCaps::default());
-        let mixed = TaskSet::new(vec![
-            Task::new(1.0, 4.0).unwrap(),
-            Task::new(1.0, 4.0).unwrap().weakly_hard(1, 2).unwrap(),
-            Task::new(1.0, 8.0).unwrap().sporadic(0.5, 3).unwrap(),
-            Task::new(1.0, 8.0).unwrap().frame(0.5).unwrap(),
-        ])
-        .unwrap();
-        let required = required_caps(&mixed);
-        assert!(required.weakly_hard && required.sporadic && !required.jitter);
     }
 
     #[test]

@@ -197,9 +197,7 @@ impl PlatformSim {
         for (index, tasks) in assignments.into_iter().enumerate() {
             let sim = match tasks {
                 Some(t) => {
-                    // xtask:allow(hot-path-alloc): build-time clone, once per core
                     let processor = platform.core(index).clone();
-                    // xtask:allow(hot-path-alloc): build-time clone, once per core
                     let core_config = config.clone();
                     Some(Simulator::new(t, processor, core_config)?)
                 }
@@ -417,7 +415,6 @@ impl PlatformSim {
                     idle_names.push(None);
                 }
                 None => {
-                    // xtask:allow(hot-path-alloc): once per idle core at setup
                     idle_names.push(Some(governor.name().to_string()));
                 }
             }

@@ -78,9 +78,7 @@ pub fn render_gantt(trace: &Trace, tasks: &TaskSet, width: usize) -> String {
         let label = task
             .name()
             .map(str::to_string)
-            // xtask:allow(hot-path-alloc): once-per-task rendering, not the dispatch loop
             .unwrap_or_else(|| id.to_string());
-        // xtask:allow(hot-path-alloc): once-per-task rendering, not the dispatch loop
         out.push_str(&format!("{label:>12} │"));
         for &mine in exec_time[i].iter().take(width) {
             let c = if mine <= 0.0 {

@@ -143,15 +143,11 @@ impl Trace {
         for seg in &self.segments {
             let (kind, task, job) = match seg.kind {
                 SegmentKind::Execute { job } => {
-                    // xtask:allow(hot-path-alloc): post-run CSV export, not the dispatch loop
                     ("execute", job.task.0.to_string(), job.index.to_string())
                 }
-                // xtask:allow(hot-path-alloc): post-run CSV export, not the dispatch loop
                 SegmentKind::Idle => ("idle", String::new(), String::new()),
-                // xtask:allow(hot-path-alloc): post-run CSV export, not the dispatch loop
                 SegmentKind::Transition => ("transition", String::new(), String::new()),
             };
-            // xtask:allow(hot-path-alloc): post-run CSV export, not the dispatch loop
             out.push_str(&format!(
                 "{},{},{},{kind},{task},{job}\n",
                 seg.start,

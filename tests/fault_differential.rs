@@ -22,9 +22,9 @@
 //! predicts every next arrival *exactly at* the task's current deadline —
 //! strict periodicity — and this harness empirically refutes the
 //! extension to delayed (sporadic) releases, where laEDF alone of the
-//! fourteen governors misses deadlines. See DESIGN.md §10.
+//! governor table's rows misses deadlines. See DESIGN.md §10.
 
-use stadvs::experiments::{make_governor, WorkloadCase};
+use stadvs::experiments::{make_governor, WorkloadCase, GOVERNORS};
 use stadvs::power::Processor;
 use stadvs::sim::rng::check;
 use stadvs::sim::{
@@ -32,35 +32,16 @@ use stadvs::sim::{
 };
 use stadvs::workload::DemandPattern;
 
-const GOVERNORS: &[&str] = &[
-    "no-dvs",
-    "static-edf",
-    "lpps-edf",
-    "cc-edf",
-    "dra",
-    "dra-ote",
-    "feedback-edf",
-    "la-edf",
-    "st-edf",
-    "st-edf[r]",
-    "st-edf[a]",
-    "st-edf[d]",
-    "st-edf-pace",
-    "st-edf-cs",
-];
-
 /// The governors whose safety arguments are arrival-time-agnostic and so
-/// extend to jittered (sporadic) releases — derived from the registry's
-/// `supports_jitter` capability flag (everything except `la-edf`; see the
+/// extend to jittered (sporadic) releases — derived from the governor
+/// table's jitter column (everything except `la-edf`; see the
 /// module docs), so this harness and the experiments can never disagree
 /// about who is jitter-safe.
 fn jitter_safe_governors() -> Vec<&'static str> {
     GOVERNORS
         .iter()
-        .copied()
-        .filter(|name| {
-            stadvs::experiments::governor_supports_jitter(name).expect("lineup names are known")
-        })
+        .filter(|g| g.caps.jitter)
+        .map(|g| g.name)
         .collect()
 }
 
@@ -315,7 +296,7 @@ fn periodic_arrivals_cover_every_governor() {
         let reference = run_governor(&case, &plan, "no-dvs")?;
         let ref_sig = job_signature(&reference);
 
-        for name in GOVERNORS {
+        for name in GOVERNORS.iter().map(|g| g.name) {
             let outcome = run_governor(&case, &plan, name)?;
             assert_records_in_id_order(&outcome, name);
             assert_eq!(

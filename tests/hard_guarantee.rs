@@ -4,31 +4,26 @@
 //! [`MissPolicy::Fail`] policy plus the independent referee
 //! ([`audit_outcome`]) on the recorded traces.
 //!
+//! The governors are the rows of the governor table
+//! ([`GOVERNORS`]), or a property's named subset of them; a failure
+//! message quotes the failing row's one-sentence safety argument.
+//!
 //! Case counts: 48 per property by default, raised in CI's full job via
 //! `STADVS_PROPTEST_CASES`.
 
-use stadvs::experiments::{make_governor, WorkloadCase};
+use stadvs::experiments::{governor_entry, GovernorEntry, WorkloadCase, GOVERNORS};
 use stadvs::power::Processor;
 use stadvs::sim::rng::{check, Rng};
 use stadvs::sim::{audit_outcome, FaultPlan, MissPolicy, SimConfig, Simulator};
 use stadvs::workload::DemandPattern;
 
-const GOVERNORS: &[&str] = &[
-    "no-dvs",
-    "static-edf",
-    "lpps-edf",
-    "cc-edf",
-    "dra",
-    "dra-ote",
-    "feedback-edf",
-    "la-edf",
-    "st-edf",
-    "st-edf[r]",
-    "st-edf[a]",
-    "st-edf[d]",
-    "st-edf-pace",
-    "st-edf-cs",
-];
+/// The rows of a property's named subset of the governor table.
+fn rows(names: &[&str]) -> Vec<&'static GovernorEntry> {
+    names
+        .iter()
+        .map(|name| governor_entry(name).expect("the table has this row"))
+        .collect()
+}
 
 /// A demand pattern drawn from one of five families, with its parameters.
 fn random_pattern(rng: &mut Rng) -> DemandPattern {
@@ -82,13 +77,16 @@ fn no_governor_ever_misses() {
                 .with_trace(true),
         )
         .expect("generated sets are feasible");
-        for name in GOVERNORS {
-            let mut governor = make_governor(name).expect("governor resolves");
-            let outcome = sim
-                .run(governor.as_mut(), &case.exec)
-                .unwrap_or_else(|e| panic!("{name} violated the hard guarantee: {e}"));
+        for g in GOVERNORS {
+            let (name, safety) = (g.name, g.safety);
+            let outcome = sim.run(g.make().as_mut(), &case.exec).unwrap_or_else(|e| {
+                panic!("{name} violated the hard guarantee: {e}\n  safety: {safety}")
+            });
             let audit = audit_outcome(&outcome, &case.tasks, &FaultPlan::NONE);
-            assert!(audit.is_clean(), "{name} failed the audit: {audit}");
+            assert!(
+                audit.is_clean(),
+                "{name} failed the audit: {audit}\n  safety: {safety}"
+            );
         }
         Ok(())
     });
@@ -123,12 +121,18 @@ fn discrete_platforms_preserve_the_guarantee() {
                 .with_trace(true),
         )
         .expect("feasible");
-        for name in ["static-edf", "cc-edf", "dra", "la-edf", "st-edf"] {
-            let mut governor = make_governor(name).expect("resolves");
-            let out = sim.run(governor.as_mut(), &case.exec);
-            assert!(out.is_ok(), "{name} missed on {levels}-level platform");
+        for g in rows(&["static-edf", "cc-edf", "dra", "la-edf", "st-edf"]) {
+            let (name, safety) = (g.name, g.safety);
+            let out = sim.run(g.make().as_mut(), &case.exec);
+            assert!(
+                out.is_ok(),
+                "{name} missed on {levels}-level platform\n  safety: {safety}"
+            );
             let audit = audit_outcome(&out.unwrap(), &case.tasks, &FaultPlan::NONE);
-            assert!(audit.is_clean(), "{name} failed the audit: {audit}");
+            assert!(
+                audit.is_clean(),
+                "{name} failed the audit: {audit}\n  safety: {safety}"
+            );
         }
         Ok(())
     });
@@ -178,7 +182,7 @@ fn constrained_deadlines_preserve_the_guarantee() {
                 .with_trace(true),
         )
         .expect("density bounded above");
-        for name in [
+        for g in rows(&[
             "no-dvs",
             "static-edf",
             "lpps-edf",
@@ -190,13 +194,16 @@ fn constrained_deadlines_preserve_the_guarantee() {
             "st-edf[a]",
             "st-edf[d]",
             "st-edf-pace",
-        ] {
-            let mut governor = make_governor(name).expect("resolves");
-            let outcome = sim
-                .run(governor.as_mut(), &base.exec)
-                .unwrap_or_else(|e| panic!("{name} missed under constrained deadlines: {e}"));
+        ]) {
+            let (name, safety) = (g.name, g.safety);
+            let outcome = sim.run(g.make().as_mut(), &base.exec).unwrap_or_else(|e| {
+                panic!("{name} missed under constrained deadlines: {e}\n  safety: {safety}")
+            });
             let audit = audit_outcome(&outcome, &tasks, &FaultPlan::NONE);
-            assert!(audit.is_clean(), "{name} failed the audit: {audit}");
+            assert!(
+                audit.is_clean(),
+                "{name} failed the audit: {audit}\n  safety: {safety}"
+            );
         }
         Ok(())
     });
@@ -232,13 +239,16 @@ fn random_phases_preserve_the_guarantee() {
                 .with_trace(true),
         )
         .expect("feasible");
-        for name in GOVERNORS {
-            let mut governor = make_governor(name).expect("resolves");
+        for g in GOVERNORS {
+            let (name, safety) = (g.name, g.safety);
             let outcome = sim
-                .run(governor.as_mut(), &exec)
-                .unwrap_or_else(|e| panic!("{name} missed with phases: {e}"));
+                .run(g.make().as_mut(), &exec)
+                .unwrap_or_else(|e| panic!("{name} missed with phases: {e}\n  safety: {safety}"));
             let audit = audit_outcome(&outcome, &tasks, &FaultPlan::NONE);
-            assert!(audit.is_clean(), "{name} failed the audit: {audit}");
+            assert!(
+                audit.is_clean(),
+                "{name} failed the audit: {audit}\n  safety: {safety}"
+            );
         }
         Ok(())
     });
@@ -271,7 +281,6 @@ fn mixed_models_preserve_the_hard_guarantee_under_faults() {
             let jitter_p = rng.range_inclusive_f64(0.0, 0.4);
             let jitter_frac = rng.range_inclusive_f64(0.0, 0.3);
             let drop_p = rng.range_inclusive_f64(0.0, 0.3);
-            use stadvs::experiments::governor_caps;
             use stadvs::sim::OverrunPolicy;
             use stadvs::workload::{ExecutionModel, ModelMix, TaskSetSpec};
             // Keep at least one hard task in every set — the property under
@@ -311,22 +320,25 @@ fn mixed_models_preserve_the_hard_guarantee_under_faults() {
                     .with_trace(true),
             )
             .expect("feasible");
-            for name in GOVERNORS
-                .iter()
-                .filter(|n| governor_caps(n).expect("lineup names are known").sporadic)
-            {
-                let mut governor = make_governor(name).expect("resolves");
+            for g in GOVERNORS.iter().filter(|g| g.caps.sporadic) {
+                let (name, safety) = (g.name, g.safety);
                 let outcome = sim
-                    .run_faulted(governor.as_mut(), &exec, &plan)
-                    .unwrap_or_else(|e| panic!("{name} violated the hard guarantee: {e}"));
+                    .run_faulted(g.make().as_mut(), &exec, &plan)
+                    .unwrap_or_else(|e| {
+                        panic!("{name} violated the hard guarantee: {e}\n  safety: {safety}")
+                    });
                 assert_eq!(
                     outcome.unattributed_misses(),
                     0,
-                    "{}: miss outside the contamination closure in a mixed set",
-                    name
+                    "{name}: miss outside the contamination closure in a mixed set\n  \
+                     safety: {safety}",
                 );
                 if factor <= 1.0 {
-                    assert_eq!(outcome.miss_count(), 0, "{} missed in-contract", name);
+                    assert_eq!(
+                        outcome.miss_count(),
+                        0,
+                        "{name} missed in-contract\n  safety: {safety}"
+                    );
                 }
                 // Hard jobs must never miss without fault attribution, and
                 // must never be skipped.
@@ -337,8 +349,7 @@ fn mixed_models_preserve_the_hard_guarantee_under_faults() {
                 {
                     assert!(
                         !r.missed(outcome.horizon) || outcome.faults.is_contaminated(r.id),
-                        "{}: hard job {:?} missed uncontaminated",
-                        name,
+                        "{name}: hard job {:?} missed uncontaminated\n  safety: {safety}",
                         r.id
                     );
                 }
@@ -348,11 +359,13 @@ fn mixed_models_preserve_the_hard_guarantee_under_faults() {
                         .skipped
                         .iter()
                         .all(|id| !tasks.task(id.task).is_hard()),
-                    "{}: a hard job was skipped",
-                    name
+                    "{name}: a hard job was skipped\n  safety: {safety}"
                 );
                 let audit = audit_outcome(&outcome, &tasks, &plan);
-                assert!(audit.is_clean(), "{} failed the audit: {}", name, audit);
+                assert!(
+                    audit.is_clean(),
+                    "{name} failed the audit: {audit}\n  safety: {safety}"
+                );
             }
             Ok(())
         },
@@ -387,15 +400,19 @@ fn overhead_aware_variant_is_always_safe() {
                 .with_miss_policy(MissPolicy::Fail),
         )
         .expect("feasible");
-        let mut governor = make_governor("st-edf-oa").expect("resolves");
-        let out = sim.run(governor.as_mut(), &case.exec);
+        let g = governor_entry("st-edf-oa").expect("the table has this row");
+        let safety = g.safety;
+        let out = sim.run(g.make().as_mut(), &case.exec);
         assert!(
             out.is_ok(),
-            "st-edf-oa missed at {latency_us} µs: {:?}",
-            out.err()
+            "st-edf-oa missed at {latency_us} µs: {:?}\n  safety: {safety}",
+            out.err(),
         );
         let audit = audit_outcome(&out.unwrap(), &case.tasks, &FaultPlan::NONE);
-        assert!(audit.is_clean(), "st-edf-oa failed the audit: {audit}");
+        assert!(
+            audit.is_clean(),
+            "st-edf-oa failed the audit: {audit}\n  safety: {safety}",
+        );
         Ok(())
     });
 }

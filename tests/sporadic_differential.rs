@@ -27,7 +27,7 @@
 //! Case counts: 64 per property by default (each case exercises every
 //! capable governor), raised in CI's full job via `STADVS_PROPTEST_CASES`.
 
-use stadvs::experiments::{governor_caps, make_governor};
+use stadvs::experiments::{make_governor, GOVERNORS};
 use stadvs::power::Processor;
 use stadvs::sim::rng::check;
 use stadvs::sim::{
@@ -35,35 +35,14 @@ use stadvs::sim::{
 };
 use stadvs::workload::{DemandPattern, ExecutionModel, ModelMix, TaskSetSpec};
 
-const GOVERNORS: &[&str] = &[
-    "no-dvs",
-    "static-edf",
-    "lpps-edf",
-    "cc-edf",
-    "dra",
-    "dra-ote",
-    "feedback-edf",
-    "la-edf",
-    "st-edf",
-    "st-edf[r]",
-    "st-edf[a]",
-    "st-edf[d]",
-    "st-edf-pace",
-    "st-edf-cs",
-];
-
 /// The governors whose safety arguments extend to sporadic (delayed)
-/// arrivals — derived from the registry's capability table (everything
+/// arrivals — derived from the governor table's capability column (everything
 /// except `la-edf`; see the module docs).
 fn sporadic_safe_governors() -> Vec<&'static str> {
     GOVERNORS
         .iter()
-        .copied()
-        .filter(|name| {
-            governor_caps(name)
-                .expect("lineup names are known")
-                .sporadic
-        })
+        .filter(|g| g.caps.sporadic)
+        .map(|g| g.name)
         .collect()
 }
 

@@ -27,7 +27,7 @@
 
 use std::collections::BTreeSet;
 
-use stadvs::experiments::{governor_caps, make_governor};
+use stadvs::experiments::{make_governor, GOVERNORS};
 use stadvs::power::Processor;
 use stadvs::sim::rng::check;
 use stadvs::sim::{
@@ -36,34 +36,13 @@ use stadvs::sim::{
 };
 use stadvs::workload::{DemandPattern, ExecutionModel, ModelMix, TaskSetSpec};
 
-const GOVERNORS: &[&str] = &[
-    "no-dvs",
-    "static-edf",
-    "lpps-edf",
-    "cc-edf",
-    "dra",
-    "dra-ote",
-    "feedback-edf",
-    "la-edf",
-    "st-edf",
-    "st-edf[r]",
-    "st-edf[a]",
-    "st-edf[d]",
-    "st-edf-pace",
-    "st-edf-cs",
-];
-
-/// The governors safe under weakly-hard skips, derived from the registry's
-/// capability table (all of them — a skip only removes demand).
+/// The governors safe under weakly-hard skips, derived from the governor
+/// table's capability column (all of them — a skip only removes demand).
 fn weakly_hard_safe_governors() -> Vec<&'static str> {
     GOVERNORS
         .iter()
-        .copied()
-        .filter(|name| {
-            governor_caps(name)
-                .expect("lineup names are known")
-                .weakly_hard
-        })
+        .filter(|g| g.caps.weakly_hard)
+        .map(|g| g.name)
         .collect()
 }
 
