@@ -7,8 +7,8 @@ use stadvs_analysis::{
 };
 use stadvs_experiments::experiments::{all, by_id, RunOptions};
 use stadvs_experiments::{
-    make_governor, write_csv, write_markdown, Comparison, Table, WorkloadCase, ORACLE,
-    STANDARD_LINEUP, YDS_BOUND,
+    governor_entry, make_governor, Comparison, Table, WorkloadCase, ORACLE, STANDARD_LINEUP,
+    YDS_BOUND,
 };
 use stadvs_fleet::{fleet_table, run_fleet, FleetConfig, FleetSpec};
 use stadvs_power::Processor;
@@ -16,6 +16,7 @@ use stadvs_sim::{audit_outcome, FaultPlan, SimConfig, Simulator, Task, TaskSet};
 use stadvs_workload::{reference, DemandPattern, ExecutionModel, TaskSetSpec};
 
 use crate::args::{ArgError, Args};
+use crate::artifacts::write_table;
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
@@ -151,35 +152,45 @@ pub fn processor_by_name(name: &str) -> Result<Processor, ArgError> {
 }
 
 /// Lists the registry, or runs the named experiments and writes their
-/// tables to `--out`.
+/// tables to `--out`. `all` runs every registered experiment, then the
+/// fleet family at `stadvs fleet`'s defaults. Every id is resolved before
+/// any runs, and `list` and `all` stand alone.
 fn experiments(args: &Args) -> CmdResult {
-    let rest = args.positional();
-    if rest.is_empty() || rest[0] == "list" {
-        println!("{:<16} description", "id");
-        for e in all() {
-            println!("{:<16} {}", e.id, e.title);
-        }
-        return Ok(());
-    }
     let opts = if args.flag("quick") {
         RunOptions::quick()
     } else {
         RunOptions::standard()
     };
-    let out_dir = args.get("out").unwrap_or("results").to_string();
-    let ids: Vec<String> = if rest[0] == "all" {
-        all().into_iter().map(|e| e.id.to_string()).collect()
-    } else {
-        rest.to_vec()
+    let out_dir = args.get("out").unwrap_or("results");
+    let (chosen, with_fleet) = match args.positional() {
+        ids if ids.is_empty() || ids == ["list"] => {
+            println!("{:<16} description", "id");
+            for e in all() {
+                println!("{:<16} {}", e.id, e.title);
+            }
+            return Ok(());
+        }
+        ids if ids == ["all"] => (all(), true),
+        ids => {
+            if let Some(word) = ids.iter().find(|id| *id == "list" || *id == "all") {
+                return Err(ArgError(format!("`{word}` must stand alone")).into());
+            }
+            let resolved = ids
+                .iter()
+                .map(|id| by_id(id).ok_or_else(|| ArgError(format!("unknown experiment `{id}`"))))
+                .collect::<Result<_, _>>()?;
+            (resolved, false)
+        }
     };
-    for id in ids {
-        let experiment =
-            by_id(&id).ok_or_else(|| ArgError(format!("unknown experiment `{id}`")))?;
-        eprintln!("running {id}...");
+    for experiment in &chosen {
+        eprintln!("running {}...", experiment.id);
         let table = (experiment.run)(&opts);
         println!("{table}");
-        write_markdown(&table, format!("{out_dir}/{id}.md"))?;
-        write_csv(&table, format!("{out_dir}/{id}.csv"))?;
+        write_table(&table, out_dir, experiment.id)?;
+    }
+    if with_fleet {
+        let spec = fleet_preset(args.flag("quick"), FLEET_SEED);
+        fleet_family(&spec, &FleetConfig::default(), out_dir)?;
     }
     Ok(())
 }
@@ -211,7 +222,7 @@ fn compare(args: &Args) -> CmdResult {
     }
     if let Some(unknown) = lineup
         .iter()
-        .find(|name| *name != ORACLE && *name != YDS_BOUND && make_governor(name).is_none())
+        .find(|name| *name != ORACLE && *name != YDS_BOUND && governor_entry(name).is_none())
     {
         return Err(ArgError(format!("unknown governor `{unknown}`")).into());
     }
@@ -393,13 +404,24 @@ fn trace(args: &Args) -> CmdResult {
     Ok(())
 }
 
+/// `stadvs fleet`'s master seed when `--seed` is absent, and the seed of
+/// the fleet family that `experiments all` writes.
+const FLEET_SEED: u64 = 42;
+
+/// The fleet sweep's node grid: ~10⁴ nodes when `quick`, else ~10⁵.
+fn fleet_preset(quick: bool, seed: u64) -> FleetSpec {
+    if quick {
+        FleetSpec::quick(seed)
+    } else {
+        FleetSpec::standard(seed)
+    }
+}
+
 /// The fleet-scale streaming sweep: ~10⁵ nodes by default, ~10⁴ with
 /// `--quick`, or an explicit positive `--nodes` count (at least one node
-/// per grid cell). Timing/throughput goes to stderr (the engine itself is
-/// wall-clock-free); the aggregate table goes to stdout and
-/// `OUT/fleet.{md,csv}`.
+/// per grid cell).
 fn fleet(args: &Args) -> CmdResult {
-    let seed: u64 = args.opt("seed", 42)?;
+    let seed: u64 = args.opt("seed", FLEET_SEED)?;
     let spec = if let Some(raw) = args.get("nodes") {
         let nodes: u64 = raw
             .parse()
@@ -408,10 +430,8 @@ fn fleet(args: &Args) -> CmdResult {
             return Err(ArgError("--nodes must be positive".into()).into());
         }
         FleetSpec::standard(seed).with_nodes(nodes)
-    } else if args.flag("quick") {
-        FleetSpec::quick(seed)
     } else {
-        FleetSpec::standard(seed)
+        fleet_preset(args.flag("quick"), seed)
     };
     let threads = match args.get("threads") {
         Some(raw) => Some(
@@ -420,7 +440,7 @@ fn fleet(args: &Args) -> CmdResult {
         ),
         None => None,
     };
-    let shard_size: u64 = args.opt("shard-size", 256)?;
+    let shard_size: u64 = args.opt("shard-size", FleetConfig::default().shard_size)?;
     if shard_size == 0 {
         return Err(ArgError("--shard-size must be positive".into()).into());
     }
@@ -428,8 +448,14 @@ fn fleet(args: &Args) -> CmdResult {
         shard_size,
         threads,
     };
-    let out_dir = args.get("out").unwrap_or("results").to_string();
+    fleet_family(&spec, &config, args.get("out").unwrap_or("results"))
+}
 
+/// Sweeps `spec`, prints the aggregate table and writes it to
+/// `{out_dir}/fleet.{md,csv}`. Timing, throughput and the process's peak
+/// RSS go to stderr (the engine itself is wall-clock-free). `stadvs fleet`
+/// and `stadvs experiments all` both run the fleet family through here.
+fn fleet_family(spec: &FleetSpec, config: &FleetConfig, out_dir: &str) -> CmdResult {
     eprintln!(
         "sweeping {} nodes ({} cells x {} replications, {} shards of {})...",
         spec.nodes(),
@@ -443,25 +469,52 @@ fn fleet(args: &Args) -> CmdResult {
         reason = "wall time is printed for the user; no result depends on it"
     )]
     let started = std::time::Instant::now();
-    let outcome = run_fleet(&spec, &config)?;
+    let outcome = run_fleet(spec, config)?;
     let elapsed = started.elapsed().as_secs_f64().max(1e-9);
 
-    let table = fleet_table(&spec, &outcome);
+    let table = fleet_table(spec, &outcome);
     println!("{table}");
-    write_markdown(&table, format!("{out_dir}/fleet.md"))?;
-    write_csv(&table, format!("{out_dir}/fleet.csv"))?;
+    write_table(&table, out_dir, "fleet")?;
 
     let agg = &outcome.aggregate;
     eprintln!(
         "swept {} nodes in {elapsed:.2} s — {:.0} nodes/s, {:.0} events/s \
-         ({} sims, {} events)",
+         ({} sims, {} events), peak RSS {:.1} MiB",
         agg.nodes,
         agg.nodes as f64 / elapsed,
         agg.events as f64 / elapsed,
         agg.sims,
         agg.events,
+        peak_rss_bytes() as f64 / (1024.0 * 1024.0)
     );
     Ok(())
+}
+
+/// Peak resident set size of this process, in bytes (`VmHWM` from
+/// `/proc/self/status`). Returns 0 on platforms without procfs or when
+/// the file is unreadable: 0 reads as "unknown", never as a measurement.
+///
+/// The fleet sweep reports it: the streaming engine's acceptance bar is a
+/// peak RSS that stays flat as the node count grows.
+fn peak_rss_bytes() -> u64 {
+    if !cfg!(target_os = "linux") {
+        return 0;
+    }
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    for line in status.lines() {
+        if let Some(rest) = line.strip_prefix("VmHWM:") {
+            let kb: u64 = rest
+                .trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse()
+                .unwrap_or(0);
+            return kb * 1024;
+        }
+    }
+    0
 }
 
 #[cfg(test)]
@@ -482,6 +535,17 @@ mod tests {
                 .levels(),
             Some(6)
         );
+    }
+
+    #[test]
+    fn peak_rss_reads_as_a_plausible_number() {
+        let rss = peak_rss_bytes();
+        if cfg!(target_os = "linux") {
+            // A running test binary has certainly touched > 1 MiB.
+            assert!(rss > 1 << 20, "VmHWM parse produced {rss}");
+        } else {
+            assert_eq!(rss, 0);
+        }
     }
 
     #[test]

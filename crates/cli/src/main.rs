@@ -14,27 +14,35 @@
 //! ```
 
 mod args;
+mod artifacts;
 mod commands;
 
 use commands::{Command, COMMANDS};
+use stadvs_experiments::GOVERNORS;
 
 const HEADER: &str = "stadvs — slack-time-analysis DVS for EDF hard real-time systems\n\n";
 
-const FOOTER: &str = "\
-PROCESSORS: ideal (default), xscale, strongarm, crusoe, levels:<n>
-GOVERNORS:  no-dvs, static-edf, lpps-edf, cc-edf, dra, dra-ote,
-            feedback-edf, la-edf, st-edf, st-edf-oa, st-edf-cs,
-            st-edf-pace, st-edf[r], st-edf[a], st-edf[d]
-";
-
-/// The usage text of `commands`, then the processor and governor names.
+/// The usage text of `commands`, then the processor names and every row
+/// of the governor table, wrapped at 72 columns.
 fn usage(commands: &[Command]) -> String {
     let mut text = String::from("USAGE:\n");
     for command in commands {
         text.push_str(&format!("  {}\n", command.usage));
     }
+    text.push_str("\nPROCESSORS: ideal (default), xscale, strongarm, crusoe, levels:<n>\n");
+    let mut line = String::from("GOVERNORS: ");
+    for (i, governor) in GOVERNORS.iter().enumerate() {
+        let comma = if i + 1 < GOVERNORS.len() { "," } else { "" };
+        let word = format!(" {}{comma}", governor.name);
+        if line.len() + word.len() > 72 {
+            text.push_str(&line);
+            text.push('\n');
+            line = " ".repeat("GOVERNORS: ".len());
+        }
+        line.push_str(&word);
+    }
+    text.push_str(&line);
     text.push('\n');
-    text.push_str(FOOTER);
     text
 }
 

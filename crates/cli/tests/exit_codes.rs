@@ -75,6 +75,11 @@ fn bad_input_is_refused_with_exit_1() {
         "analyze",
         "analyze nope",
         "experiments no-such-experiment",
+        // Every id is resolved before any runs; `all` and `list` stand
+        // alone.
+        "experiments tab3_misses no-such-experiment --quick",
+        "experiments all tab3_misses --quick",
+        "experiments list tab3_misses",
     ] {
         let run = stadvs(&dir, args);
         let stderr = String::from_utf8_lossy(&run.stderr);
@@ -111,7 +116,7 @@ fn every_subcommand_runs_at_a_tiny_size() {
     for args in [
         "help",
         "experiments list",
-        "experiments tab3_misses --quick --out out",
+        "experiments tab4_switches tab3_misses --quick --out out",
         "compare --tasks 3 --seeds 2 --horizon 0.2 --governors no-dvs,st-edf --bounds",
         "analyze 1:4 2:8:6",
         "refsets",
@@ -122,12 +127,36 @@ fn every_subcommand_runs_at_a_tiny_size() {
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert_eq!(run.status.code(), Some(0), "{args}: {stderr}");
     }
+    // A table with numeric keys gets a gnuplot script; a labelled one
+    // does not.
+    assert!(dir.join("out/tab4_switches.gnuplot").is_file());
+    assert!(dir.join("out/tab3_misses.csv").is_file());
+    assert!(!dir.join("out/tab3_misses.gnuplot").exists());
     // `trace` prints its referee's verdict and writes the trace as CSV.
     let run = stadvs(&dir, "trace --tasks 2 --horizon 0.2 --out trace.csv");
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert!(stderr.contains("audit: clean ("), "{stderr}");
     let csv = std::fs::read_to_string(dir.join("trace.csv")).expect("trace wrote its CSV");
     assert!(csv.starts_with("start,end,speed,kind"));
+}
+
+/// The usage footer lists every row of the governor table, in order.
+#[test]
+fn help_names_every_governor() {
+    let run = stadvs(&scratch("help-governors"), "help");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    let (_, listed) = stdout
+        .split_once("GOVERNORS:")
+        .expect("the usage ends with the governor list");
+    let listed: Vec<&str> = listed
+        .split([',', ' ', '\n'])
+        .filter(|name| !name.is_empty())
+        .collect();
+    let table: Vec<&str> = stadvs_experiments::GOVERNORS
+        .iter()
+        .map(|g| g.name)
+        .collect();
+    assert_eq!(listed, table);
 }
 
 /// A bare flag takes no value: the experiment id after `--quick` is run.

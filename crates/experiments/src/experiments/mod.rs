@@ -62,7 +62,8 @@ impl Default for RunOptions {
 
 /// A registered experiment: stable id, human title, and its runner.
 pub struct Experiment {
-    /// Stable id (matches the bench binary name).
+    /// Stable id: the `stadvs experiments <id>` argument and the stem of
+    /// its `results/<id>.*` files.
     pub id: &'static str,
     /// Human-readable description.
     pub title: &'static str,

@@ -10,8 +10,8 @@
 //!   siblings: partitioned union workloads on an N-core platform, one
 //!   fresh governor instance per core,
 //! * [`experiments`] — one module per figure/table, each returning a
-//!   [`Table`]; [`experiments::all`] is the registry the bench binaries
-//!   iterate,
+//!   [`Table`]; [`experiments::all`] is the registry `stadvs experiments`
+//!   iterates,
 //! * [`shard`] — deterministic sharded execution (shard-local work,
 //!   ordered merge) shared by the runner above and the fleet-scale sweep
 //!   engine in `stadvs-fleet`,

@@ -22,7 +22,7 @@
 //!
 //! The crate is determinism-bound (DESIGN.md §12/§13): no wall clock, no
 //! unseeded randomness, no hash-order iteration. Throughput measurement
-//! lives in `stadvs-bench`/`stadvs-cli`, which time around this engine.
+//! lives in `stadvs-cli`, which times around this engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,7 +4,7 @@
 
 use crate::seed::node_seed;
 use crate::FleetError;
-use stadvs_experiments::make_governor;
+use stadvs_experiments::governor_entry;
 use stadvs_workload::{DemandPattern, ExecutionModel};
 
 /// One period-spread axis point: task periods are drawn log-uniformly
@@ -208,7 +208,7 @@ impl FleetSpec {
             }
         }
         for g in &self.governors {
-            if make_governor(g).is_none() {
+            if governor_entry(g).is_none() {
                 return fail(format!("unknown governor {g}"));
             }
         }
