@@ -122,7 +122,7 @@ pub const COMMANDS: [Command; 6] = [
     Command {
         name: "fleet",
         usage: "stadvs fleet    [--quick] [--nodes N] [--seed K] [--threads T]
-                  [--shard-size N] [--out DIR]",
+                  [--shard-size W] [--out DIR]",
         options: &["nodes", "seed", "threads", "shard-size", "out"],
         flags: &["quick"],
         positional: false,
@@ -419,7 +419,8 @@ fn fleet_preset(quick: bool, seed: u64) -> FleetSpec {
 
 /// The fleet-scale streaming sweep: ~10⁵ nodes by default, ~10⁴ with
 /// `--quick`, or an explicit positive `--nodes` count (at least one node
-/// per grid cell).
+/// per grid cell). `--shard-size` counts workloads per shard
+/// (`FleetConfig::shard_size`).
 fn fleet(args: &Args) -> CmdResult {
     let seed: u64 = args.opt("seed", FLEET_SEED)?;
     let spec = if let Some(raw) = args.get("nodes") {
@@ -457,12 +458,10 @@ fn fleet(args: &Args) -> CmdResult {
 /// and `stadvs experiments all` both run the fleet family through here.
 fn fleet_family(spec: &FleetSpec, config: &FleetConfig, out_dir: &str) -> CmdResult {
     eprintln!(
-        "sweeping {} nodes ({} cells x {} replications, {} shards of {})...",
+        "sweeping {} nodes ({} cells x {} replications)...",
         spec.nodes(),
         spec.cell_count(),
         spec.replications,
-        spec.nodes().div_ceil(config.shard_size),
-        config.shard_size
     );
     #[expect(
         clippy::disallowed_methods,
@@ -478,9 +477,12 @@ fn fleet_family(spec: &FleetSpec, config: &FleetConfig, out_dir: &str) -> CmdRes
 
     let agg = &outcome.aggregate;
     eprintln!(
-        "swept {} nodes in {elapsed:.2} s — {:.0} nodes/s, {:.0} events/s \
-         ({} sims, {} events), peak RSS {:.1} MiB",
+        "swept {} nodes ({} workloads in {} shards of {}) in {elapsed:.2} s — \
+         {:.0} nodes/s, {:.0} events/s ({} sims, {} events), peak RSS {:.1} MiB",
         agg.nodes,
+        spec.workloads(),
+        outcome.shards_total,
+        config.shard_size,
         agg.nodes as f64 / elapsed,
         agg.events as f64 / elapsed,
         agg.sims,

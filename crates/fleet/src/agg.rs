@@ -2,9 +2,11 @@
 //! quantile sketches, and fleet-wide totals — all in memory bounded by
 //! the grid size, never by the node count.
 //!
-//! The engine builds one [`FleetAggregate`] per shard (nodes folded in
-//! node-index order) and merges shards in shard-index order, so the
-//! result is bit-identical for any thread count.
+//! The engine builds one [`FleetAggregate`] per shard (workloads folded
+//! in workload order, each workload's nodes in governor order) and merges
+//! shards in shard-index order, so the result is bit-identical for any
+//! thread count. Every cell and every sketch therefore sees its nodes in
+//! node-index order.
 
 use crate::sketch::{NeumaierSum, QuantileSketch};
 use crate::spec::FleetSpec;
@@ -64,8 +66,10 @@ impl CellStats {
     }
 }
 
-/// Everything one node run contributes to the aggregate, as plain
-/// `Copy` data (the engine's per-node loop stays allocation-free).
+/// Everything one node contributes to its cell and its governor's
+/// sketch, as plain `Copy` data. The simulations behind it are counted
+/// apart ([`FleetAggregate::record_sim`]): a workload's nodes share one
+/// `no-dvs` baseline run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeOutcome {
     /// Flat cell index of the node.
@@ -78,12 +82,8 @@ pub struct NodeOutcome {
     pub switches_per_job: f64,
     /// Deadline misses in the governor run.
     pub misses: u64,
-    /// Scheduler events processed (baseline + governor runs).
-    pub events: u64,
     /// Jobs completed in the governor run.
     pub jobs: u64,
-    /// Simulations executed for this node.
-    pub sims: u64,
 }
 
 /// The streaming aggregate of a fleet sweep.
@@ -102,11 +102,12 @@ pub struct FleetAggregate {
     pub infeasible: u64,
     /// Total deadline misses.
     pub misses: u64,
-    /// Total scheduler events processed.
+    /// Total scheduler events processed, each simulation counted once.
     pub events: u64,
     /// Total jobs completed in governor runs.
     pub jobs: u64,
-    /// Total simulations executed.
+    /// Total simulations executed: one `no-dvs` baseline per feasible
+    /// workload plus one run per other governor of the axis.
     pub sims: u64,
 }
 
@@ -127,7 +128,7 @@ impl FleetAggregate {
         }
     }
 
-    /// Records one feasible node run.
+    /// Records one feasible node.
     pub fn record(&mut self, o: &NodeOutcome) {
         let cell = &mut self.cells[o.cell];
         cell.count += 1;
@@ -137,9 +138,13 @@ impl FleetAggregate {
         self.sketches[o.governor].record(o.normalized);
         self.nodes += 1;
         self.misses += o.misses;
-        self.events += o.events;
         self.jobs += o.jobs;
-        self.sims += o.sims;
+    }
+
+    /// Counts one simulation and the scheduler events it processed.
+    pub fn record_sim(&mut self, events: u64) {
+        self.sims += 1;
+        self.events += events;
     }
 
     /// Records one node whose generated task set was infeasible (density
@@ -208,9 +213,7 @@ mod tests {
             normalized,
             switches_per_job: normalized * 2.0,
             misses: 0,
-            events: 100,
             jobs: 10,
-            sims: 2,
         }
     }
 
@@ -230,20 +233,24 @@ mod tests {
         let mut whole = FleetAggregate::new(&spec);
         for o in &outcomes {
             whole.record(o);
+            whole.record_sim(100);
         }
 
         let mut left = FleetAggregate::new(&spec);
         let mut right = FleetAggregate::new(&spec);
         for o in &outcomes[..77] {
             left.record(o);
+            left.record_sim(100);
         }
         for o in &outcomes[77..] {
             right.record(o);
+            right.record_sim(100);
         }
         left.merge(&right).unwrap();
 
         assert_eq!(whole.nodes, left.nodes);
         assert_eq!(whole.events, left.events);
+        assert_eq!(whole.sims, left.sims);
         // The merge re-splits each total between `sum` and
         // `compensation`, so the compensated value is what must agree.
         for (a, b) in whole.cells.iter().zip(&left.cells) {
@@ -261,6 +268,7 @@ mod tests {
         let spec = FleetSpec::tiny(1);
         let mut agg = FleetAggregate::new(&spec);
         agg.record(&outcome(0, 0, 0.5));
+        agg.record_sim(100);
         for what in ["event", "job", "miss", "cell miss"] {
             let mut full = agg.clone();
             match what {

@@ -1,12 +1,12 @@
-//! The streaming fleet engine: cut the node index space into contiguous
-//! shards, simulate each shard with reusable scratch state, and merge
-//! shard-local aggregates in shard-index order.
+//! The streaming fleet engine: cut the workload index space into
+//! contiguous shards, simulate each shard with reusable scratch state, and
+//! merge shard-local aggregates in shard-index order.
 //!
 //! Memory is bounded by the grid size and the shard size, never by the
 //! fleet size: no per-node result is ever materialized. Determinism is
 //! inherited from `stadvs_experiments::shard::run_sharded_streaming`
-//! (pinned merge order) plus the pure per-node seed derivation, so the
-//! aggregate bits do not depend on the thread count or the schedule.
+//! (pinned merge order) plus the pure per-workload seed derivation, so
+//! the aggregate bits do not depend on the thread count or the schedule.
 
 use std::ops::ControlFlow;
 
@@ -17,7 +17,7 @@ use stadvs_sim::{SimConfig, SimError, SimScratch, Simulator};
 use stadvs_workload::{ExecutionModel, PeriodGenerator, TaskSetSpec};
 
 use crate::agg::{FleetAggregate, NodeOutcome};
-use crate::spec::{FleetSpec, NodeParams};
+use crate::spec::FleetSpec;
 use crate::FleetError;
 
 /// Execution knobs of a fleet run; what a sweep computes lives in
@@ -26,24 +26,29 @@ use crate::FleetError;
 /// `threads` never changes a bit. `shard_size` moves the shard
 /// boundaries, and with them how each compensated sum splits between
 /// its `sum` and `compensation` terms. Measured on [`FleetSpec::quick`]
-/// at master seeds 42, 1 and 7, shard sizes 1, 7, 33 and 1000 against
-/// the default 256: none of the 72 per-cell compensated values and
-/// means or the 8 sketch means and medians differed, and the family CSV
-/// differed only in its shard count, while the raw `norm_sum.sum`
-/// differed in 7 to 23 of the 24 cells.
+/// at master seeds 42, 1 and 7, shards of 1, 7, 33 and 1000 workloads
+/// against the default 64: none of the 72 per-cell compensated values
+/// and means or the 8 sketch means and medians differed, and the family
+/// CSV differed only in its shard count, while the raw `norm_sum.sum`
+/// differed in 9 to 24 of the 24 cells.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Nodes per shard. Larger shards amortize worker hand-off; smaller
-    /// ones balance the load across workers. Must be positive.
+    /// Workloads per shard: each workload is one task set and every
+    /// governor's node on it, so a shard holds `shard_size` ×
+    /// `spec.governors.len()` nodes (the last shard may hold fewer).
+    /// Larger shards amortize worker hand-off; smaller ones balance the
+    /// load across workers. Must be positive.
     pub shard_size: u64,
     /// Worker threads (`None` = host parallelism).
     pub threads: Option<usize>,
 }
 
 impl Default for FleetConfig {
+    /// 64 workloads per shard: 256 nodes on the standard four-governor
+    /// axis.
     fn default() -> FleetConfig {
         FleetConfig {
-            shard_size: 256,
+            shard_size: 64,
             threads: None,
         }
     }
@@ -75,33 +80,37 @@ struct Engine<'a> {
 }
 
 impl Engine<'_> {
-    /// Simulates one node and folds it into `agg`: generate the node's
-    /// task set from its derived seed, run the `no-dvs` normalization
-    /// baseline, run the node's governor (reusing the baseline when the
-    /// governor *is* `no-dvs`), record normalized energy and counters.
+    /// Simulates one workload and folds its nodes into `agg`: generate
+    /// the task set and demand model from the workload's seed, run the
+    /// `no-dvs` normalization baseline once, then run every governor of
+    /// the axis on the same simulator and scratch (a `no-dvs` column
+    /// reuses the baseline) and record each governor's node into its
+    /// cell, in governor order.
     ///
     /// Kept out of the shard loop body on purpose: all allocation on the
     /// fleet path (task-set generation, governor boxing, simulator
     /// setup) happens here, leaving the loop itself allocation-free.
-    fn run_node(&self, params: NodeParams, scratch: &mut SimScratch, agg: &mut FleetAggregate) {
-        let spread = &self.spec.spreads[params.spread];
-        let tasks = TaskSetSpec::new(self.spec.n_tasks, params.utilization)
+    fn run_workload(&self, workload: u64, scratch: &mut SimScratch, agg: &mut FleetAggregate) {
+        let first = self.spec.node(self.spec.workload_node(workload, 0));
+        let spread = &self.spec.spreads[first.spread];
+        let tasks = TaskSetSpec::new(self.spec.n_tasks, first.utilization)
             .expect("spec was validated")
             .with_periods(PeriodGenerator::LogUniform {
                 min: spread.min,
                 max: spread.max,
             })
-            .with_seed(params.seed)
+            .with_seed(first.seed)
             .generate()
             .expect("validated parameters generate");
         let exec = ExecutionModel::new(self.spec.pattern.clone())
             .expect("spec was validated")
-            .with_seed(params.seed ^ 0x5EED_5EED_5EED_5EED);
+            .with_seed(first.seed ^ 0x5EED_5EED_5EED_5EED);
+        let cells = first.cell..first.cell + self.spec.governors.len();
 
         let sim = match Simulator::new(tasks, self.processor.clone(), self.sim_config.clone()) {
             Ok(sim) => sim,
             Err(SimError::Infeasible { .. }) => {
-                agg.record_infeasible(params.cell);
+                cells.for_each(|cell| agg.record_infeasible(cell));
                 return;
             }
             Err(e) => panic!("validated spec produced an invalid simulation: {e}"),
@@ -111,36 +120,35 @@ impl Engine<'_> {
         let baseline = sim
             .run_with_scratch(no_dvs.as_mut(), &exec, scratch)
             .expect("no-dvs run succeeds on a feasible set");
+        agg.record_sim(baseline.events);
         let baseline_energy = baseline.total_energy();
-        let mut events = baseline.events;
 
-        let name = &self.spec.governors[params.governor];
-        let (outcome, sims) = if name.as_str() == "no-dvs" {
-            (baseline, 1)
-        } else {
-            let mut governor = make_governor(name).expect("spec was validated");
-            let run = sim
-                .run_with_scratch(governor.as_mut(), &exec, scratch)
-                .expect("governor run succeeds on a feasible set");
-            events += run.events;
-            (run, 2)
-        };
-
-        let jobs = outcome.completed_jobs();
-        agg.record(&NodeOutcome {
-            cell: params.cell,
-            governor: params.governor,
-            normalized: outcome.total_energy() / baseline_energy,
-            switches_per_job: outcome.switches as f64 / jobs.max(1) as f64,
-            misses: outcome.miss_count() as u64,
-            events,
-            jobs: jobs as u64,
-            sims,
-        });
+        for (governor, (cell, name)) in cells.zip(&self.spec.governors).enumerate() {
+            let run;
+            let outcome = if name.as_str() == "no-dvs" {
+                &baseline
+            } else {
+                let mut g = make_governor(name).expect("spec was validated");
+                run = sim
+                    .run_with_scratch(g.as_mut(), &exec, scratch)
+                    .expect("governor run succeeds on a feasible set");
+                agg.record_sim(run.events);
+                &run
+            };
+            let jobs = outcome.completed_jobs();
+            agg.record(&NodeOutcome {
+                cell,
+                governor,
+                normalized: outcome.total_energy() / baseline_energy,
+                switches_per_job: outcome.switches as f64 / jobs.max(1) as f64,
+                misses: outcome.miss_count() as u64,
+                jobs: jobs as u64,
+            });
+        }
     }
 }
 
-/// Sweeps every node of `spec` under `config`.
+/// Sweeps every node of `spec` under `config`, one workload at a time.
 ///
 /// # Errors
 ///
@@ -157,8 +165,8 @@ pub fn run_fleet(spec: &FleetSpec, config: &FleetConfig) -> Result<FleetOutcome,
     if config.shard_size == 0 {
         return Err(FleetError::Spec("shard_size must be positive".to_string()));
     }
-    let nodes = spec.nodes();
-    let shards_total = usize::try_from(nodes.div_ceil(config.shard_size))
+    let workloads = spec.workloads();
+    let shards_total = usize::try_from(workloads.div_ceil(config.shard_size))
         .map_err(|_| FleetError::Spec("fleet too large for this platform".to_string()))?;
     let mut aggregate = FleetAggregate::new(spec);
     let engine = Engine {
@@ -176,9 +184,9 @@ pub fn run_fleet(spec: &FleetSpec, config: &FleetConfig) -> Result<FleetOutcome,
         |scratch, s| {
             let mut local = FleetAggregate::new(spec);
             let lo = s as u64 * config.shard_size;
-            let hi = (lo + config.shard_size).min(nodes);
-            for i in lo..hi {
-                engine.run_node(spec.node(i), scratch, &mut local);
+            let hi = (lo + config.shard_size).min(workloads);
+            for w in lo..hi {
+                engine.run_workload(w, scratch, &mut local);
             }
             local
         },
@@ -254,11 +262,17 @@ mod tests {
         let spec = small_spec("no-dvs", 3);
         let out = run_fleet(&spec, &FleetConfig::default()).expect("fleet runs");
         assert_eq!(out.aggregate.sims, out.aggregate.cells[0].count);
-        let cell = &out.aggregate.cells[0];
-        assert_eq!(
-            cell.mean_normalized().to_bits(),
-            1.0_f64.to_bits(),
-            "no-dvs normalizes to itself"
-        );
+        // Beside other governors, the workload's one baseline serves them all.
+        let mut shared = spec.clone();
+        shared.governors.push("cc-edf".to_string());
+        let out_shared = run_fleet(&shared, &FleetConfig::default()).expect("fleet runs");
+        assert_eq!(out_shared.aggregate.sims, 2 * out.aggregate.sims);
+        for agg in [&out.aggregate, &out_shared.aggregate] {
+            assert_eq!(
+                agg.cells[0].mean_normalized().to_bits(),
+                1.0_f64.to_bits(),
+                "no-dvs normalizes to itself"
+            );
+        }
     }
 }

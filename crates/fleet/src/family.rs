@@ -99,9 +99,7 @@ mod tests {
                 normalized: 0.6 + (i % 4) as f64 * 0.05,
                 switches_per_job: 1.0,
                 misses: 0,
-                events: 100,
                 jobs: 10,
-                sims: 2,
             });
         }
         FleetOutcome {

@@ -4,14 +4,18 @@
 //! streaming pipeline in memory bounded independent of fleet size:
 //!
 //! * [`FleetSpec`] — a deterministic parameter grid (utilization ×
-//!   period spread × governor × replication). Every node's seed is
-//!   derived from the master seed and the node index alone
-//!   ([`node_seed`]), so any node is reproducible in isolation.
+//!   period spread × governor × replication). A workload — one
+//!   (utilization, spread, replication) triple — is one task set, run
+//!   under every governor of the axis; its seed is derived from the
+//!   master seed and the workload index alone ([`node_seed`]), so any
+//!   node is reproducible in isolation.
 //! * [`run_fleet`] — sharded execution over
-//!   `stadvs_experiments::shard::run_sharded_streaming`: workers reuse
-//!   one `SimScratch` each, aggregate shard-locally, and the shard
-//!   results merge in shard-index order, so the thread count and the
-//!   schedule never change a result bit.
+//!   `stadvs_experiments::shard::run_sharded_streaming`: a shard holds
+//!   whole workloads, each generated once and normalized against one
+//!   `no-dvs` run shared by its governors; workers reuse one `SimScratch`
+//!   each, aggregate shard-locally, and the shard results merge in
+//!   shard-index order, so the thread count and the schedule never
+//!   change a result bit.
 //! * [`FleetAggregate`] / [`QuantileSketch`] — online aggregation in
 //!   O(1) memory per metric: Neumaier-compensated per-cell sums (the
 //!   `stadvs_analysis::compensated_sum` discipline, held incrementally)

@@ -1,7 +1,7 @@
-//! Splittable counter-based per-node seed derivation.
+//! Splittable counter-based per-workload seed derivation.
 //!
-//! A fleet node's seed must be a pure function of `(master_seed,
-//! node_index)`: workers claim shards in nondeterministic order, and a
+//! A fleet workload's seed must be a pure function of `(master_seed,
+//! workload_index)`: workers claim shards in nondeterministic order, and a
 //! single node must be reproducible in isolation for debugging. Sequential RNG streams cannot do any of
 //! that, so seeds come from the SplitMix64 output function applied to a
 //! golden-ratio-spaced counter — exactly the construction SplitMix64
@@ -13,15 +13,17 @@ use stadvs_sim::rng::splitmix64;
 /// The golden-ratio increment of SplitMix64 (`2^64 / φ`, odd).
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The workload seed of fleet node `node_index` under `master_seed`.
+/// The seed of fleet workload `workload_index` under `master_seed`; every
+/// node of that workload (one per governor, see `FleetSpec::node`) runs
+/// on it.
 ///
-/// Equals the `node_index`-th output (from 0) of
+/// Equals the `workload_index`-th output (from 0) of
 /// `stadvs_sim::rng::Rng::seed_from_u64(master_seed)`, computed directly
 /// (counter-based, no sequential state): `splitmix64(master_seed +
-/// node_index · GOLDEN)`. Within one master seed the map is injective in
-/// the index, so no two nodes of a fleet share a workload.
-pub fn node_seed(master_seed: u64, node_index: u64) -> u64 {
-    splitmix64(master_seed.wrapping_add(node_index.wrapping_mul(GOLDEN)))
+/// workload_index · GOLDEN)`. Within one master seed the map is injective
+/// in the index, so no two workloads of a fleet share a seed.
+pub fn node_seed(master_seed: u64, workload_index: u64) -> u64 {
+    splitmix64(master_seed.wrapping_add(workload_index.wrapping_mul(GOLDEN)))
 }
 
 #[cfg(test)]

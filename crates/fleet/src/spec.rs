@@ -1,6 +1,10 @@
 //! The deterministic fleet specification: a parameter grid plus a master
 //! seed, from which every node's full configuration — including its
 //! workload seed — is a pure function of the node index.
+//!
+//! A *workload* is one (utilization, spread, replication) triple: one
+//! generated task set and demand model, run under every governor of the
+//! axis. Its nodes, one per governor, share its seed.
 
 use crate::seed::node_seed;
 use crate::FleetError;
@@ -33,9 +37,11 @@ impl PeriodSpread {
 /// The full, self-contained description of a fleet sweep.
 ///
 /// The grid is `utilizations × spreads × governors` cells, each
-/// replicated `replications` times with distinct workload seeds — node
-/// `i` belongs to cell `i / replications`, with the governor axis
-/// varying fastest (see [`FleetSpec::node`]). The *entire* fleet is
+/// replicated `replications` times — node `i` belongs to cell
+/// `i / replications`, with the governor axis varying fastest (see
+/// [`FleetSpec::node`]). Replication `r` of a (utilization, spread) pair
+/// is one workload, shared by that pair's governor cells, so the
+/// governor columns compare the same task sets. The *entire* fleet is
 /// determined by this struct: two processes holding equal specs produce
 /// bit-identical aggregates.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,19 +60,21 @@ pub struct FleetSpec {
     /// Governor axis (names resolved by
     /// `stadvs_experiments::make_governor`).
     pub governors: Vec<String>,
-    /// Task sets per cell.
+    /// Nodes per cell: the workloads, and so the task sets, of each
+    /// (utilization, spread) pair.
     pub replications: u64,
     /// Per-job demand pattern shared by every node.
     pub pattern: DemandPattern,
 }
 
 /// Everything one node needs, as plain `Copy` data (no strings, no
-/// heap): the engine's per-node loop builds these without allocating.
+/// heap): the engine's shard loop builds these without allocating.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeParams {
     /// Node index in `0..spec.nodes()`.
     pub index: u64,
-    /// The node's workload seed.
+    /// The seed of the node's workload, shared by every governor's node
+    /// of that workload.
     pub seed: u64,
     /// Flat cell index in `0..spec.cell_count()`.
     pub cell: usize,
@@ -136,6 +144,20 @@ impl FleetSpec {
         self.cell_count() as u64 * self.replications
     }
 
+    /// Total workloads in the fleet: one per (utilization, spread,
+    /// replication), each run under every governor of the axis.
+    pub fn workloads(&self) -> u64 {
+        self.nodes() / self.governors.len() as u64
+    }
+
+    /// The index of workload `workload`'s node under governor axis point
+    /// `governor`: the inverse of the workload map in [`FleetSpec::node`].
+    pub(crate) fn workload_node(&self, workload: u64, governor: usize) -> u64 {
+        let row = workload / self.replications;
+        let cell = row * self.governors.len() as u64 + governor as u64;
+        cell * self.replications + workload % self.replications
+    }
+
     /// Decomposes a flat cell index into `(utilization, spread,
     /// governor)` axis indices — the governor axis varies fastest.
     pub fn cell_axes(&self, cell: usize) -> (usize, usize, usize) {
@@ -146,6 +168,10 @@ impl FleetSpec {
 
     /// The parameters of node `index` — a pure function of the spec.
     ///
+    /// The node runs workload `(cell / governors) · replications + index %
+    /// replications`, and its seed is that workload's:
+    /// `node_seed(master_seed, workload)`.
+    ///
     /// # Panics
     ///
     /// Panics if `index >= self.nodes()`.
@@ -153,9 +179,11 @@ impl FleetSpec {
         assert!(index < self.nodes(), "node {index} out of range");
         let cell = (index / self.replications) as usize;
         let (u, s, g) = self.cell_axes(cell);
+        let row = (cell / self.governors.len()) as u64;
+        let workload = row * self.replications + index % self.replications;
         NodeParams {
             index,
-            seed: node_seed(self.master_seed, index),
+            seed: node_seed(self.master_seed, workload),
             cell,
             utilization: self.utilizations[u],
             spread: s,
@@ -269,6 +297,32 @@ mod tests {
         assert_eq!(b.cell, 1);
         assert_eq!((a.governor, b.governor), (0, 1));
         assert_eq!((a.spread, b.spread), (0, 0));
+    }
+
+    #[test]
+    fn a_workloads_nodes_share_one_seed_and_workloads_do_not() {
+        let spec = FleetSpec::tiny(9);
+        let governors = spec.governors.len();
+        assert_eq!(spec.workloads() * governors as u64, spec.nodes());
+        let mut seeds = std::collections::BTreeSet::new();
+        let mut covered = vec![false; spec.nodes() as usize];
+        for w in 0..spec.workloads() {
+            let first = spec.node(spec.workload_node(w, 0));
+            for g in 0..governors {
+                let index = spec.workload_node(w, g);
+                let n = spec.node(index);
+                assert_eq!(n.seed, first.seed, "workload {w}, governor {g}");
+                assert_eq!((n.cell, n.governor), (first.cell + g, g));
+                assert_eq!(n.utilization.to_bits(), first.utilization.to_bits());
+                assert_eq!(n.spread, first.spread);
+                assert!(!std::mem::replace(&mut covered[index as usize], true));
+            }
+            assert!(seeds.insert(first.seed), "workload {w} repeats a seed");
+        }
+        assert!(
+            covered.iter().all(|&c| c),
+            "every node belongs to a workload"
+        );
     }
 
     #[test]

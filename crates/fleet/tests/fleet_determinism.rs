@@ -33,13 +33,19 @@ fn fingerprint(spec: &FleetSpec, outcome: &FleetOutcome) -> String {
 }
 
 fn sweep(spec: &FleetSpec, threads: usize) -> String {
+    sweep_sharded(spec, 8, threads).1
+}
+
+/// The outcome of one sweep and its fingerprint.
+fn sweep_sharded(spec: &FleetSpec, shard_size: u64, threads: usize) -> (FleetOutcome, String) {
     let config = FleetConfig {
-        shard_size: 8,
+        shard_size,
         threads: Some(threads),
     };
     let outcome = run_fleet(spec, &config).expect("fleet runs");
     assert!(outcome.complete());
-    fingerprint(spec, &outcome)
+    let print = fingerprint(spec, &outcome);
+    (outcome, print)
 }
 
 #[test]
@@ -66,4 +72,54 @@ fn any_master_seed_is_thread_invariant() {
         assert_eq!(sweep(&spec, 1), sweep(&spec, 3));
         Ok(())
     });
+}
+
+/// A governor axis that shares each workload's `no-dvs` baseline: the
+/// `no-dvs` column reuses it, and `cc-edf` and `st-edf` replay the same
+/// task set on the worker's scratch. Every output bit is the same at 1
+/// and 4 threads, at one workload per shard and at five. Across the two
+/// shard sizes only the shard boundaries move: the counts, totals and
+/// every compensated value agree, while the raw sums may split
+/// differently between `sum` and `compensation`.
+#[test]
+fn a_shared_baseline_is_thread_invariant_at_two_shard_sizes() {
+    let mut spec = small_spec(5, "no-dvs", 12);
+    spec.governors
+        .extend(["cc-edf", "st-edf"].map(String::from));
+    let mut outcomes = Vec::new();
+    for shard_size in [1, 5] {
+        let (outcome, serial) = sweep_sharded(&spec, shard_size, 1);
+        let (_, parallel) = sweep_sharded(&spec, shard_size, 4);
+        assert_eq!(
+            serial, parallel,
+            "aggregate bits changed with thread count (shard size {shard_size})"
+        );
+        assert_eq!(outcome.shards_total as u64, 12_u64.div_ceil(shard_size));
+        outcomes.push(outcome.aggregate);
+    }
+    let [one, five] = &outcomes[..] else {
+        unreachable!("two shard sizes")
+    };
+    assert_eq!(
+        (one.nodes, one.sims, one.events, one.jobs, one.misses),
+        (five.nodes, five.sims, five.events, five.jobs, five.misses)
+    );
+    assert_eq!(
+        one.sims,
+        12 * 3,
+        "one baseline and two governor runs per workload"
+    );
+    for (a, b) in one.cells.iter().zip(&five.cells) {
+        assert_eq!(a.count, b.count);
+        assert_eq!(a.mean_normalized().to_bits(), b.mean_normalized().to_bits());
+        assert_eq!(
+            a.mean_switches_per_job().to_bits(),
+            b.mean_switches_per_job().to_bits()
+        );
+    }
+    for (a, b) in one.sketches.iter().zip(&five.sketches) {
+        assert_eq!(a.count(), b.count());
+        assert_eq!(a.mean().to_bits(), b.mean().to_bits());
+        assert_eq!(a.quantile(0.5).to_bits(), b.quantile(0.5).to_bits());
+    }
 }

@@ -18,11 +18,12 @@ use stadvs_fleet::{fleet_table, run_fleet, FleetConfig, FleetSpec};
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fleet_family.csv");
 
 fn render() -> String {
-    // 24 cells × 8 replications: every governor × utilization × spread
-    // combination exercised, small enough for debug-build CI.
+    // 24 cells × 8 replications (48 workloads): every governor ×
+    // utilization × spread combination exercised, small enough for
+    // debug-build CI.
     let spec = FleetSpec::tiny(42).with_nodes(192);
     let config = FleetConfig {
-        shard_size: 32,
+        shard_size: 8,
         ..FleetConfig::default()
     };
     let outcome = run_fleet(&spec, &config).expect("fleet runs");

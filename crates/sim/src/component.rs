@@ -396,8 +396,12 @@ where
         // Pre-size for the jobs this horizon generates (capped: the records
         // move into the outcome, so a hostile horizon must not pre-book
         // unbounded memory).
-        let expected_jobs = scratch.releases.job_capacity();
-        let records: Vec<JobRecord> = Vec::with_capacity(expected_jobs.min(1 << 20));
+        let expected_jobs = scratch.releases.job_capacity().min(1 << 20);
+        let records: Vec<JobRecord> = Vec::with_capacity(expected_jobs);
+        // A faulted run's occurrence and contamination lists grow with
+        // its jobs, so they get the same capacity; fault-free runs keep
+        // them unallocated.
+        let fault_capacity = if faults_on { expected_jobs } else { 0 };
         let acc = processor.energy_accumulator();
         let trace = config
             .records_trace()
@@ -432,8 +436,11 @@ where
             release_batches: [0; 8],
             model_report: ModelReport::default(),
             skipped_ids: Vec::new(),
-            report: FaultReport::default(),
-            contaminated_ids: Vec::new(),
+            report: FaultReport {
+                events: Vec::with_capacity(fault_capacity),
+                ..FaultReport::default()
+            },
+            contaminated_ids: Vec::with_capacity(fault_capacity),
             contamination_active: false,
             recovery_start: None,
             audit_prev_now: 0.0,
