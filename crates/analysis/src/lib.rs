@@ -11,9 +11,8 @@
 //! * [`yds_schedule`] / [`optimal_static_speed`] — the Yao–Demers–Shenker
 //!   optimal offline voltage schedule and the oracle static speed, the
 //!   lower bounds every on-line governor is measured against,
-//! * [`Summary`] and friends — replication statistics,
-//! * [`stable_sum`] / [`compensated_sum`] — order-stable f64
-//!   accumulation for aggregating from unordered sources without
+//! * [`NeumaierSum`] / [`compensated_sum`] — error-compensated f64
+//!   accumulation in a pinned order, mergeable across shards without
 //!   breaking bit-identical replay (DESIGN.md §12).
 
 #![forbid(unsafe_code)]
@@ -38,13 +37,11 @@ mod jobs;
 mod response;
 mod schedulability;
 mod static_speed;
-mod stats;
 mod yds;
 
-pub use accum::{compensated_sum, stable_sum};
+pub use accum::{compensated_sum, NeumaierSum};
 pub use jobs::{due_within, materialize_jobs, JobInstance};
 pub use response::{response_profile, TaskResponse};
 pub use schedulability::{busy_period, dbf, edf_schedulable, SchedulabilityTest};
 pub use static_speed::minimum_static_speed;
-pub use stats::{geometric_mean, normalize, Summary};
 pub use yds::{optimal_static_speed, yds_schedule, SpeedBlock, SpeedSchedule, WorkKind};

@@ -3,8 +3,9 @@
 //! CSV.
 
 use std::error::Error;
+use std::fs;
 
-use stadvs_experiments::{write_csv, write_markdown, Table};
+use stadvs_experiments::Table;
 
 /// Writes `table` as `{out_dir}/{id}.md`, `{out_dir}/{id}.csv` and, for
 /// numeric keys, `{out_dir}/{id}.gnuplot`, creating `out_dir` if needed.
@@ -13,10 +14,11 @@ use stadvs_experiments::{write_csv, write_markdown, Table};
 ///
 /// Returns the first file that cannot be written.
 pub fn write_table(table: &Table, out_dir: &str, id: &str) -> Result<(), Box<dyn Error>> {
-    write_markdown(table, format!("{out_dir}/{id}.md"))?;
-    write_csv(table, format!("{out_dir}/{id}.csv"))?;
+    fs::create_dir_all(out_dir)?;
+    fs::write(format!("{out_dir}/{id}.md"), table.to_markdown())?;
+    fs::write(format!("{out_dir}/{id}.csv"), table.to_csv())?;
     if let Some(script) = gnuplot_script(table, id) {
-        std::fs::write(format!("{out_dir}/{id}.gnuplot"), script)?;
+        fs::write(format!("{out_dir}/{id}.gnuplot"), script)?;
     }
     Ok(())
 }

@@ -24,7 +24,7 @@
 //! and unchanged energy.
 
 use stadvs_power::{Platform, Processor};
-use stadvs_sim::{PlatformScratch, PlatformSim, SimConfig, TaskSet};
+use stadvs_sim::{PlatformScratch, SimConfig};
 use stadvs_workload::{partitioner_by_name, DemandPattern};
 
 use crate::experiments::RunOptions;
@@ -49,19 +49,6 @@ pub const CAPS: &[(&str, f64)] = &[
     ("2.0W", 2.0),
     ("1.5W", 1.5),
 ];
-
-/// Builds the per-core simulator for one partitioned workload.
-fn platform_sim(workload: &PlatformWorkload, platform: &Platform, horizon: f64) -> PlatformSim {
-    let assignments: Vec<Option<TaskSet>> = (0..CORES)
-        .map(|c| workload.partition.core_task_set(&workload.case.tasks, c))
-        .collect();
-    PlatformSim::new(
-        platform.clone(),
-        assignments,
-        SimConfig::new(horizon).expect("experiment horizon is valid"),
-    )
-    .expect("admitted partitions are feasible per core")
-}
 
 /// The per-row report columns.
 const COLUMNS: &[&str] = &["energy", "normalized", "throttles", "misses", "peak_draw"];
@@ -95,6 +82,11 @@ pub fn run(opts: &RunOptions) -> Table {
     }
     let platform = Platform::homogeneous(CORES, Processor::ideal_continuous())
         .expect("core counts are positive");
+    let config = SimConfig::new(opts.horizon).expect("experiment horizon is valid");
+    let sims: Vec<_> = workloads
+        .iter()
+        .map(|w| w.simulator(&platform, config.clone()))
+        .collect();
     let mut scratch = PlatformScratch::new();
 
     // Per-governor uncapped energies, one per replication — the
@@ -107,15 +99,11 @@ pub fn run(opts: &RunOptions) -> Table {
             let mut throttles = 0u64;
             let mut misses = 0usize;
             let mut peak = 0.0f64;
-            for (rep, workload) in workloads.iter().enumerate() {
-                let sim = platform_sim(workload, &platform, opts.horizon);
-                let execs: Vec<_> = (0..CORES)
-                    .map(|c| workload.partition.core_demand(&workload.case.exec, c))
-                    .collect();
+            for (rep, (sim, execs)) in sims.iter().enumerate() {
                 let (outcome, report) = sim
                     .run_budgeted(
                         |_| make_governor(name).expect("lineup names are platform-simulable"),
-                        &execs,
+                        execs,
                         *cap_watts,
                         &mut scratch,
                     )
@@ -132,7 +120,7 @@ pub fn run(opts: &RunOptions) -> Table {
                 misses += outcome.miss_count();
                 peak = peak.max(report.peak_draw);
             }
-            let reps = workloads.len() as f64;
+            let reps = sims.len() as f64;
             table.push_row(
                 format!("{cap_label}/{name}"),
                 vec![
@@ -212,10 +200,7 @@ mod tests {
         );
         let platform = Platform::homogeneous(CORES, Processor::ideal_continuous())
             .expect("core counts are positive");
-        let sim = platform_sim(&workload, &platform, 2.0);
-        let execs: Vec<_> = (0..CORES)
-            .map(|c| workload.partition.core_demand(&workload.case.exec, c))
-            .collect();
+        let (sim, execs) = workload.simulator(&platform, SimConfig::new(2.0).expect("valid"));
         let (capped, report) = sim
             .run_budgeted(
                 |_| make_governor("st-edf").expect("st-edf exists"),

@@ -22,7 +22,7 @@ use stadvs_workload::{partitioner_by_name, DemandPattern};
 
 use crate::experiments::RunOptions;
 use crate::governors::STANDARD_LINEUP;
-use crate::runner::{PlatformComparison, PlatformWorkload, WorkloadCase};
+use crate::runner::{Comparison, PlatformWorkload, WorkloadCase};
 use crate::table::Table;
 
 /// Tasks per core of every union workload.
@@ -74,8 +74,7 @@ pub fn run(opts: &RunOptions) -> Table {
             }
             let platform = Platform::homogeneous(cores, Processor::ideal_continuous())
                 .expect("core counts are positive");
-            let comparison = PlatformComparison::new(platform, opts.horizon);
-            let agg = comparison.run_cases(&workloads);
+            let agg = Comparison::new(platform, opts.horizon).run_partitioned(&workloads);
             let misses: usize = agg.iter().map(|a| a.total_misses).sum();
             let values: Vec<f64> = STANDARD_LINEUP
                 .iter()

@@ -22,13 +22,12 @@
 //! list (see [`crate::governor_caps`]).
 
 use stadvs_power::Processor;
-use stadvs_sim::{
-    audit_outcome, AuditIssue, FaultPlan, SimConfig, SimOutcome, SimScratch, Simulator, TaskSet,
-};
-use stadvs_workload::{DemandPattern, ExecutionModel, ModelMix, TaskSetSpec};
+use stadvs_sim::{audit_outcome, AuditIssue, FaultPlan, PlatformOutcome, PlatformScratch, TaskSet};
+use stadvs_workload::{DemandPattern, ModelMix, TaskSetSpec};
 
 use crate::experiments::RunOptions;
-use crate::governors::{capable_lineup, make_governor, required_caps, STANDARD_LINEUP};
+use crate::governors::{capable_lineup, required_caps, STANDARD_LINEUP};
+use crate::runner::{Comparison, GovernorOutcome, WorkloadCase};
 use crate::table::Table;
 
 /// Tasks per synthetic set.
@@ -69,19 +68,59 @@ const STAT_COLUMNS: &[&str] = &[
     "max_streak",
 ];
 
-fn simulate(
-    tasks: &TaskSet,
-    exec: &ExecutionModel,
-    name: &str,
-    horizon: f64,
-    scratch: &mut SimScratch,
-) -> SimOutcome {
-    let mut governor = make_governor(name).expect("lineup names resolve");
-    let config = SimConfig::new(horizon).expect("experiment horizon is valid");
-    let sim = Simulator::new(tasks.clone(), Processor::ideal_continuous(), config)
-        .expect("generated sets are valid");
-    sim.run_with_scratch(governor.as_mut(), exec, scratch)
-        .expect("simulation succeeds on valid input")
+/// One governor's model statistics, for one run or summed over a mix's
+/// cases.
+#[derive(Debug, Clone, Copy, Default)]
+struct ModelStats {
+    normalized: f64,
+    audit_issues: usize,
+    hard_misses: u64,
+    mk_violations: u64,
+    skips: u64,
+    sporadic_jobs: u64,
+    frame_misses: u64,
+    max_streak: u64,
+}
+
+impl ModelStats {
+    /// The statistics of one governor's one-core `run` of `tasks`, audited
+    /// by the model-aware referee.
+    fn of(outcome: &GovernorOutcome, run: Option<&PlatformOutcome>, tasks: &TaskSet) -> ModelStats {
+        let out = &run
+            .expect("the models lineup holds only simulated governors")
+            .cores[0];
+        let audit = audit_outcome(out, tasks, &FaultPlan::NONE);
+        ModelStats {
+            normalized: outcome.normalized,
+            audit_issues: audit.issues.len(),
+            hard_misses: out
+                .jobs
+                .iter()
+                .filter(|j| j.missed(out.horizon) && tasks.task(j.id.task).is_hard())
+                .count() as u64,
+            mk_violations: audit
+                .issues
+                .iter()
+                .filter(|i| matches!(i, AuditIssue::MkViolation { .. }))
+                .count() as u64,
+            skips: out.models.skips,
+            sporadic_jobs: out.models.sporadic_jobs,
+            frame_misses: out.models.frame_misses,
+            max_streak: out.models.max_frame_miss_streak,
+        }
+    }
+
+    /// Adds `run` to these totals (the longest streak is a maximum).
+    fn add(&mut self, run: ModelStats) {
+        self.normalized += run.normalized;
+        self.audit_issues += run.audit_issues;
+        self.hard_misses += run.hard_misses;
+        self.mk_violations += run.mk_violations;
+        self.skips += run.skips;
+        self.sporadic_jobs += run.sporadic_jobs;
+        self.frame_misses += run.frame_misses;
+        self.max_streak = self.max_streak.max(run.max_streak);
+    }
 }
 
 /// Runs the experiment.
@@ -93,11 +132,11 @@ pub fn run(opts: &RunOptions) -> Table {
         "mix/governor",
         columns,
     );
-    let mut scratch = SimScratch::new();
+    let mut scratch = PlatformScratch::new();
     for (label, mix) in mixes() {
         // The same workload seeds under every mix, so a column reads as
         // "this exact workload set, re-modelled".
-        let cases: Vec<(TaskSet, ExecutionModel)> = (0..opts.replications)
+        let cases: Vec<WorkloadCase> = (0..opts.replications)
             .map(|rep| {
                 let tasks = TaskSetSpec::new(N_TASKS, UTILIZATION)
                     .expect("experiment parameters are valid")
@@ -106,61 +145,40 @@ pub fn run(opts: &RunOptions) -> Table {
                     .with_seed(rep as u64)
                     .generate()
                     .expect("generation succeeds for valid parameters");
-                let exec = ExecutionModel::new(DemandPattern::Uniform { min: 0.2, max: 1.0 })
-                    .expect("experiment pattern is valid")
-                    .with_seed(rep as u64 ^ 0x5EED_5EED_5EED_5EED);
-                (tasks, exec)
+                WorkloadCase::fixed(
+                    tasks,
+                    DemandPattern::Uniform { min: 0.2, max: 1.0 },
+                    rep as u64 ^ 0x5EED_5EED_5EED_5EED,
+                )
             })
             .collect();
-        let lineup = capable_lineup(STANDARD_LINEUP, required_caps(&cases[0].0));
-        let baseline: Vec<f64> = cases
-            .iter()
-            .map(|(tasks, exec)| {
-                simulate(tasks, exec, "no-dvs", opts.horizon, &mut scratch).total_energy()
-            })
-            .collect();
-        let mut audit_issues = 0usize;
-        for name in &lineup {
-            let mut normalized_sum = 0.0;
-            let mut hard_misses = 0u64;
-            let mut mk_violations = 0u64;
-            let mut skips = 0u64;
-            let mut sporadic_jobs = 0u64;
-            let mut frame_misses = 0u64;
-            let mut max_streak = 0u64;
-            for ((tasks, exec), base) in cases.iter().zip(&baseline) {
-                let out = simulate(tasks, exec, name, opts.horizon, &mut scratch);
-                let audit = audit_outcome(&out, tasks, &FaultPlan::NONE);
-                audit_issues += audit.issues.len();
-                mk_violations += audit
-                    .issues
-                    .iter()
-                    .filter(|i| matches!(i, AuditIssue::MkViolation { .. }))
-                    .count() as u64;
-                normalized_sum += out.total_energy() / base;
-                hard_misses += out
-                    .jobs
-                    .iter()
-                    .filter(|j| j.missed(out.horizon) && tasks.task(j.id.task).is_hard())
-                    .count() as u64;
-                skips += out.models.skips;
-                sporadic_jobs += out.models.sporadic_jobs;
-                frame_misses += out.models.frame_misses;
-                max_streak = max_streak.max(out.models.max_frame_miss_streak);
+        let lineup = capable_lineup(STANDARD_LINEUP, required_caps(&cases[0].tasks));
+        let comparison = Comparison::new(Processor::ideal_continuous(), opts.horizon)
+            .with_governors(lineup.iter().copied());
+        let mut totals = vec![ModelStats::default(); lineup.len()];
+        for case in &cases {
+            let (runs, _) = comparison.run_case_with(case, &mut scratch, |outcome, run| {
+                ModelStats::of(&outcome, run, &case.tasks)
+            });
+            for (total, run) in totals.iter_mut().zip(runs) {
+                total.add(run);
             }
+        }
+        for (name, total) in lineup.iter().zip(&totals) {
             table.push_row(
                 format!("{label}/{name}"),
                 vec![
-                    normalized_sum / cases.len() as f64,
-                    hard_misses as f64,
-                    mk_violations as f64,
-                    skips as f64,
-                    sporadic_jobs as f64,
-                    frame_misses as f64,
-                    max_streak as f64,
+                    total.normalized / cases.len() as f64,
+                    total.hard_misses as f64,
+                    total.mk_violations as f64,
+                    total.skips as f64,
+                    total.sporadic_jobs as f64,
+                    total.frame_misses as f64,
+                    total.max_streak as f64,
                 ],
             );
         }
+        let audit_issues: usize = totals.iter().map(|t| t.audit_issues).sum();
         table.note(format!(
             "{label}: lineup {} of {} governors, audit issues {audit_issues}",
             lineup.len(),

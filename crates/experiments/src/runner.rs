@@ -2,12 +2,14 @@
 
 use stadvs_analysis::{due_within, materialize_jobs, optimal_static_speed, yds_schedule, WorkKind};
 use stadvs_baselines::OracleStatic;
-use stadvs_power::{Platform, Processor, Speed};
+use stadvs_power::{Platform, Speed};
 use stadvs_sim::{
-    FaultPlan, PlatformOutcome, PlatformScratch, PlatformSim, SimConfig, SimOutcome, SimScratch,
-    Simulator, TaskSet,
+    ExecutionSource, FaultPlan, Governor, PlatformOutcome, PlatformScratch, PlatformSim, SimConfig,
+    TaskSet,
 };
-use stadvs_workload::{DemandPattern, ExecutionModel, PartitionReport, Partitioner, TaskSetSpec};
+use stadvs_workload::{
+    CoreDemand, DemandPattern, ExecutionModel, PartitionReport, Partitioner, TaskSetSpec,
+};
 
 use crate::governors::{make_governor, STANDARD_LINEUP};
 
@@ -89,7 +91,7 @@ impl WorkloadCase {
 }
 
 /// Per-governor result on one workload case.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GovernorOutcome {
     /// Governor (or pseudo-governor) name.
     pub name: String,
@@ -116,45 +118,22 @@ pub struct GovernorOutcome {
 }
 
 impl GovernorOutcome {
-    fn from_outcome(name: &str, outcome: &SimOutcome, baseline_energy: f64) -> GovernorOutcome {
+    /// The totals of `run` over its cores. The recovery latency is the
+    /// summed recovery time over the summed episodes, so on one core it is
+    /// that core's `FaultReport::mean_recovery_latency`. `normalized` is
+    /// left at zero for [`Comparison::lineup`] to fill in.
+    fn new(name: &str, run: &PlatformOutcome) -> GovernorOutcome {
+        let episodes: u64 = run.cores.iter().map(|c| c.faults.recovery_episodes).sum();
+        let recovery_time: f64 = run.cores.iter().map(|c| c.faults.recovery_time).sum();
         GovernorOutcome {
             name: name.to_string(),
-            energy: outcome.total_energy(),
-            normalized: outcome.total_energy() / baseline_energy,
-            switches: outcome.switches,
-            jobs: outcome.completed_jobs(),
-            misses: outcome.miss_count(),
-            fault_misses: outcome.fault_attributed_misses(),
-            overruns: outcome.faults.overruns,
-            recovery_episodes: outcome.faults.recovery_episodes,
-            mean_recovery_latency: outcome.faults.mean_recovery_latency(),
-        }
-    }
-
-    fn from_platform(
-        name: &str,
-        outcome: &PlatformOutcome,
-        baseline_energy: f64,
-    ) -> GovernorOutcome {
-        let episodes: u64 = outcome
-            .cores
-            .iter()
-            .map(|c| c.faults.recovery_episodes)
-            .sum();
-        let recovery_time: f64 = outcome
-            .cores
-            .iter()
-            .map(|c| c.faults.mean_recovery_latency() * c.faults.recovery_episodes as f64)
-            .sum();
-        GovernorOutcome {
-            name: name.to_string(),
-            energy: outcome.total_energy(),
-            normalized: outcome.total_energy() / baseline_energy,
-            switches: outcome.switches(),
-            jobs: outcome.completed_jobs(),
-            misses: outcome.miss_count(),
-            fault_misses: outcome.fault_attributed_misses(),
-            overruns: outcome.cores.iter().map(|c| c.faults.overruns).sum(),
+            energy: run.total_energy(),
+            normalized: 0.0,
+            switches: run.switches(),
+            jobs: run.completed_jobs(),
+            misses: run.miss_count(),
+            fault_misses: run.fault_attributed_misses(),
+            overruns: run.cores.iter().map(|c| c.faults.overruns).sum(),
             recovery_episodes: episodes,
             mean_recovery_latency: if episodes == 0 {
                 0.0
@@ -170,28 +149,41 @@ pub const ORACLE: &str = "oracle-static";
 /// The clairvoyant YDS lower bound (not a governor at all).
 pub const YDS_BOUND: &str = "yds-bound";
 
-/// A configured comparison: platform, horizon, and governor lineup.
+/// A configured comparison: platform, horizon, governor lineup and fault
+/// plan.
+///
+/// Every case runs through one lineup loop on a [`PlatformSim`], with a
+/// fresh governor instance per core: a [`WorkloadCase`] on a one-core
+/// platform (bit-identical to the uniprocessor `Simulator`), a
+/// [`PlatformWorkload`] on the cores of its partition. Energy is
+/// normalized against `no-dvs` on the same platform and workload.
 #[derive(Debug, Clone)]
 pub struct Comparison {
-    processor: Processor,
-    horizon: f64,
+    platform: Platform,
+    config: SimConfig,
     governors: Vec<String>,
     fault_plan: FaultPlan,
 }
 
 impl Comparison {
-    /// Creates a comparison with the [`STANDARD_LINEUP`].
-    pub fn new(processor: Processor, horizon: f64) -> Comparison {
+    /// Creates a comparison with the [`STANDARD_LINEUP`] on `platform`; a
+    /// [`stadvs_power::Processor`] converts into its one-core platform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `horizon` is not a valid simulation horizon (callers pass
+    /// experiment constants or validated options).
+    pub fn new(platform: impl Into<Platform>, horizon: f64) -> Comparison {
         Comparison {
-            processor,
-            horizon,
+            platform: platform.into(),
+            config: SimConfig::new(horizon).expect("horizon is valid"),
             governors: STANDARD_LINEUP.iter().map(|s| s.to_string()).collect(),
             fault_plan: FaultPlan::NONE,
         }
     }
 
     /// Replaces the governor lineup (names resolved by [`make_governor`],
-    /// plus [`ORACLE`] and [`YDS_BOUND`]).
+    /// plus [`ORACLE`] and [`YDS_BOUND`] on a one-core platform).
     pub fn with_governors<I, S>(mut self, names: I) -> Comparison
     where
         I: IntoIterator<Item = S>,
@@ -201,46 +193,33 @@ impl Comparison {
         self
     }
 
-    /// Injects `plan` into every simulated run — including the `no-dvs`
-    /// normalization baseline, so normalized energy is measured under the
-    /// *same* degradation, and including the analytic pseudo-governors'
-    /// replays. The clairvoyant [`YDS_BOUND`] stays fault-blind (it is a
-    /// bound on the nominal workload, not a simulation).
+    /// Injects `plan` into every core of every simulated run — including
+    /// the `no-dvs` normalization baseline, so normalized energy is
+    /// measured under the *same* degradation, and including the analytic
+    /// pseudo-governors' replays. The clairvoyant [`YDS_BOUND`] stays
+    /// fault-blind (it is a bound on the nominal workload, not a
+    /// simulation).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Comparison {
         self.fault_plan = plan;
         self
-    }
-
-    /// The fault plan injected into every run ([`FaultPlan::NONE`] by
-    /// default).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
-    }
-
-    /// The governor lineup.
-    pub fn governors(&self) -> &[String] {
-        &self.governors
-    }
-
-    /// The simulated horizon.
-    pub fn horizon(&self) -> f64 {
-        self.horizon
     }
 
     /// Runs every governor on `case` and returns outcomes in lineup order.
     ///
     /// # Panics
     ///
-    /// Panics if a lineup name is unknown, if the task set is infeasible,
-    /// or if a simulation errors (experiment inputs are constructed
-    /// feasible; an error here is a bug worth crashing on).
+    /// Panics if the platform has more than one core, if a lineup name is
+    /// unknown, if the task set is infeasible, or if a simulation errors
+    /// (experiment inputs are constructed feasible; an error here is a bug
+    /// worth crashing on).
     pub fn run_case(&self, case: &WorkloadCase) -> Vec<GovernorOutcome> {
-        self.run_case_counted(case, &mut SimScratch::new()).0
+        self.run_case_counted(case, &mut PlatformScratch::new()).0
     }
 
     /// Like [`Comparison::run_case`], but threads `scratch` through every
     /// simulation (so a worker replaying many cases never re-allocates the
-    /// engine's queues) and also returns how many simulations actually ran.
+    /// engine's buffers) and also returns how many simulations actually
+    /// ran.
     ///
     /// The `no-dvs` normalization baseline is simulated exactly once per
     /// case: when `no-dvs` also appears in the lineup, its lineup entry
@@ -254,109 +233,159 @@ impl Comparison {
     pub fn run_case_counted(
         &self,
         case: &WorkloadCase,
-        scratch: &mut SimScratch,
+        scratch: &mut PlatformScratch,
     ) -> (Vec<GovernorOutcome>, u32) {
-        let sim = Simulator::new(
-            case.tasks.clone(),
-            self.processor.clone(),
-            SimConfig::new(self.horizon).expect("horizon is valid"),
+        self.run_case_with(case, scratch, |outcome, _| outcome)
+    }
+
+    /// [`Comparison::run_case_counted`], mapping each lineup entry's
+    /// outcome and its run (`None` for [`YDS_BOUND`], which is not
+    /// simulated) through `map`.
+    pub(crate) fn run_case_with<T>(
+        &self,
+        case: &WorkloadCase,
+        scratch: &mut PlatformScratch,
+        map: impl FnMut(GovernorOutcome, Option<&PlatformOutcome>) -> T,
+    ) -> (Vec<T>, u32) {
+        let sim = PlatformSim::new(
+            self.platform.clone(),
+            vec![Some(case.tasks.clone())],
+            self.config.clone(),
         )
-        .expect("experiment task sets are feasible");
-        let mut sims = 0u32;
-
-        // The normalization baseline is always simulated, even if not in
-        // the lineup.
-        let baseline = {
-            let mut no_dvs = make_governor("no-dvs").expect("no-dvs exists");
-            sims += 1;
-            sim.run_faulted_with_scratch(no_dvs.as_mut(), &case.exec, &self.fault_plan, scratch)
-                .expect("no-dvs simulation succeeds")
-        };
-        let baseline_energy = baseline.total_energy();
-
-        // Clairvoyant data, computed lazily only if requested.
-        let needs_oracle = self.governors.iter().any(|g| g == ORACLE || g == YDS_BOUND);
-        let due_jobs = needs_oracle.then(|| {
-            let jobs = materialize_jobs(&case.tasks, &case.exec, self.horizon);
-            due_within(&jobs, self.horizon)
-        });
-
-        let outcomes = self
-            .governors
-            .iter()
-            .map(|name| {
-                if name == YDS_BOUND {
-                    let jobs = due_jobs.as_ref().expect("materialized above");
-                    let sched = yds_schedule(jobs, WorkKind::Actual);
-                    let energy = sched.energy(self.processor.power_model());
-                    return GovernorOutcome {
-                        name: name.clone(),
-                        energy,
-                        normalized: energy / baseline_energy,
-                        switches: sched.blocks.len() as u64,
-                        jobs: jobs.len(),
-                        misses: 0,
-                        fault_misses: 0,
-                        overruns: 0,
-                        recovery_episodes: 0,
-                        mean_recovery_latency: 0.0,
-                    };
-                }
-                let fresh;
-                let outcome = if name == "no-dvs" {
-                    &baseline
-                } else {
-                    sims += 1;
-                    fresh = if name == ORACLE {
-                        let jobs = due_jobs.as_ref().expect("materialized above");
-                        let speed = optimal_static_speed(jobs, WorkKind::Actual)
-                            .clamp(self.processor.min_speed().ratio(), 1.0);
-                        let mut oracle =
-                            OracleStatic::new(Speed::new(speed).expect("speed in range"));
-                        sim.run_faulted_with_scratch(
-                            &mut oracle,
-                            &case.exec,
-                            &self.fault_plan,
-                            scratch,
-                        )
-                        .expect("oracle simulation succeeds")
-                    } else {
-                        let mut governor = make_governor(name)
-                            .unwrap_or_else(|| panic!("unknown governor {name}"));
-                        sim.run_faulted_with_scratch(
-                            governor.as_mut(),
-                            &case.exec,
-                            &self.fault_plan,
-                            scratch,
-                        )
-                        .expect("governor simulation succeeds")
-                    };
-                    &fresh
-                };
-                GovernorOutcome::from_outcome(name, outcome, baseline_energy)
-            })
-            .collect();
-        (outcomes, sims)
+        .expect("a workload case is a feasible task set on a one-core platform");
+        self.lineup(&sim, &[&case.exec], case, scratch, map)
     }
 
     /// Runs all `cases` (in parallel across worker threads) and aggregates
     /// per-governor means of normalized energy plus totals.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`Comparison::run_case`].
     pub fn run_cases(&self, cases: &[WorkloadCase]) -> Vec<AggregatedOutcome> {
-        let results = self.run_cases_raw(cases);
-        aggregate(&self.governors, &results)
+        aggregate(&self.governors, &self.run_cases_raw(cases))
     }
 
     /// Runs all `cases` in parallel and returns the raw per-case outcomes.
     ///
     /// Routed through [`crate::shard::run_sharded`] with one case per
-    /// shard: work-stealing over an atomic cursor, one [`SimScratch`] per
-    /// worker for the engine's queues, results combined in case order on
-    /// the calling thread — the same deterministic shard machinery the
+    /// shard: work-stealing over an atomic cursor, one [`PlatformScratch`]
+    /// per worker for the engines' buffers, results combined in case order
+    /// on the calling thread — the same deterministic shard machinery the
     /// fleet engine streams through, at experiment scale.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`Comparison::run_case`].
     pub fn run_cases_raw(&self, cases: &[WorkloadCase]) -> Vec<Vec<GovernorOutcome>> {
-        crate::shard::run_sharded(cases.len(), None, SimScratch::new, |scratch, i| {
+        crate::shard::run_sharded(cases.len(), None, PlatformScratch::new, |scratch, i| {
             self.run_case_counted(&cases[i], scratch).0
         })
+    }
+
+    /// Runs every governor on each partitioned workload (in parallel, as
+    /// [`Comparison::run_cases_raw`] does) and aggregates them like
+    /// [`Comparison::run_cases`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a partition was not made for this platform's core count,
+    /// if it put an infeasible load on a core, if the lineup holds an
+    /// unknown name or an analytic pseudo-governor on a multi-core
+    /// platform, or if a simulation errors.
+    pub fn run_partitioned(&self, workloads: &[PlatformWorkload]) -> Vec<AggregatedOutcome> {
+        let results =
+            crate::shard::run_sharded(workloads.len(), None, PlatformScratch::new, |scratch, i| {
+                let workload = &workloads[i];
+                let (sim, execs) = workload.simulator(&self.platform, self.config.clone());
+                self.lineup(&sim, &execs, &workload.case, scratch, |outcome, _| outcome)
+                    .0
+            });
+        aggregate(&self.governors, &results)
+    }
+
+    /// The lineup loop every case runs through: `no-dvs` once as the
+    /// normalization baseline, then each lineup entry on the same `sim`
+    /// and `scratch`, normalized and mapped in lineup order. Returns the
+    /// mapped outcomes and the number of simulations run.
+    fn lineup<E, T>(
+        &self,
+        sim: &PlatformSim,
+        execs: &[E],
+        case: &WorkloadCase,
+        scratch: &mut PlatformScratch,
+        mut map: impl FnMut(GovernorOutcome, Option<&PlatformOutcome>) -> T,
+    ) -> (Vec<T>, u32)
+    where
+        E: ExecutionSource,
+    {
+        let mut sims = 0u32;
+        let mut simulate = |make: &dyn Fn() -> Box<dyn Governor>| {
+            sims += 1;
+            sim.run_faulted_with_scratch(|_| make(), execs, &self.fault_plan, scratch)
+                .unwrap_or_else(|e| panic!("experiment simulation failed: {e}"))
+        };
+
+        // The normalization baseline is always simulated, even if not in
+        // the lineup; a `no-dvs` lineup entry reuses it.
+        let baseline = simulate(&|| make_governor("no-dvs").expect("no-dvs exists"));
+        let baseline_energy = baseline.total_energy();
+
+        // Clairvoyant data, computed only if requested.
+        let processor = self.platform.core(0);
+        let horizon = self.config.horizon();
+        let due_jobs = self
+            .governors
+            .iter()
+            .any(|g| g == ORACLE || g == YDS_BOUND)
+            .then(|| {
+                assert_eq!(
+                    sim.core_count(),
+                    1,
+                    "{ORACLE} and {YDS_BOUND} bound one core"
+                );
+                due_within(&materialize_jobs(&case.tasks, &case.exec, horizon), horizon)
+            });
+
+        let outcomes = self
+            .governors
+            .iter()
+            .map(|name| {
+                let fresh;
+                let (mut outcome, run) = match name.as_str() {
+                    "no-dvs" => (GovernorOutcome::new(name, &baseline), Some(&baseline)),
+                    YDS_BOUND => {
+                        let jobs = due_jobs.as_ref().expect("materialized above");
+                        let sched = yds_schedule(jobs, WorkKind::Actual);
+                        let bound = GovernorOutcome {
+                            name: name.clone(),
+                            energy: sched.energy(processor.power_model()),
+                            switches: sched.blocks.len() as u64,
+                            jobs: jobs.len(),
+                            ..GovernorOutcome::default()
+                        };
+                        (bound, None)
+                    }
+                    ORACLE => {
+                        let jobs = due_jobs.as_ref().expect("materialized above");
+                        let speed = optimal_static_speed(jobs, WorkKind::Actual)
+                            .clamp(processor.min_speed().ratio(), 1.0);
+                        let speed = Speed::new(speed).expect("speed in range");
+                        fresh = simulate(&|| Box::new(OracleStatic::new(speed)));
+                        (GovernorOutcome::new(name, &fresh), Some(&fresh))
+                    }
+                    _ => {
+                        fresh = simulate(&|| {
+                            make_governor(name).unwrap_or_else(|| panic!("unknown governor {name}"))
+                        });
+                        (GovernorOutcome::new(name, &fresh), Some(&fresh))
+                    }
+                };
+                outcome.normalized = outcome.energy / baseline_energy;
+                map(outcome, run)
+            })
+            .collect();
+        (outcomes, sims)
     }
 }
 
@@ -390,163 +419,31 @@ impl PlatformWorkload {
             .expect("experiment core counts are positive");
         PlatformWorkload { case, partition }
     }
-}
 
-/// A configured multiprocessor comparison: platform, horizon, and governor
-/// lineup. The multiprocessor sibling of [`Comparison`] — every governor
-/// runs through [`PlatformSim`] with a fresh instance per core, and
-/// normalized energy is measured against `no-dvs` on the *same* platform
-/// and partition.
-///
-/// The analytic pseudo-governors ([`ORACLE`], [`YDS_BOUND`]) are
-/// uniprocessor constructions and are not accepted here.
-#[derive(Debug, Clone)]
-pub struct PlatformComparison {
-    platform: Platform,
-    horizon: f64,
-    governors: Vec<String>,
-    fault_plan: FaultPlan,
-}
-
-impl PlatformComparison {
-    /// Creates a comparison with the [`STANDARD_LINEUP`].
-    pub fn new(platform: Platform, horizon: f64) -> PlatformComparison {
-        PlatformComparison {
-            platform,
-            horizon,
-            governors: STANDARD_LINEUP.iter().map(|s| s.to_string()).collect(),
-            fault_plan: FaultPlan::NONE,
-        }
-    }
-
-    /// Replaces the governor lineup (names resolved by [`make_governor`]).
-    pub fn with_governors<I, S>(mut self, names: I) -> PlatformComparison
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.governors = names.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Injects `plan` into every core of every simulated run, including
-    /// the `no-dvs` normalization baseline.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> PlatformComparison {
-        self.fault_plan = plan;
-        self
-    }
-
-    /// The platform.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
-    /// The governor lineup.
-    pub fn governors(&self) -> &[String] {
-        &self.governors
-    }
-
-    /// The simulated horizon.
-    pub fn horizon(&self) -> f64 {
-        self.horizon
-    }
-
-    /// Runs every governor on `workload` and returns outcomes in lineup
-    /// order.
+    /// The per-core simulator of this partition on `platform`, and each
+    /// core's demand source, through which a task keeps the demand stream
+    /// of its union-wide id.
     ///
     /// # Panics
     ///
-    /// Panics if a lineup name is unknown or not platform-simulable, if
-    /// the partition put more cores' worth of work on a core than is
-    /// feasible, or if a simulation errors.
-    pub fn run_case(&self, workload: &PlatformWorkload) -> Vec<GovernorOutcome> {
-        self.run_case_with(workload, &mut PlatformScratch::new())
-    }
-
-    /// Like [`PlatformComparison::run_case`] but threading reusable
-    /// per-core scratch memory.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`PlatformComparison::run_case`].
-    pub fn run_case_with(
+    /// Panics if `platform` does not have one core per partition entry, or
+    /// if the partition put an infeasible load on a core.
+    pub fn simulator(
         &self,
-        workload: &PlatformWorkload,
-        scratch: &mut PlatformScratch,
-    ) -> Vec<GovernorOutcome> {
-        let cores = self.platform.len();
-        assert_eq!(
-            workload.partition.cores().len(),
-            cores,
-            "partition was made for {} cores, platform has {}",
-            workload.partition.cores().len(),
-            cores
-        );
-        let assignments: Vec<Option<TaskSet>> = (0..cores)
-            .map(|c| workload.partition.core_task_set(&workload.case.tasks, c))
+        platform: &Platform,
+        config: SimConfig,
+    ) -> (PlatformSim, Vec<CoreDemand<'_, ExecutionModel>>) {
+        let cores = 0..self.partition.cores().len();
+        let assignments = cores
+            .clone()
+            .map(|c| self.partition.core_task_set(&self.case.tasks, c))
             .collect();
-        let sim = PlatformSim::new(
-            self.platform.clone(),
-            assignments,
-            SimConfig::new(self.horizon).expect("horizon is valid"),
-        )
-        .expect("admitted partitions are feasible per core");
-        let execs: Vec<_> = (0..cores)
-            .map(|c| workload.partition.core_demand(&workload.case.exec, c))
+        let sim = PlatformSim::new(platform.clone(), assignments, config)
+            .unwrap_or_else(|e| panic!("the partition does not fit the platform: {e}"));
+        let execs = cores
+            .map(|c| self.partition.core_demand(&self.case.exec, c))
             .collect();
-
-        // The normalization baseline runs once, on the same partition.
-        let baseline = sim
-            .run_faulted_with_scratch(
-                |_| make_governor("no-dvs").expect("no-dvs exists"),
-                &execs,
-                &self.fault_plan,
-                scratch,
-            )
-            .expect("no-dvs platform simulation succeeds");
-        let baseline_energy = baseline.total_energy();
-
-        self.governors
-            .iter()
-            .map(|name| {
-                let fresh;
-                let outcome = if name == "no-dvs" {
-                    &baseline
-                } else {
-                    fresh = sim
-                        .run_faulted_with_scratch(
-                            |_| {
-                                make_governor(name).unwrap_or_else(|| {
-                                    panic!("governor {name} is not platform-simulable")
-                                })
-                            },
-                            &execs,
-                            &self.fault_plan,
-                            scratch,
-                        )
-                        .expect("governor platform simulation succeeds");
-                    &fresh
-                };
-                GovernorOutcome::from_platform(name, outcome, baseline_energy)
-            })
-            .collect()
-    }
-
-    /// Runs all `workloads` (in parallel across worker threads) and
-    /// aggregates per-governor means, mirroring [`Comparison::run_cases`].
-    pub fn run_cases(&self, workloads: &[PlatformWorkload]) -> Vec<AggregatedOutcome> {
-        let results = self.run_cases_raw(workloads);
-        aggregate(&self.governors, &results)
-    }
-
-    /// Runs all `workloads` in parallel and returns raw per-case outcomes
-    /// (one case per shard through [`crate::shard::run_sharded`], one
-    /// [`PlatformScratch`] per worker — the same structure as
-    /// [`Comparison::run_cases_raw`]).
-    pub fn run_cases_raw(&self, workloads: &[PlatformWorkload]) -> Vec<Vec<GovernorOutcome>> {
-        crate::shard::run_sharded(workloads.len(), None, PlatformScratch::new, |scratch, i| {
-            self.run_case_with(&workloads[i], scratch)
-        })
+        (sim, execs)
     }
 }
 
@@ -582,10 +479,10 @@ pub struct AggregatedOutcome {
 /// (the shard merge in [`crate::shard`] pins it regardless of thread
 /// count), every f64 reduction below walks that order left to right, and
 /// the golden-pinned CSVs diff these exact bits. No sum here crosses a
-/// shard boundary unordered — an aggregation that cannot pin its input
-/// order (hash containers, unmerged parallel workers) must go through
-/// `stadvs_analysis::stable_sum` / `compensated_sum` instead, which is
-/// what the fleet engine's cross-shard accumulators do.
+/// shard boundary unordered. An aggregation whose terms come from
+/// parallel workers must pin their order first, as the fleet engine does:
+/// it folds shard-local `stadvs_analysis::NeumaierSum`s and merges them
+/// in shard-index order.
 fn aggregate(governors: &[String], results: &[Vec<GovernorOutcome>]) -> Vec<AggregatedOutcome> {
     governors
         .iter()
@@ -635,6 +532,8 @@ fn aggregate(governors: &[String], results: &[Vec<GovernorOutcome>]) -> Vec<Aggr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stadvs_power::Processor;
+    use stadvs_sim::Simulator;
 
     fn quick_cases(n: usize) -> Vec<WorkloadCase> {
         (0..n as u64)
@@ -676,7 +575,7 @@ mod tests {
             "st-edf",
         ]);
         let case = &quick_cases(1)[0];
-        let mut scratch = SimScratch::new();
+        let mut scratch = PlatformScratch::new();
         let (outcomes, sims) = cmp.run_case_counted(case, &mut scratch);
         assert_eq!(outcomes.len(), 3);
         // One baseline no-dvs run (reused for the lineup entry) plus one
@@ -717,6 +616,37 @@ mod tests {
         for o in &outcomes {
             assert_eq!(o.misses, o.fault_misses, "{}: unattributed miss", o.name);
         }
+        // The simulated entries equal direct `Simulator` runs bit for bit
+        // (the faults golden prints recovery latency to 4 decimals only).
+        let sim = Simulator::new(
+            case.tasks.clone(),
+            Processor::ideal_continuous(),
+            SimConfig::new(2.0).expect("valid"),
+        )
+        .expect("feasible");
+        let direct = |name: &str| {
+            let mut governor = make_governor(name).expect("registered");
+            sim.run_faulted(governor.as_mut(), &case.exec, &plan)
+                .expect("runs")
+        };
+        let (no_dvs, st_edf) = (direct("no-dvs"), direct("st-edf"));
+        assert!(st_edf.faults.recovery_episodes > 1);
+        for (o, d) in outcomes.iter().zip([&no_dvs, &st_edf]) {
+            assert_eq!(o.energy.to_bits(), d.total_energy().to_bits(), "{}", o.name);
+            let normalized = d.total_energy() / no_dvs.total_energy();
+            assert_eq!(o.normalized.to_bits(), normalized.to_bits(), "{}", o.name);
+            assert_eq!(
+                o.recovery_episodes, d.faults.recovery_episodes,
+                "{}",
+                o.name
+            );
+            assert_eq!(
+                o.mean_recovery_latency.to_bits(),
+                d.faults.mean_recovery_latency().to_bits(),
+                "{}",
+                o.name
+            );
+        }
         // The default plan is quiet.
         let clean = Comparison::new(Processor::ideal_continuous(), 2.0)
             .with_governors(["no-dvs", "st-edf"])
@@ -729,7 +659,7 @@ mod tests {
     }
 
     #[test]
-    fn platform_comparison_runs_and_normalizes() {
+    fn partitioned_workloads_run_and_normalize() {
         let case = WorkloadCase::synthetic_union(
             2,
             4,
@@ -741,40 +671,16 @@ mod tests {
         let w = PlatformWorkload::partitioned(case, &stadvs_workload::WorstFitDecreasing, 2);
         assert!(w.partition.admitted());
         let platform = Platform::homogeneous(2, Processor::ideal_continuous()).expect("2 cores");
-        let cmp = PlatformComparison::new(platform, 1.0).with_governors([
-            "no-dvs",
-            "static-edf",
-            "st-edf",
-        ]);
-        let outcomes = cmp.run_case(&w);
-        assert_eq!(outcomes.len(), 3);
-        assert!((outcomes[0].normalized - 1.0).abs() < 1e-12);
-        assert!(outcomes[2].normalized < outcomes[1].normalized);
-        for o in &outcomes {
-            assert_eq!(o.misses, 0, "{} missed on some core", o.name);
-            assert!(o.jobs > 0, "{} completed nothing", o.name);
+        let agg = Comparison::new(platform, 1.0)
+            .with_governors(["no-dvs", "static-edf", "st-edf"])
+            .run_partitioned(&[w]);
+        assert_eq!(agg.len(), 3);
+        assert!((agg[0].mean_normalized - 1.0).abs() < 1e-12);
+        assert!(agg[2].mean_normalized < agg[1].mean_normalized);
+        for a in &agg {
+            assert_eq!(a.total_misses, 0, "{} missed on some core", a.name);
+            assert_eq!(a.cases, 1, "{}", a.name);
         }
-    }
-
-    #[test]
-    fn platform_parallel_and_serial_agree() {
-        let platform = Platform::homogeneous(2, Processor::ideal_continuous()).expect("2 cores");
-        let cmp = PlatformComparison::new(platform, 0.5).with_governors(["no-dvs", "st-edf"]);
-        let workloads: Vec<PlatformWorkload> = (0..4)
-            .map(|seed| {
-                let case = WorkloadCase::synthetic_union(
-                    2,
-                    3,
-                    0.5,
-                    DemandPattern::Uniform { min: 0.4, max: 1.0 },
-                    seed,
-                );
-                PlatformWorkload::partitioned(case, &stadvs_workload::FirstFitDecreasing, 2)
-            })
-            .collect();
-        let serial: Vec<Vec<GovernorOutcome>> = workloads.iter().map(|w| cmp.run_case(w)).collect();
-        let parallel = cmp.run_cases_raw(&workloads);
-        assert_eq!(serial, parallel);
     }
 
     #[test]

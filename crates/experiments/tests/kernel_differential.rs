@@ -39,8 +39,7 @@ use stadvs_power::{Platform, Processor};
 use stadvs_sim::rng::check;
 use stadvs_sim::{
     ComponentCtx, ComponentId, EventHandler, EventKind, FaultPlan, Kernel, PlatformScratch,
-    PlatformSim, SimConfig, SimError, SimEvent, SimOutcome, SimScratch, Simulator, TaskSet,
-    EVENT_KINDS,
+    SimConfig, SimError, SimEvent, SimOutcome, SimScratch, Simulator, TaskSet, EVENT_KINDS,
 };
 use stadvs_workload::{
     partitioner_by_name, DemandPattern, ExecutionModel, ModelMix, PeriodGenerator, TaskSetSpec,
@@ -257,19 +256,11 @@ fn platform_rows(out: &mut String, label: &str, case: WorkloadCase, scratch: &mu
         workload.partition.admitted(),
         "{label}: WFD rejected a task"
     );
-    let assignments: Vec<Option<TaskSet>> = (0..CORES)
-        .map(|c| workload.partition.core_task_set(&workload.case.tasks, c))
-        .collect();
-    let sim = PlatformSim::new(
-        Platform::homogeneous(CORES, Processor::ideal_continuous())
+    let (sim, execs) = workload.simulator(
+        &Platform::homogeneous(CORES, Processor::ideal_continuous())
             .expect("core counts are positive"),
-        assignments,
         SimConfig::new(2.0).expect("test horizon is valid"),
-    )
-    .expect("admitted partitions are feasible per core");
-    let execs: Vec<_> = (0..CORES)
-        .map(|c| workload.partition.core_demand(&workload.case.exec, c))
-        .collect();
+    );
     for (cap_label, cap) in PLATFORM_CAPS {
         for name in STANDARD_LINEUP {
             let governors = |_| make_governor(name).expect("lineup names resolve");

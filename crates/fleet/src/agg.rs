@@ -8,7 +8,9 @@
 //! thread count. Every cell and every sketch therefore sees its nodes in
 //! node-index order.
 
-use crate::sketch::{NeumaierSum, QuantileSketch};
+use stadvs_analysis::NeumaierSum;
+
+use crate::sketch::QuantileSketch;
 use crate::spec::FleetSpec;
 use crate::FleetError;
 

@@ -17,9 +17,9 @@
 //!   shard-index order, so the thread count and the schedule never
 //!   change a result bit.
 //! * [`FleetAggregate`] / [`QuantileSketch`] — online aggregation in
-//!   O(1) memory per metric: Neumaier-compensated per-cell sums (the
-//!   `stadvs_analysis::compensated_sum` discipline, held incrementally)
-//!   and fixed-bucket quantile sketches per governor. No per-node result
+//!   O(1) memory per metric: Neumaier-compensated per-cell sums
+//!   ([`NeumaierSum`], re-exported from `stadvs_analysis`) and
+//!   fixed-bucket quantile sketches per governor. No per-node result
 //!   rows exist anywhere on this path.
 //! * [`fleet_table`] — renders the merged aggregate as the golden-pinned
 //!   `fleet` experiment family table.
@@ -45,8 +45,9 @@ pub use agg::{CellStats, FleetAggregate, NodeOutcome, SKETCH_BUCKETS, SKETCH_HI,
 pub use engine::{run_fleet, FleetConfig, FleetOutcome};
 pub use family::fleet_table;
 pub use seed::node_seed;
-pub use sketch::{NeumaierSum, QuantileSketch};
+pub use sketch::QuantileSketch;
 pub use spec::{FleetSpec, NodeParams, PeriodSpread};
+pub use stadvs_analysis::NeumaierSum;
 
 use std::fmt;
 

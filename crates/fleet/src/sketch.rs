@@ -1,65 +1,12 @@
-//! Online accumulators: Neumaier-compensated sums and a deterministic
-//! fixed-bucket quantile sketch.
+//! A deterministic fixed-bucket quantile sketch.
 //!
-//! Both are **mergeable with a pinned order**: the fleet engine folds
-//! nodes into shard-local accumulators in node-index order, then merges
-//! shard accumulators in shard-index order, so every f64 operation
-//! sequence — and therefore every output bit — is independent of thread
-//! count.
+//! Like the [`NeumaierSum`] that holds its f64 sum, it is **mergeable
+//! with a pinned order**: the fleet engine folds nodes into shard-local
+//! accumulators in node-index order, then merges shard accumulators in
+//! shard-index order, so every f64 operation sequence — and therefore
+//! every output bit — is independent of thread count.
 
-/// A running Neumaier-compensated sum: the incremental form of
-/// `stadvs_analysis::compensated_sum`, with the `(sum, compensation)`
-/// state held explicitly so it can be merged.
-///
-/// Adding the same values in the same order as `compensated_sum` yields
-/// the same bits (pinned by a test below). Merging appends the other
-/// state's two components to this accumulation — deterministic as long
-/// as merges happen in a pinned order, which the shard merge guarantees.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct NeumaierSum {
-    /// The running sum.
-    pub sum: f64,
-    /// The running error-compensation term.
-    pub compensation: f64,
-}
-
-impl NeumaierSum {
-    /// The empty sum.
-    pub const ZERO: NeumaierSum = NeumaierSum {
-        sum: 0.0,
-        compensation: 0.0,
-    };
-
-    /// Adds one term.
-    pub fn add(&mut self, v: f64) {
-        let t = self.sum + v;
-        if self.sum.abs() >= v.abs() {
-            self.compensation += (self.sum - t) + v;
-        } else {
-            self.compensation += (v - t) + self.sum;
-        }
-        self.sum = t;
-    }
-
-    /// Folds another accumulator into this one (adds its sum, then its
-    /// compensation — a fixed two-term order, so merging is deterministic
-    /// whenever the merge sequence is).
-    pub fn merge(&mut self, other: &NeumaierSum) {
-        self.add(other.sum);
-        self.add(other.compensation);
-    }
-
-    /// The compensated value. Mirrors `compensated_sum`: once the running
-    /// sum leaves the finite range the compensation term is NaN and the
-    /// uncompensated sum is the right answer.
-    pub fn value(&self) -> f64 {
-        if self.sum.is_finite() {
-            self.sum + self.compensation
-        } else {
-            self.sum
-        }
-    }
-}
+use stadvs_analysis::NeumaierSum;
 
 /// A deterministic fixed-bucket quantile sketch over a known range.
 ///
@@ -212,37 +159,6 @@ impl QuantileSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn neumaier_matches_the_analysis_helper_bit_for_bit() {
-        let values = [1e16, 1.0, -1e16, 0.25, 3.5, -0.125, 1e-9, 7.75];
-        let mut acc = NeumaierSum::ZERO;
-        for &v in &values {
-            acc.add(v);
-        }
-        assert_eq!(
-            acc.value().to_bits(),
-            stadvs_analysis::compensated_sum(&values).to_bits()
-        );
-    }
-
-    #[test]
-    fn neumaier_split_merge_is_deterministic() {
-        let values: Vec<f64> = (0..100).map(|i| (i as f64) * 0.3 - 7.0).collect();
-        // One fixed split point, merged twice: bits must agree run to run.
-        let build = || {
-            let (mut a, mut b) = (NeumaierSum::ZERO, NeumaierSum::ZERO);
-            for &v in &values[..37] {
-                a.add(v);
-            }
-            for &v in &values[37..] {
-                b.add(v);
-            }
-            a.merge(&b);
-            a
-        };
-        assert_eq!(build().value().to_bits(), build().value().to_bits());
-    }
 
     #[test]
     fn quantiles_within_bucket_width() {

@@ -102,6 +102,13 @@ impl Platform {
     }
 }
 
+impl From<Processor> for Platform {
+    /// The one-core platform of `core` ([`Platform::uniprocessor`]).
+    fn from(core: Processor) -> Platform {
+        Platform::uniprocessor(core)
+    }
+}
+
 /// Platform-level energy account: the per-core breakdowns and switch
 /// counts of one multiprocessor run.
 ///
@@ -189,6 +196,7 @@ mod tests {
         let p = Platform::uniprocessor(Processor::strongarm_class());
         assert_eq!(p.len(), 1);
         assert_eq!(p.describe(), format!("1x {}", p.core(0).name()));
+        assert_eq!(Platform::from(Processor::strongarm_class()), p);
     }
 
     #[test]

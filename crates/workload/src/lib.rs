@@ -13,8 +13,7 @@
 //! * [`RecordedDemand`] — replay of captured per-job demand traces,
 //! * [`Partitioner`] ([`FirstFitDecreasing`] / [`WorstFitDecreasing`]) —
 //!   partitioned-EDF task-to-core assignment with [`PartitionReport`],
-//! * [`mod@reference`] — the CNC, INS, and generic-avionics task sets,
-//! * [`TaskSetBuilder`] — hand-crafted sets with utilization rescaling.
+//! * [`mod@reference`] — the CNC, INS, and generic-avionics task sets.
 //!
 //! Everything is deterministic given its seed, so the same workload can be
 //! replayed under every governor and inspected by clairvoyant analyses.
@@ -37,7 +36,6 @@
 // library code; tests are exempt.
 #![cfg_attr(not(test), warn(clippy::float_cmp))]
 
-mod builder;
 mod error;
 mod exec_model;
 mod faults;
@@ -48,7 +46,6 @@ pub mod reference;
 mod spec;
 mod uunifast;
 
-pub use builder::TaskSetBuilder;
 pub use error::WorkloadError;
 pub use exec_model::{DemandPattern, ExecutionModel};
 pub use faults::{FaultPlanSpec, JitterSpec, OverrunSpec};

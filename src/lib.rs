@@ -9,7 +9,7 @@
 //! * [`sim`] — event-driven preemptive EDF scheduler and DVS simulator,
 //!   and the referee that audits its runs,
 //! * [`workload`] — task-set and execution-time generators,
-//! * [`analysis`] — schedulability, clairvoyant bounds, statistics,
+//! * [`analysis`] — schedulability, clairvoyant bounds, compensated sums,
 //! * [`baselines`] — published baseline governors (ccEDF, laEDF, lppsEDF,
 //!   DRA, …),
 //! * [`core`] — the paper's contribution: the slack-time-analysis governor,

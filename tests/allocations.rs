@@ -29,7 +29,7 @@ use stadvs::experiments::experiments::budget::{CORES, N_TASKS_PER_CORE, UTIL_PER
 use stadvs::experiments::{GovernorEntry, PlatformWorkload, WorkloadCase, GOVERNORS};
 use stadvs::power::{Platform, Processor};
 use stadvs::sim::{
-    FaultPlan, Governor, PlatformScratch, PlatformSim, SimConfig, SimScratch, Simulator, TaskSet,
+    FaultPlan, Governor, PlatformScratch, PlatformSim, SimConfig, SimScratch, Simulator,
 };
 use stadvs::workload::{DemandPattern, WorstFitDecreasing};
 
@@ -110,26 +110,17 @@ fn allocations_do_not_grow_with_the_horizon() {
     );
     assert!(workload.partition.admitted());
     let platform = Platform::homogeneous(CORES, Processor::ideal_continuous()).expect("cores");
-    let assignments: Vec<Option<TaskSet>> = (0..CORES)
-        .map(|c| workload.partition.core_task_set(&workload.case.tasks, c))
-        .collect();
-    let platforms = horizons.map(|h| {
-        PlatformSim::new(platform.clone(), assignments.clone(), config(h))
-            .expect("admitted partitions are feasible")
-    });
-    let execs: Vec<_> = (0..CORES)
-        .map(|c| workload.partition.core_demand(&workload.case.exec, c))
-        .collect();
+    let platforms = horizons.map(|h| workload.simulator(&platform, config(h)));
 
     let mut one_core = SimScratch::new();
     let mut faulted = SimScratch::new();
     let mut budgeted = PlatformScratch::new();
     let budgeted_run = |governors: &mut Vec<Box<dyn Governor>>,
-                        sim: &PlatformSim,
+                        (sim, execs): &(PlatformSim, Vec<_>),
                         scratch: &mut PlatformScratch| {
         sim.run_budgeted(
             |_| governors.pop().expect("one governor per core"),
-            &execs,
+            execs,
             2.0,
             scratch,
         )

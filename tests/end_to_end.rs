@@ -3,7 +3,6 @@
 //! claims of the reproduction hold.
 
 use stadvs::experiments::experiments::{all, by_id, RunOptions};
-use stadvs::experiments::{write_csv, write_markdown};
 
 #[test]
 fn every_registered_experiment_runs_and_renders() {
@@ -20,10 +19,6 @@ fn every_registered_experiment_runs_and_renders() {
             "{} CSV row count mismatch",
             experiment.id
         );
-        // Result files can be written to a scratch directory.
-        let dir = std::env::temp_dir().join("stadvs-e2e");
-        write_csv(&table, dir.join(format!("{}.csv", experiment.id))).expect("csv writes");
-        write_markdown(&table, dir.join(format!("{}.md", experiment.id))).expect("md writes");
     }
 }
 

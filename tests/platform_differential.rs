@@ -16,7 +16,7 @@
 //!    per-core demand streams routed through the partition's id
 //!    translation.
 
-use stadvs::experiments::{make_governor, WorkloadCase};
+use stadvs::experiments::{make_governor, PlatformWorkload, WorkloadCase};
 use stadvs::power::{Platform, Processor};
 use stadvs::sim::{MissPolicy, PlatformSim, SimConfig, SimOutcome, Simulator};
 use stadvs::workload::{partitioner_by_name, DemandPattern};
@@ -114,29 +114,19 @@ fn multi_core_partitions_keep_the_hard_guarantee() {
                 DemandPattern::Uniform { min: 0.3, max: 1.0 },
                 seed,
             );
-            let report = partitioner
-                .partition(&case.tasks, CORES)
-                .expect("positive core count");
+            let workload = PlatformWorkload::partitioned(case, partitioner.as_ref(), CORES);
             assert!(
-                report.admitted(),
+                workload.partition.admitted(),
                 "{partitioner_name}/{seed}: rejected a task at U = 0.5/core"
             );
-            let assignments: Vec<_> = (0..CORES)
-                .map(|c| report.core_task_set(&case.tasks, c))
-                .collect();
-            let sim = PlatformSim::new(
-                Platform::homogeneous(CORES, Processor::ideal_continuous())
+            let (sim, execs) = workload.simulator(
+                &Platform::homogeneous(CORES, Processor::ideal_continuous())
                     .expect("positive core count"),
-                assignments,
                 SimConfig::default()
                     .with_horizon(HORIZON)
                     .expect("valid horizon")
                     .with_miss_policy(MissPolicy::Fail),
-            )
-            .expect("admitted partitions are per-core feasible");
-            let execs: Vec<_> = (0..CORES)
-                .map(|c| report.core_demand(&case.exec, c))
-                .collect();
+            );
             for name in GOVERNORS {
                 let outcome = sim
                     .run_faulted_with_scratch(
