@@ -3,7 +3,8 @@
 use std::error::Error;
 
 use stadvs_analysis::{
-    edf_schedulable, minimum_static_speed, response_profile, SchedulabilityTest,
+    due_within, edf_schedulable, materialize_jobs, minimum_static_speed, response_profile,
+    SchedulabilityTest,
 };
 use stadvs_experiments::experiments::{all, by_id, RunOptions};
 use stadvs_experiments::{
@@ -227,6 +228,22 @@ fn compare(args: &Args) -> CmdResult {
         return Err(ArgError(format!("unknown governor `{unknown}`")).into());
     }
     let cases: Vec<WorkloadCase> = (0..seeds).map(case).collect();
+    // The bounds run on the jobs due within the horizon, the governors on
+    // every job released before it: below half the released work, the two
+    // compare different job sets.
+    let due_share = args.flag("bounds").then(|| {
+        cases
+            .iter()
+            .map(|case| due_work_share(case, horizon))
+            .fold(1.0, f64::min)
+    });
+    if let Some(share) = due_share.filter(|&share| share < MIN_DUE_SHARE) {
+        return Err(ArgError(format!(
+            "--bounds: the jobs due within the {horizon} s horizon carry {share:.4} of the \
+             released actual work (at least {MIN_DUE_SHARE} is needed); lengthen --horizon"
+        ))
+        .into());
+    }
     let comparison =
         Comparison::new(processor, horizon).with_governors(lineup.iter().map(String::as_str));
     let aggregated = comparison.run_cases(&cases);
@@ -252,8 +269,31 @@ fn compare(args: &Args) -> CmdResult {
             ],
         );
     }
+    if let Some(share) = due_share {
+        table.note(format!(
+            "{ORACLE} and {YDS_BOUND} see the jobs due within the horizon: at least {share:.4} \
+             of the released actual work (the smallest share over the seeds)"
+        ));
+    }
     println!("{table}");
     Ok(())
+}
+
+/// The least share of the released actual work that the jobs due within
+/// the horizon may carry for `compare --bounds` to run.
+const MIN_DUE_SHARE: f64 = 0.5;
+
+/// The share of the actual work released before `horizon` that the jobs
+/// due within it carry (1 when nothing is released).
+fn due_work_share(case: &WorkloadCase, horizon: f64) -> f64 {
+    let jobs = materialize_jobs(&case.tasks, &case.exec, horizon);
+    let released: f64 = jobs.iter().map(|j| j.actual).sum();
+    let due: f64 = due_within(&jobs, horizon).iter().map(|j| j.actual).sum();
+    if released > 0.0 {
+        due / released
+    } else {
+        1.0
+    }
 }
 
 /// Prints the schedulability and speed bounds of the given task set.
@@ -456,6 +496,11 @@ fn fleet(args: &Args) -> CmdResult {
 /// `{out_dir}/fleet.{md,csv}`. Timing, throughput and the process's peak
 /// RSS go to stderr (the engine itself is wall-clock-free). `stadvs fleet`
 /// and `stadvs experiments all` both run the fleet family through here.
+///
+/// The summary line labels the RSS `process peak RSS`: it is the whole
+/// process's high-water mark, so under `experiments all` it also counts
+/// the registry families run before the sweep. Only `stadvs fleet` run
+/// alone reads the sweep's own peak.
 fn fleet_family(spec: &FleetSpec, config: &FleetConfig, out_dir: &str) -> CmdResult {
     eprintln!(
         "sweeping {} nodes ({} cells x {} replications)...",
@@ -478,7 +523,7 @@ fn fleet_family(spec: &FleetSpec, config: &FleetConfig, out_dir: &str) -> CmdRes
     let agg = &outcome.aggregate;
     eprintln!(
         "swept {} nodes ({} workloads in {} shards of {}) in {elapsed:.2} s — \
-         {:.0} nodes/s, {:.0} events/s ({} sims, {} events), peak RSS {:.1} MiB",
+         {:.0} nodes/s, {:.0} events/s ({} sims, {} events), process peak RSS {:.1} MiB",
         agg.nodes,
         spec.workloads(),
         outcome.shards_total,
@@ -496,8 +541,8 @@ fn fleet_family(spec: &FleetSpec, config: &FleetConfig, out_dir: &str) -> CmdRes
 /// `/proc/self/status`). Returns 0 on platforms without procfs or when
 /// the file is unreadable: 0 reads as "unknown", never as a measurement.
 ///
-/// The fleet sweep reports it: the streaming engine's acceptance bar is a
-/// peak RSS that stays flat as the node count grows.
+/// The fleet summary line reports it as the process's peak, not the
+/// sweep's: everything the process ran before the sweep counts too.
 fn peak_rss_bytes() -> u64 {
     if !cfg!(target_os = "linux") {
         return 0;

@@ -68,6 +68,9 @@ fn bad_input_is_refused_with_exit_1() {
         "compare --seeds 1 --bcet 2",
         "compare --seeds 1 --governors bogus",
         "compare --seeds 1 --refset cnc --bcet -1",
+        // Bounds over a horizon whose due jobs carry under half the
+        // released work.
+        "compare --tasks 3 --seeds 2 --horizon 0.2 --governors no-dvs,st-edf --bounds",
         "trace --tasks 0",
         "trace --util 0",
         "trace --bcet 2",
@@ -117,7 +120,7 @@ fn every_subcommand_runs_at_a_tiny_size() {
         "help",
         "experiments list",
         "experiments tab4_switches tab3_misses --quick --out out",
-        "compare --tasks 3 --seeds 2 --horizon 0.2 --governors no-dvs,st-edf --bounds",
+        "compare --tasks 3 --seeds 2 --horizon 2 --governors no-dvs,st-edf --bounds",
         "analyze 1:4 2:8:6",
         "refsets",
         "trace --tasks 2 --horizon 0.2 --governor dra --out trace.csv",
@@ -138,6 +141,22 @@ fn every_subcommand_runs_at_a_tiny_size() {
     assert!(stderr.contains("audit: clean ("), "{stderr}");
     let csv = std::fs::read_to_string(dir.join("trace.csv")).expect("trace wrote its CSV");
     assert!(csv.starts_with("start,end,speed,kind"));
+    // The fleet summary line, which `experiments all` prints through the
+    // same function, names its RSS as the whole process's peak.
+    let run = stadvs(
+        &dir,
+        "fleet --nodes 10 --shard-size 8 --threads 1 --out out",
+    );
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(stderr.contains("process peak RSS "), "{stderr}");
+    // `compare --bounds` states how much of the released work its bounds
+    // see.
+    let run = stadvs(
+        &dir,
+        "compare --tasks 3 --seeds 2 --horizon 2 --governors no-dvs --bounds",
+    );
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(stdout.contains("of the released actual work"), "{stdout}");
 }
 
 /// The usage footer lists every row of the governor table, in order.

@@ -15,6 +15,38 @@ const TOMBSTONE: f64 = -1.0;
 /// high enough to amortize the three-array copy-down.
 const STALE_COMPACT: usize = 32;
 
+/// Slots per summarized block of the cached sequence (see [`Block`]).
+const BLOCK: usize = 32;
+
+/// Bits of the claim grid below the longest period: claims are rounded up
+/// to multiples of `q = 2^(e − 41)`, with `2^e` the least power of two at
+/// or above the task set's longest period (see [`claim_grid`]).
+const GRID_BITS: u64 = 41;
+
+/// `2^53`: multiples of `q` below `2^53·q` are exact doubles, and so is
+/// every sum of them that stays below it.
+const EXACT_SPAN: f64 = 9_007_199_254_740_992.0;
+
+/// The claim grid `q` of a task set whose longest period is `max_period`.
+///
+/// Every claim the analysis reads is a multiple of `q` ([`on_grid`]), so
+/// every partial claim sum below `2^53·q` (at least 4 096 longest periods)
+/// is exact, whatever order it is added in.
+fn claim_grid(max_period: f64) -> f64 {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let bits = max_period.to_bits();
+    // The biased exponent of the least power of two at or above it.
+    let exponent = (bits >> 52) + u64::from(bits & MANTISSA != 0);
+    f64::from_bits(exponent.saturating_sub(GRID_BITS).max(1) << 52)
+}
+
+/// `claim` rounded up to the grid `q` (a power of two, so the quotient,
+/// its ceiling and the product are exact).
+#[inline]
+fn on_grid(claim: f64, q: f64) -> f64 {
+    (claim / q).ceil() * q
+}
+
 /// Look-ahead slack analysis over the **canonical claims** of everything in
 /// the system.
 ///
@@ -56,7 +88,7 @@ const STALE_COMPACT: usize = 32;
 ///
 /// # Incremental evaluation
 ///
-/// The analysis runs at every dispatch, so four layers keep the per-call
+/// The analysis runs at every dispatch, so five layers keep the per-call
 /// cost proportional to what actually changed (see `DESIGN.md` §9):
 ///
 /// * **cross-dispatch caching** — the per-task descriptors (claims,
@@ -83,6 +115,12 @@ const STALE_COMPACT: usize = 32;
 ///   ready/ledger singletons over this sequence (`sweep_overlay`), a
 ///   binary search and a plain loop per run of sequence events between
 ///   two singletons, instead of re-running the full tournament merge.
+/// * **exact claim sums, whole blocks** — every claim the analysis reads
+///   is rounded up to one dyadic grid `q` (`claim_grid`), so claim sums
+///   below `2^53·q` are exact in any order. Each full 32-slot block of the
+///   cached sequence keeps a summary (`Block`), and the sweep adds a block
+///   whose events cannot set a new minimum as one stored sum, with the
+///   result the serial merge gives (see `Sweep`).
 /// * **early-exit pruning** — the checkpoint sweep stops as soon as no
 ///   later checkpoint can change the result (soundness argued at
 ///   `prune_safety`); a non-positive tail bound skips the sweep
@@ -94,9 +132,14 @@ const STALE_COMPACT: usize = 32;
 ///   tournament tree persists between calls (only the shrunk pad range
 ///   is re-written), and nothing is re-zeroed.
 ///
+/// Rounding claims up only lowers the slack of every in-window
+/// checkpoint, and the tail bound keeps the unrounded accrual rates, so
+/// the result stays a sound lower bound on the unrounded claims' slack.
+///
 /// In debug builds every pruned, cached analysis is re-checked against a
 /// from-scratch unpruned sweep and must match **bit-identically**, and
-/// every sequence update re-checks the sequence's order invariants.
+/// every sequence update re-checks the sequence's order invariants and
+/// block summaries.
 #[derive(Debug, Clone)]
 pub struct DemandAnalysis {
     horizon_periods: f64,
@@ -160,8 +203,12 @@ pub struct DemandAnalysis {
     seq_horizon: f64,
     /// Number of tombstoned events currently parked in the sequence.
     seq_stale: usize,
-    /// Scratch: ready-job singletons sorted by `(deadline, position)`.
-    ready_sorted: Vec<ReadyEvent>,
+    /// Summaries of the cached sequence's full [`BLOCK`]-slot blocks
+    /// (`seq_times.len() / BLOCK` of them), kept current by every repair.
+    blocks: Vec<Block>,
+    /// Scratch: the ready-job singletons, in registration order, sorted by
+    /// `(deadline, position)` for the fast path.
+    ready: Vec<ReadyEvent>,
     /// Scratch: per-task changed flags for the splice repair.
     changed: Vec<bool>,
     /// Scratch: indices of the changed tasks (the splice's argmin only
@@ -179,6 +226,9 @@ pub struct DemandAnalysis {
     /// Repairs per [`RepairPath`] (unit tests assert every path ran).
     #[cfg(test)]
     repair_counts: [u64; 4],
+    /// [`Sweep`]'s block counters, summed over the fast sweeps.
+    #[cfg(test)]
+    block_counts: [u64; 2],
 }
 
 /// The ways [`DemandAnalysis::repair_seq`] can update the cached
@@ -203,13 +253,80 @@ struct TaskChain {
     next: f64,
 }
 
-/// A ready-job singleton in the overlay merge: deadline, registration
-/// position (the tie-break the packed stream index provided) and claim.
+/// A ready-job singleton: deadline, registration position (the tie-break
+/// the packed stream index provides) and claim, on the grid.
 #[derive(Debug, Clone, Copy)]
 struct ReadyEvent {
     deadline: f64,
     pos: usize,
     claim: f64,
+}
+
+/// Summary of one full [`BLOCK`]-slot block of the cached sequence, which
+/// lets [`Sweep::run`] take the block in one step (see [`Sweep`]).
+///
+/// Every repair that writes a slot re-summarizes its block, so a summary
+/// always equals [`Block::of`] over the block's current slots.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    /// Sum of the block's live claims, exact below the grid's `2^53·q`.
+    sum: f64,
+    /// Time of the first live event; `−∞` when every slot is a tombstone,
+    /// which keeps the block from ever being taken whole.
+    first: f64,
+    /// Head `d` of the block's last `TIME_EPS` group, grouping as the
+    /// sweep does with the first live event opening a group.
+    last: f64,
+}
+
+impl Block {
+    /// The summary of one block's [`BLOCK`] slots.
+    ///
+    /// The sum runs in four lanes, tombstones adding zero: the claims are
+    /// grid multiples, so any order gives the exact sum below `2^53·q`, and
+    /// one at or past `2^53·q` (rounding is monotone), which the range
+    /// guard refuses either way. The last group's head is the last live
+    /// event when it lies past the previous live event's gate; otherwise
+    /// the block is grouped from its first live event on.
+    fn of(times: &[f64], claims: &[f64]) -> Block {
+        debug_assert_eq!(claims.len(), BLOCK, "a summary covers one whole block");
+        let mut lanes = [0.0; 4];
+        for chunk in claims.chunks_exact(4) {
+            for (lane, &claim) in lanes.iter_mut().zip(chunk) {
+                *lane += claim.max(0.0);
+            }
+        }
+        let sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+        let live = |&claim: &f64| claim >= 0.0;
+        let (Some(first), Some(end)) =
+            (claims.iter().position(live), claims.iter().rposition(live))
+        else {
+            return Block {
+                sum,
+                first: f64::NEG_INFINITY,
+                last: f64::NEG_INFINITY,
+            };
+        };
+        let last = match claims[..end].iter().rposition(live) {
+            Some(prev) if times[end] <= times[prev] + TIME_EPS => {
+                let mut gate = f64::NEG_INFINITY;
+                let mut head = times[first];
+                for (&t, &claim) in times[first..=end].iter().zip(&claims[first..=end]) {
+                    if claim >= 0.0 && t > gate {
+                        head = t;
+                        gate = t + TIME_EPS;
+                    }
+                }
+                head
+            }
+            _ => times[end],
+        };
+        Block {
+            sum,
+            first: times[first],
+            last,
+        }
+    }
 }
 
 /// Cached between-dispatch state, each layer keyed on the event source
@@ -228,12 +345,23 @@ struct DispatchCache {
     n_tasks: usize,
     release_epoch: u64,
     ledger_revision: u64,
-    /// Per-task canonical claim `C_i/U` (fixed between pool resets).
+    /// Per-task canonical claim `C_i/U` (fixed between pool resets),
+    /// rounded up to the grid.
     claim: Vec<f64>,
+    /// Per-task accrual rate of the pool's unrounded claim, `claim/T_i`
+    /// (the tail bound's slope).
+    rate: Vec<f64>,
     period: Vec<f64>,
     /// Per-task relative deadline.
     drel: Vec<f64>,
     max_period: f64,
+    /// The claim grid `q` ([`claim_grid`] of `max_period`).
+    grid: f64,
+    /// `2^53·q`: claim sums below it are exact.
+    exact_below: f64,
+    /// `q·Σ_i 1/T_i`, a bound on how much faster than the unrounded rates
+    /// the grid claims accrue (see [`prune_safety`]).
+    grid_drift: f64,
     /// Per-task next release instant (refreshed per release epoch).
     release: Vec<f64>,
     /// Per-task next absolute deadline `release + drel`.
@@ -245,10 +373,70 @@ struct DispatchCache {
     /// [`prune_safety`]).
     vmax: f64,
     /// Ledger entries `(tag, amount)` split into dense arrays, plus their
-    /// total, snapshot at `ledger_revision`.
+    /// total, snapshot at `ledger_revision`; amounts on the grid.
     ledger_tags: Vec<f64>,
     ledger_amounts: Vec<f64>,
     ledger_total: f64,
+}
+
+impl DispatchCache {
+    /// Loads the task-descriptor layer from each task's `(claim, period,
+    /// relative deadline)`: the grid from the longest period, each claim
+    /// rounded up to it, and each unrounded claim's accrual rate.
+    fn load_tasks(&mut self, tasks: impl Iterator<Item = (f64, f64, f64)>) {
+        self.claim.clear();
+        self.rate.clear();
+        self.period.clear();
+        self.drel.clear();
+        for (claim, period, drel) in tasks {
+            self.claim.push(claim);
+            self.period.push(period);
+            self.drel.push(drel);
+        }
+        self.n_tasks = self.claim.len();
+        self.max_period = self.period.iter().copied().fold(0.0, f64::max);
+        self.grid = claim_grid(self.max_period);
+        self.exact_below = self.grid * EXACT_SPAN;
+        let mut inverse = 0.0;
+        for (claim, &period) in self.claim.iter_mut().zip(&self.period) {
+            self.rate.push(*claim / period);
+            *claim = on_grid(*claim, self.grid);
+            inverse += 1.0 / period;
+        }
+        self.grid_drift = self.grid * inverse;
+    }
+
+    /// Loads the release outlook from each task's next release.
+    fn load_releases(&mut self, releases: impl Iterator<Item = f64>) {
+        self.release.clear();
+        self.next_deadline.clear();
+        let mut first_deadlines = 0.0;
+        let mut vmax = f64::NEG_INFINITY;
+        for (i, release) in releases.enumerate() {
+            let next_deadline = release + self.drel[i];
+            first_deadlines = f64::max(first_deadlines, next_deadline);
+            vmax = f64::max(vmax, next_deadline - self.period[i]);
+            self.release.push(release);
+            self.next_deadline.push(next_deadline);
+        }
+        self.first_deadlines = first_deadlines;
+        self.vmax = vmax;
+    }
+
+    /// Loads the ledger snapshot from its `(tag, amount)` entries in tag
+    /// order, each amount rounded up to the grid.
+    fn load_ledger(&mut self, entries: impl Iterator<Item = (f64, f64)>) {
+        self.ledger_tags.clear();
+        self.ledger_amounts.clear();
+        let mut total = 0.0;
+        for (tag, amount) in entries {
+            let amount = on_grid(amount, self.grid);
+            self.ledger_tags.push(tag);
+            self.ledger_amounts.push(amount);
+            total += amount;
+        }
+        self.ledger_total = total;
+    }
 }
 
 /// Packs an event key: `u128` ordering is lexicographic on
@@ -336,43 +524,51 @@ pub struct DemandSlack {
 }
 
 /// Conservative envelope on the accumulated floating-point error of the
-/// checkpoint sweep, used by the early-exit prune.
+/// checkpoint sweep and on the grid's extra accrual, used by the
+/// early-exit prune.
 ///
 /// # Prune soundness
 ///
 /// The sweep may stop at a checkpoint `d` and return the current
 /// `(min_slack, binding_claims)` when **no later checkpoint and not the
-/// final tail-bound comparison can change them**. In exact arithmetic:
+/// final tail-bound comparison can change them**. In exact arithmetic,
+/// with `c_i` a task's unrounded claim, `r_i = c_i/T_i` its rate (the
+/// canonical density `ρ = Σ r_i ≤ 1`) and `c̄_i ≥ c_i` its grid claim,
+/// `c̄_i − c_i < q`:
 ///
 /// * For any checkpoint `D > d ≥ vmax` (with `vmax = max_i (nd_i − T_i)`,
 ///   `nd_i` task `i`'s next absolute deadline), every task satisfies
 ///   `D ≥ nd_i − T_i`, so its event count up to `D` obeys
 ///   `count_i(D) ≤ (D − nd_i)/T_i + 1` (zero events while `D < nd_i`,
-///   where the right side is still ≥ 0). Singletons (ready jobs, ledger
-///   entries) are subtracted **in full** by the tail bound, so
-///   `claims(D) ≤ ready + ledger + Σ_i count_i(D)·claim_i` gives
+///   where the right side is still ≥ 0). Hence `count_i(D)·c̄_i ≤
+///   (D − nd_i)·r_i + c̄_i + (D − nd_i)⁺·q/T_i`. Singletons (ready jobs,
+///   ledger entries) are subtracted **in full** by the tail bound
+///   `Σ_i (nd_i − t)·r_i − Σ_i c̄_i − ready − ledger`, which gives
 ///
 ///   ```text
-///   slack(D) = (D − t) − claims(D) ≥ tail_bound + (D − t)·(1 − ρ)
-///            ≥ tail_bound,
+///   slack(D) = (D − t) − claims(D)
+///            ≥ tail_bound + (D − t)·(1 − ρ) − drift ≥ tail_bound − drift,
 ///   ```
 ///
-///   because the canonical claim density `ρ = Σ claim_i/T_i ≤ 1` and
-///   `D ≥ t`. Hence once `min_slack ≤ tail_bound`, no later checkpoint
-///   can *strictly* undercut `min_slack`, and the sweep's strict `<`
-///   update never fires again.
-/// * The final `tail_bound < min_slack` update cannot fire either, for
-///   the same reason.
+///   with `drift = (horizon + TIME_EPS − t)·q·Σ_i 1/T_i` (no in-window
+///   checkpoint lies past `horizon + TIME_EPS`). Hence once `min_slack ≤
+///   tail_bound − drift`, no later checkpoint can *strictly* undercut
+///   `min_slack`, and the sweep's strict `<` update never fires again.
+/// * The final `tail_bound < min_slack` update cannot fire either.
 ///
 /// Floating point makes both `min_slack` and `tail_bound` approximate.
-/// Every quantity in play is a sum/difference of `events + O(n_tasks)`
-/// non-negative terms bounded by `window + claims + tail_abs` (`claims`
-/// is itself the abs-sum of the claim prefix; `tail_abs` the abs-sum of
-/// the tail accumulation), so the classic summation bound
-/// `|err| ≤ ε · ops · Σ|terms|` covers the drift of both sides. Pruning
-/// therefore requires `min_slack ≤ tail_bound − prune_safety(...)`: if
-/// the margin holds in floats it holds in reals, and the unpruned sweep
-/// would return the identical `(min_slack, binding_claims)` bits.
+/// Claim sums are exact while they stay below `2^53·q`; past that, and in
+/// the window and tail arithmetic, every quantity in play is a
+/// sum/difference of `events + O(n_tasks)` non-negative terms bounded by
+/// `window + claims + tail_abs` (`claims` is itself the abs-sum of the
+/// claim prefix; `tail_abs` the abs-sum of the tail accumulation), so the
+/// classic summation bound `|err| ≤ ε · ops · Σ|terms|` covers the error
+/// of both sides. `events` counts the events the sweep visited one by
+/// one; the additions of blocks taken whole are exact (see [`Sweep`]) and
+/// add no error. Pruning therefore requires `min_slack ≤ tail_bound −
+/// prune_safety(...)`: if the margin holds in floats it holds in reals,
+/// and the unpruned sweep would return the identical `(min_slack,
+/// binding_claims)` bits.
 ///
 /// The prune changes **which events are visited, never the result** —
 /// enforced bit-exactly by the debug re-check in
@@ -382,9 +578,16 @@ pub struct DemandSlack {
     clippy::as_conversions,
     reason = "exact widening of small operation counts"
 )]
-fn prune_safety(events: u64, n_tasks: usize, window: f64, claims: f64, tail_abs: f64) -> f64 {
+fn prune_safety(
+    events: u64,
+    n_tasks: usize,
+    window: f64,
+    claims: f64,
+    tail_abs: f64,
+    drift: f64,
+) -> f64 {
     let ops = (events + 2 * n_tasks as u64 + 16) as f64;
-    f64::EPSILON * ops * (window + claims + tail_abs + 1.0)
+    f64::EPSILON * ops * (window + claims + tail_abs + 1.0) + drift
 }
 
 /// Canonical result assembly shared by the pruned and unpruned paths:
@@ -423,14 +626,38 @@ fn finish(min_slack: f64, binding_claims: f64) -> DemandSlack {
 ///
 /// Checkpoint candidates are evaluated after **every** binding event with
 /// the open group's head `d`: a mid-group candidate shares `d` with its
-/// group's final candidate but carries strictly smaller claims (every
-/// claim is positive), so it is strictly larger and can never win the
-/// strict-minimum update — the minimum and its binding claims land on
-/// exactly the group-end values the grouped reference computes. The
-/// `vmax` full-stop check runs at group boundaries only (mid-group it
-/// could miss the open group's own end checkpoint); the zero-slack stop
-/// may fire mid-group because [`finish`] canonicalizes every non-positive
-/// minimum to the same `(0, 0)` result.
+/// group's final candidate but carries no larger claims, so, rounding
+/// being monotone, it is no smaller. A candidate below the minimum
+/// replaces it, and so does an equal one while the minimum was set in the
+/// open group (`min_here`), so the minimum and its binding claims land on
+/// exactly the group-end values the grouped reference computes with its
+/// strict `<`. The `vmax` full-stop check runs at group boundaries only
+/// (mid-group it could miss the open group's own end checkpoint); the
+/// zero-slack stop may fire mid-group because [`finish`] canonicalizes
+/// every non-positive minimum to the same `(0, 0)` result.
+///
+/// **Whole blocks.** Every claim sits on the grid `q`, so while the running
+/// sum stays below `2^53·q` every partial sum is exact, whatever the
+/// order. A full [`Block`] of cached slots inside the current run is then
+/// taken in one step — `claims += sum`, and the group state from its last
+/// group head — when all of these hold:
+///
+/// * its first live event opens a group (`first > gate`), so its grouping
+///   is its summary's;
+/// * `claims + sum < 2^53·q`, so every serial partial sum inside it is
+///   exact and `claims + sum` is their last (a sum at or past the limit
+///   rounds to at least the limit, rounding being monotone);
+/// * either its last gate lies before the dispatched job's deadline, so
+///   nothing in it binds, or its lower bound `fl(fl(first − now) −
+///   (claims + sum))` is not below the running minimum. Each of its
+///   checkpoint candidates is `fl(fl(d − now) − acc)` with `d ≥ first` and
+///   `acc ≤ claims + sum`, and rounding is monotone, so none lies below
+///   the bound and none wins the strict-minimum update: the minimum, its
+///   binding claims, the armed flag and the zero-slack stop are untouched.
+///
+/// The prune tests inside a taken block are skipped (they only cut
+/// visits); the prune is tested at the next group boundary. A taken block
+/// does not count in `events`, which counts the events visited one by one.
 #[derive(Debug)]
 struct Sweep {
     deadline: f64,
@@ -438,6 +665,10 @@ struct Sweep {
     vmax: f64,
     tail_bound: f64,
     tail_abs: f64,
+    /// The grid drift term of [`prune_safety`].
+    drift: f64,
+    /// `2^53·q`: the running sum below which blocks may be taken whole.
+    exact_below: f64,
     n_tasks: usize,
     events: u64,
     claims: f64,
@@ -453,87 +684,174 @@ struct Sweep {
     binding: bool,
     /// `min_slack <= tail_bound` in phase two: the full-stop prune may fire.
     armed: bool,
+    /// The minimum was set in the open group.
+    min_here: bool,
+    /// Blocks taken whole, and blocks refused by the range guard alone
+    /// (unit tests assert both happen).
+    #[cfg(test)]
+    taken: [u64; 2],
 }
 
 impl Sweep {
     /// Sweeps a run of events in merge order; `true` when the sweep stops
     /// (the prune fired at a group boundary, or the minimum reached zero).
-    /// With `SEQ` the run is cached sequence events, whose negative claims
-    /// mark tombstones: those are skipped wholesale — no group roll, no
-    /// accumulation — so the swept stream is exactly the compacted one.
-    /// Singletons are swept as one-event runs without it.
-    fn run<const SEQ: bool>(&mut self, times: &[f64], claims: &[f64]) -> bool {
+    /// With `SEQ` the run is cached sequence slots from slot `base` on,
+    /// summarized by `blocks`: negative claims mark tombstones, which are
+    /// skipped wholesale — no group roll, no accumulation — so the swept
+    /// stream is exactly the compacted one, and full blocks inside the run
+    /// are taken whole where the rules above allow. Singletons are swept as
+    /// one-event runs without it.
+    fn run<const SEQ: bool>(
+        &mut self,
+        times: &[f64],
+        claims: &[f64],
+        base: usize,
+        blocks: &[Block],
+    ) -> bool {
+        let n = times.len();
+        // The end of the block holding relative slot `i`, within the run.
+        let chunk_end = |i: usize| {
+            if SEQ {
+                n.min(i + BLOCK - (base + i) % BLOCK)
+            } else {
+                n
+            }
+        };
+        // The block starting at relative slot `i`, if one does and lies
+        // inside the run.
+        let whole = |i: usize| {
+            let slot = base + i;
+            let fits = SEQ && slot.is_multiple_of(BLOCK) && i + BLOCK <= n;
+            fits.then(|| &blocks[slot / BLOCK])
+        };
         let mut i = 0;
         if !self.binding {
             // Phase one: nothing binds and no closing group can prune.
             // Stop before the event that opens the first binding group.
-            while i < times.len() {
-                let claim = claims[i];
-                if !(SEQ && claim < 0.0) {
-                    let t = times[i];
-                    if t > self.gate {
-                        let gate = t + TIME_EPS;
-                        if gate >= self.deadline {
-                            self.binding = true;
-                            break;
-                        }
+            'one: while i < n {
+                if let Some(block) = whole(i) {
+                    let total = self.claims + block.sum;
+                    let gate = block.last + TIME_EPS;
+                    let clear = block.first > self.gate && gate < self.deadline;
+                    if clear && total < self.exact_below {
+                        self.claims = total;
                         self.gate = gate;
+                        #[cfg(test)]
+                        {
+                            self.taken[0] += 1;
+                        }
+                        i += BLOCK;
+                        continue;
                     }
-                    self.events += 1;
-                    self.claims += claim;
+                    #[cfg(test)]
+                    {
+                        self.taken[1] += u64::from(clear);
+                    }
                 }
-                i += 1;
+                let end = chunk_end(i);
+                while i < end {
+                    let claim = claims[i];
+                    if !(SEQ && claim < 0.0) {
+                        let t = times[i];
+                        if t > self.gate {
+                            let gate = t + TIME_EPS;
+                            if gate >= self.deadline {
+                                self.binding = true;
+                                break 'one;
+                            }
+                            self.gate = gate;
+                        }
+                        self.events += 1;
+                        self.claims += claim;
+                    }
+                    i += 1;
+                }
             }
         }
         // Phase two, on locals so the loop state stays in registers.
-        let (now, vmax, tail_bound) = (self.now, self.vmax, self.tail_bound);
+        let (now, vmax, tail_bound, exact_below) =
+            (self.now, self.vmax, self.tail_bound, self.exact_below);
         let mut events = self.events;
         let mut acc = self.claims;
         let mut min_slack = self.min_slack;
         let mut binding_claims = self.binding_claims;
         let (mut d, mut window, mut gate) = (self.d, self.window, self.gate);
-        let mut armed = self.armed;
+        let (mut armed, mut min_here) = (self.armed, self.min_here);
         let mut stop = false;
-        for (&t, &claim) in times[i..].iter().zip(&claims[i..]) {
-            if SEQ && claim < 0.0 {
-                continue;
-            }
-            if t > gate {
-                // The closed group's checkpoint minimum is final here.
-                if armed
-                    && d >= vmax
-                    && min_slack
-                        <= tail_bound
-                            - prune_safety(events, self.n_tasks, window, acc, self.tail_abs)
+        'two: while i < n {
+            if let Some(block) = whole(i) {
+                let total = acc + block.sum;
+                let clear = block.first > gate && (block.first - now) - total >= min_slack;
+                if clear && total < exact_below {
+                    acc = total;
+                    d = block.last;
+                    window = d - now;
+                    gate = d + TIME_EPS;
+                    min_here = false;
+                    #[cfg(test)]
+                    {
+                        self.taken[0] += 1;
+                    }
+                    i += BLOCK;
+                    continue;
+                }
+                #[cfg(test)]
                 {
-                    stop = true;
-                    break;
+                    self.taken[1] += u64::from(clear);
                 }
-                d = t;
-                window = t - now;
-                gate = t + TIME_EPS;
             }
-            events += 1;
-            acc += claim;
-            let slack = window - acc;
-            if slack < min_slack {
-                min_slack = slack;
-                binding_claims = acc;
-                // Zero slack is absorbing, so the stop is checked only
-                // when the minimum moved.
-                if slack <= 0.0 {
-                    stop = true;
-                    break;
+            let end = chunk_end(i);
+            for (&t, &claim) in times[i..end].iter().zip(&claims[i..end]) {
+                if SEQ && claim < 0.0 {
+                    continue;
                 }
-                armed = slack <= tail_bound;
+                if t > gate {
+                    // The closed group's checkpoint minimum is final here.
+                    if armed
+                        && d >= vmax
+                        && min_slack
+                            <= tail_bound
+                                - prune_safety(
+                                    events,
+                                    self.n_tasks,
+                                    window,
+                                    acc,
+                                    self.tail_abs,
+                                    self.drift,
+                                )
+                    {
+                        stop = true;
+                        break 'two;
+                    }
+                    d = t;
+                    window = t - now;
+                    gate = t + TIME_EPS;
+                    min_here = false;
+                }
+                events += 1;
+                acc += claim;
+                let slack = window - acc;
+                if slack <= min_slack && (slack < min_slack || min_here) {
+                    min_slack = slack;
+                    binding_claims = acc;
+                    min_here = true;
+                    // Zero slack is absorbing, so the stop is checked only
+                    // when the minimum moved.
+                    if slack <= 0.0 {
+                        stop = true;
+                        break 'two;
+                    }
+                    armed = slack <= tail_bound;
+                }
             }
+            i = end;
         }
         self.events = events;
         self.claims = acc;
         self.min_slack = min_slack;
         self.binding_claims = binding_claims;
         (self.d, self.window, self.gate) = (d, window, gate);
-        self.armed = armed;
+        (self.armed, self.min_here) = (armed, min_here);
         stop
     }
 
@@ -576,7 +894,8 @@ impl DemandAnalysis {
             seq_valid: false,
             seq_horizon: 0.0,
             seq_stale: 0,
-            ready_sorted: Vec::new(),
+            blocks: Vec::new(),
+            ready: Vec::new(),
             changed: Vec::new(),
             changed_idx: Vec::new(),
             drops: Vec::new(),
@@ -586,6 +905,8 @@ impl DemandAnalysis {
             events_swept: 0,
             #[cfg(test)]
             repair_counts: [0; 4],
+            #[cfg(test)]
+            block_counts: [0; 2],
         }
     }
 
@@ -699,37 +1020,32 @@ impl DemandAnalysis {
         pool: &ReclaimedPool,
         prune: bool,
     ) -> (DemandSlack, u64) {
-        let now = view.now();
-        let n_tasks = view.tasks().len();
         self.refresh_cache(view, pool);
+        // Claims are re-granted continuously, so the ready singletons are
+        // rebuilt every call, each claim rounded up to the grid.
+        let grid = self.cache.grid;
+        self.ready.clear();
+        for (pos, j) in view.ready_jobs().iter().enumerate() {
+            self.ready.push(ReadyEvent {
+                deadline: j.deadline,
+                pos,
+                claim: on_grid(pool.remaining_claim_of(j), grid),
+            });
+        }
+        self.sweep(view.now(), job.deadline, prune)
+    }
 
-        // One pass over the ready jobs: the horizon's ready floor, the
-        // ready claims total, and (fast path only) the sorted singleton
-        // overlay — claims are re-granted continuously, so the overlay is
-        // rebuilt every call.
-        let mut latest_ready = job.deadline;
+    /// The checkpoint sweep at `now` for a job due at `deadline`, over the
+    /// cached layers and the ready singletons in `ready` (registration
+    /// order; the fast path sorts them).
+    fn sweep(&mut self, now: f64, deadline: f64, prune: bool) -> (DemandSlack, u64) {
+        let n_tasks = self.cache.n_tasks;
+        // The horizon's ready floor and the ready claims total.
+        let mut latest_ready = deadline;
         let mut ready_claims = 0.0;
-        if prune {
-            self.ready_sorted.clear();
-            for (pos, j) in view.ready_jobs().iter().enumerate() {
-                latest_ready = latest_ready.max(j.deadline);
-                let claim = pool.remaining_claim_of(j);
-                ready_claims += claim;
-                self.ready_sorted.push(ReadyEvent {
-                    deadline: j.deadline,
-                    pos,
-                    claim,
-                });
-            }
-            // Sorting by `(deadline, registration position)` reproduces the
-            // packed-key order the tournament merge gives these singletons.
-            self.ready_sorted
-                .sort_unstable_by(|a, b| a.deadline.total_cmp(&b.deadline).then(a.pos.cmp(&b.pos)));
-        } else {
-            for j in view.ready_jobs() {
-                latest_ready = latest_ready.max(j.deadline);
-                ready_claims += pool.remaining_claim_of(j);
-            }
+        for e in &self.ready {
+            latest_ready = latest_ready.max(e.deadline);
+            ready_claims += e.claim;
         }
         // The horizon must reach past every task's first in-window deadline
         // for the tail bound's count formula to apply beyond it.
@@ -739,30 +1055,70 @@ impl DemandAnalysis {
 
         // Analytic tail bound for all checkpoints beyond the horizon. With
         // overhead pricing, every claim carries its task's switch margin,
-        // and the canonical stretch keeps total accrual at rate 1.
-        // `tail_abs` mirrors it with absolute values for the prune's
-        // float-error envelope.
+        // and the canonical stretch keeps total accrual at rate 1: the
+        // slope uses the unrounded rates, the subtracted claims the grid
+        // ones (see `prune_safety`). `tail_abs` mirrors it with absolute
+        // values for the prune's float-error envelope.
         let mut tail_bound = -ready_claims - self.cache.ledger_total;
         let mut tail_abs = ready_claims + self.cache.ledger_total;
         for i in 0..n_tasks {
             let claim = self.cache.claim[i];
-            let next_deadline = self.cache.next_deadline[i];
-            let term = (next_deadline - now) * claim / self.cache.period[i];
+            let term = (self.cache.next_deadline[i] - now) * self.cache.rate[i];
             tail_bound += term - claim;
             tail_abs += term + claim;
+        }
+        if !prune {
+            return self.sweep_reference(deadline, horizon, now, tail_bound);
         }
         // A non-positive tail bound caps the result at zero slack before
         // any checkpoint is visited: the full sweep's final minimum is
         // `min(min_slack, tail_bound) <= 0`, which `finish` clamps to the
-        // same canonical zero. Skip the whole sweep.
-        if prune && tail_bound <= 0.0 {
+        // same canonical zero. Skip the whole sweep, and the sequence's
+        // repair with it — except at a run's first analysis, which builds
+        // the sequence so that its buffers are sized then, not at whatever
+        // later dispatch first sweeps.
+        if tail_bound <= 0.0 {
+            if !self.seq_valid {
+                self.ensure_seq(horizon);
+            }
             return (finish(tail_bound, f64::INFINITY), 0);
         }
-        if prune {
-            self.ensure_seq(horizon);
-            return self.sweep_overlay(job, horizon, now, n_tasks, tail_bound, tail_abs);
+        self.ensure_seq(horizon);
+        // Sorting by `(deadline, registration position)` reproduces the
+        // packed-key order the tournament merge gives these singletons.
+        self.ready
+            .sort_unstable_by(|a, b| a.deadline.total_cmp(&b.deadline).then(a.pos.cmp(&b.pos)));
+        let drift = (horizon + TIME_EPS - now) * self.cache.grid_drift;
+        let mut state = Sweep {
+            deadline,
+            now,
+            vmax: self.cache.vmax,
+            tail_bound,
+            tail_abs,
+            drift,
+            exact_below: self.cache.exact_below,
+            n_tasks,
+            events: 0,
+            claims: 0.0,
+            min_slack: f64::INFINITY,
+            binding_claims: f64::INFINITY,
+            d: f64::NAN,
+            window: f64::NAN,
+            // The sentinel gate makes the first event open a group
+            // without a (guarded-out) boundary checkpoint.
+            gate: f64::NEG_INFINITY,
+            binding: false,
+            armed: false,
+            min_here: false,
+            #[cfg(test)]
+            taken: [0; 2],
+        };
+        let out = self.sweep_overlay(&mut state, horizon);
+        #[cfg(test)]
+        for (total, k) in self.block_counts.iter_mut().zip(state.taken) {
+            *total += k;
         }
-        self.sweep_reference(view, job, pool, horizon, now, tail_bound)
+        out
     }
 
     /// Fast checkpoint sweep: streams the cached periodic sequence,
@@ -771,26 +1127,19 @@ impl DemandAnalysis {
     /// merge's stream registration order (ready < tasks < ledger, then
     /// position).
     ///
-    /// The merge is block-wise: the cached sequence is sorted by time,
+    /// The merge is run-wise: the cached sequence is sorted by time,
     /// tombstones included (see [`repair_seq`](DemandAnalysis::repair_seq)),
     /// so one binary search finds the whole run of sequence events that
     /// pops before the next ready and ledger singletons (`t < tr && t <=
     /// tl`: ready singletons win time ties, task streams win ledger ties).
-    /// [`Sweep::run`] sweeps that run in a plain loop, then the singleton
-    /// pops as a one-event run. Event order, claim accumulation order and
-    /// checkpoint arithmetic are exactly those of
-    /// [`sweep_reference`](DemandAnalysis::sweep_reference), so results
-    /// are bit-identical; the prune early-exits (sound per
-    /// [`prune_safety`]) only cut the visit count.
-    fn sweep_overlay(
-        &self,
-        job: &ActiveJob,
-        horizon: f64,
-        now: f64,
-        n_tasks: usize,
-        tail_bound: f64,
-        tail_abs: f64,
-    ) -> (DemandSlack, u64) {
+    /// [`Sweep::run`] sweeps that run, taking whole blocks where it may,
+    /// then the singleton pops as a one-event run. Event order, claim
+    /// accumulation order and checkpoint arithmetic are exactly those of
+    /// [`sweep_reference`](DemandAnalysis::sweep_reference) where the
+    /// sweep visits events one by one, and a block taken whole adds its
+    /// exact sum, so results are bit-identical; the prune early-exits
+    /// (sound per [`prune_safety`]) only cut the visit count.
+    fn sweep_overlay(&self, sweep: &mut Sweep, horizon: f64) -> (DemandSlack, u64) {
         // Same float expression the stream generators clip with. The cached
         // sequence is sorted, so one partition point replaces the per-event
         // horizon clip.
@@ -798,35 +1147,15 @@ impl DemandAnalysis {
         let till = self.seq_times.partition_point(|&t| t <= h_gate);
         let seq_times = &self.seq_times[..till];
         let seq_claim = &self.seq_claim[..till];
-        let ready = &self.ready_sorted[..];
+        let ready = &self.ready[..];
         let tags = &self.cache.ledger_tags[..];
         let amounts = &self.cache.ledger_amounts[..];
-
-        let mut sweep = Sweep {
-            deadline: job.deadline,
-            now,
-            vmax: self.cache.vmax,
-            tail_bound,
-            tail_abs,
-            n_tasks,
-            events: 0,
-            claims: 0.0,
-            min_slack: f64::INFINITY,
-            binding_claims: f64::INFINITY,
-            d: f64::NAN,
-            window: f64::NAN,
-            // The sentinel gate makes the first event open a group without
-            // a (guarded-out) boundary checkpoint.
-            gate: f64::NEG_INFINITY,
-            binding: false,
-            armed: false,
-        };
         let (mut p, mut r, mut l) = (0usize, 0usize, 0usize);
         loop {
             let tr = ready.get(r).map_or(f64::INFINITY, |e| e.deadline);
             let tl = tags.get(l).map_or(f64::INFINITY, |&t| t.min(horizon));
             let q = p + seq_times[p..].partition_point(|&t| t < tr && t <= tl);
-            if sweep.run::<true>(&seq_times[p..q], &seq_claim[p..q]) {
+            if sweep.run::<true>(&seq_times[p..q], &seq_claim[p..q], p, &self.blocks) {
                 return sweep.result();
             }
             p = q;
@@ -837,43 +1166,43 @@ impl DemandAnalysis {
                     break;
                 }
                 r += 1;
-                sweep.run::<false>(&[tr], &[ready[r - 1].claim])
+                sweep.run::<false>(&[tr], &[ready[r - 1].claim], 0, &[])
             } else {
                 l += 1;
-                sweep.run::<false>(&[tl], &[amounts[l - 1]])
+                sweep.run::<false>(&[tl], &[amounts[l - 1]], 0, &[])
             };
             if stop {
                 return sweep.result();
             }
         }
-        if tail_bound < sweep.min_slack {
-            sweep.min_slack = tail_bound;
+        if sweep.tail_bound < sweep.min_slack {
+            sweep.min_slack = sweep.tail_bound;
             sweep.binding_claims = sweep.claims; // everything outstanding binds the tail
         }
         sweep.result()
     }
 
     /// From-scratch checkpoint sweep: registers every event stream (ready
-    /// singletons, task streams, ledger singletons), builds the loser tree
-    /// and runs the fused merge + prefix scan over the whole window. This
-    /// is the oracle the fast path must match bit-identically.
+    /// singletons in registration order, task streams, ledger singletons),
+    /// builds the loser tree and runs the fused merge + prefix scan over
+    /// the whole window. This is the oracle the fast path must match
+    /// bit-identically.
     fn sweep_reference(
         &mut self,
-        view: &SchedulerView<'_>,
-        job: &ActiveJob,
-        pool: &ReclaimedPool,
+        deadline: f64,
         horizon: f64,
         now: f64,
         tail_bound: f64,
     ) -> (DemandSlack, u64) {
         let ledger_len = self.cache.ledger_tags.len();
         let n_tasks = self.cache.n_tasks;
-        self.ensure_streams(view.ready_jobs().len() + n_tasks + ledger_len);
+        self.ensure_streams(self.ready.len() + n_tasks + ledger_len);
 
         let mut live = 0usize;
-        for j in view.ready_jobs() {
-            self.claims[live] = pool.remaining_claim_of(j);
-            self.heads[live] = j.deadline;
+        for k in 0..self.ready.len() {
+            let e = self.ready[k];
+            self.claims[live] = e.claim;
+            self.heads[live] = e.deadline;
             self.steps[live] = StreamStep::SINGLETON;
             live += 1;
         }
@@ -925,7 +1254,7 @@ impl DemandAnalysis {
             }
             // Checkpoints before the dispatched job's deadline do not bind
             // it (see `sweep_overlay`).
-            if gate >= job.deadline {
+            if gate >= deadline {
                 let slack = (d - now) - claims;
                 if slack < min_slack {
                     min_slack = slack;
@@ -967,11 +1296,26 @@ impl DemandAnalysis {
             self.seq_times.clear();
             self.seq_task.clear();
             self.seq_claim.clear();
+            self.blocks.clear();
             self.seq_stale = 0;
             self.seq_horizon = horizon;
             self.seq_epoch = self.cache.release_epoch;
             self.extend_seq(horizon);
             self.seq_valid = true;
+            // Size the repair scratch here, so that a run allocates it at
+            // its first analysis, not at its first repair: no task has more
+            // events than the sequence holds.
+            let len = self.seq_times.len();
+            self.new_events.clear();
+            self.new_events.reserve(len);
+            self.slots.clear();
+            self.slots.reserve(len);
+            self.drops.clear();
+            self.drops.reserve(n);
+            self.changed.clear();
+            self.changed.reserve(n);
+            self.changed_idx.clear();
+            self.changed_idx.reserve(n);
         } else if self.seq_epoch != self.cache.release_epoch {
             self.repair_seq(horizon);
         } else if horizon > self.seq_horizon {
@@ -982,11 +1326,13 @@ impl DemandAnalysis {
         self.check_seq();
     }
 
-    /// Debug self-check of the cached sequence's invariants: times
+    /// Self-check of the cached sequence's invariants: times
     /// non-decreasing with tombstones included, live events strictly
     /// increasing in `(time, task)` with their task's claim, the stale
-    /// count exact, and every chain pending beyond the coverage bound.
-    #[cfg(debug_assertions)]
+    /// count exact, every chain pending beyond the coverage bound, and
+    /// every block summary equal, bit for bit, to a fresh one. Runs after
+    /// every sequence update in debug builds.
+    #[cfg(any(test, debug_assertions))]
     fn check_seq(&self) {
         let bound = self.seq_horizon + TIME_EPS;
         let mut stale = 0;
@@ -1018,14 +1364,55 @@ impl DemandAnalysis {
             self.chains.iter().all(|c| c.next > bound),
             "a chain's pending event lies inside the coverage bound"
         );
+        assert_eq!(
+            self.blocks.len(),
+            self.seq_times.len() / BLOCK,
+            "block count drifted"
+        );
+        for (b, block) in self.blocks.iter().enumerate() {
+            let slots = b * BLOCK..(b + 1) * BLOCK;
+            let fresh = Block::of(&self.seq_times[slots.clone()], &self.seq_claim[slots]);
+            let bits = |k: &Block| (k.sum.to_bits(), k.first.to_bits(), k.last.to_bits());
+            assert_eq!(bits(block), bits(&fresh), "block {b} has a stale summary");
+        }
+    }
+
+    /// Re-summarizes every full block from block `from` on, dropping the
+    /// summaries past the sequence's last full block.
+    fn summarize_from(&mut self, from: usize) {
+        let full = self.seq_times.len() / BLOCK;
+        self.blocks.truncate(from.min(full));
+        for b in self.blocks.len()..full {
+            let slots = b * BLOCK..(b + 1) * BLOCK;
+            self.blocks.push(Block::of(
+                &self.seq_times[slots.clone()],
+                &self.seq_claim[slots],
+            ));
+        }
+    }
+
+    /// Re-summarizes block `b` after a repair wrote one of its slots (a
+    /// block past the last full one has no summary).
+    fn resummarize(&mut self, b: usize) {
+        if let Some(block) = self.blocks.get_mut(b) {
+            let slots = b * BLOCK..(b + 1) * BLOCK;
+            *block = Block::of(&self.seq_times[slots.clone()], &self.seq_claim[slots]);
+        }
     }
 
     /// Copies the live events down over the tombstones (all three arrays)
     /// and resets the stale count. Pure removal of sweep no-ops, so the
-    /// swept stream is unchanged.
+    /// swept stream is unchanged. Blocks before the first tombstone keep
+    /// their slots and summaries; the rest are re-summarized.
     fn compact_seq(&mut self) {
-        let mut w = 0usize;
-        for p in 0..self.seq_task.len() {
+        let len = self.seq_task.len();
+        let first = self
+            .seq_task
+            .iter()
+            .position(|&t| t == usize::MAX)
+            .unwrap_or(len);
+        let mut w = first;
+        for p in first..len {
             let t = self.seq_task[p];
             if t == usize::MAX {
                 continue;
@@ -1039,6 +1426,7 @@ impl DemandAnalysis {
         self.seq_task.truncate(w);
         self.seq_claim.truncate(w);
         self.seq_stale = 0;
+        self.summarize_from(first / BLOCK);
     }
 
     /// Appends every pending chain event with time at most `to` (+
@@ -1066,6 +1454,7 @@ impl DemandAnalysis {
             c.release += self.cache.period[best];
             c.next = c.release + self.cache.drel[best];
         }
+        self.summarize_from(self.blocks.len());
     }
 
     /// Repairs the cached sequence after the release outlook moved.
@@ -1162,6 +1551,7 @@ impl DemandAnalysis {
                         self.seq_task[idx] = usize::MAX;
                         self.seq_claim[idx] = TOMBSTONE;
                         self.seq_stale += 1;
+                        self.resummarize(idx / BLOCK);
                     }
                     None => {
                         // Nothing emitted yet: skip the pending event.
@@ -1172,6 +1562,9 @@ impl DemandAnalysis {
                 }
             } else {
                 let mut pending = total_drops;
+                // The block of the latest tombstone, re-summarized once the
+                // walk leaves it.
+                let mut touched = None;
                 for p in 0..self.seq_task.len() {
                     let t = self.seq_task[p];
                     // `t < n` also filters earlier tombstones.
@@ -1180,11 +1573,18 @@ impl DemandAnalysis {
                         self.seq_task[p] = usize::MAX;
                         self.seq_claim[p] = TOMBSTONE;
                         self.seq_stale += 1;
+                        if let Some(b) = touched.filter(|&b| b != p / BLOCK) {
+                            self.resummarize(b);
+                        }
+                        touched = Some(p / BLOCK);
                         pending -= 1;
                         if pending == 0 {
                             break;
                         }
                     }
+                }
+                if let Some(b) = touched {
+                    self.resummarize(b);
                 }
                 // Drops past the emitted prefix skip pending events.
                 for k in 0..self.changed_idx.len() {
@@ -1285,6 +1685,7 @@ impl DemandAnalysis {
         std::mem::swap(&mut self.seq_task, &mut self.seq_task_spare);
         std::mem::swap(&mut self.seq_claim, &mut self.seq_claim_spare);
         self.seq_stale = 0; // the splice dropped every tombstone
+        self.blocks.clear(); // re-summarized by the extension below
         let target = self.seq_horizon.max(horizon);
         self.seq_horizon = target;
         self.extend_seq(target);
@@ -1423,6 +1824,16 @@ impl DemandAnalysis {
         }
         self.seq_stale += lead + trail;
         self.chains[i] = chain;
+        // Every slot of the task was re-stamped or dropped; the slots
+        // ascend, so each block they touch is re-summarized once.
+        let mut prev = None;
+        for k in 0..self.slots.len() {
+            let b = self.slots[k] / BLOCK;
+            if prev != Some(b) {
+                self.resummarize(b);
+                prev = Some(b);
+            }
+        }
         true
     }
 
@@ -1434,16 +1845,11 @@ impl DemandAnalysis {
         let n = tasks.len();
         let cache = &mut self.cache;
         if !cache.valid || cache.n_tasks != n {
-            cache.n_tasks = n;
-            cache.claim.clear();
-            cache.period.clear();
-            cache.drel.clear();
-            for (id, task) in tasks.iter() {
-                cache.claim.push(pool.claim_of(id));
-                cache.period.push(task.period());
-                cache.drel.push(task.deadline());
-            }
-            cache.max_period = tasks.max_period();
+            cache.load_tasks(
+                tasks
+                    .iter()
+                    .map(|(id, task)| (pool.claim_of(id), task.period(), task.deadline())),
+            );
             cache.releases_valid = false;
             cache.ledger_valid = false;
             cache.valid = true;
@@ -1451,32 +1857,13 @@ impl DemandAnalysis {
             self.seq_valid = false;
         }
         if !cache.releases_valid || cache.release_epoch != view.release_epoch() {
-            cache.release.clear();
-            cache.next_deadline.clear();
-            let mut first_deadlines = 0.0;
-            let mut vmax = f64::NEG_INFINITY;
-            for (i, (id, _)) in tasks.iter().enumerate() {
-                let release = view.next_release_of(id);
-                let next_deadline = release + cache.drel[i];
-                first_deadlines = f64::max(first_deadlines, next_deadline);
-                vmax = f64::max(vmax, next_deadline - cache.period[i]);
-                cache.release.push(release);
-                cache.next_deadline.push(next_deadline);
-            }
-            cache.first_deadlines = first_deadlines;
-            cache.vmax = vmax;
+            cache.load_releases(tasks.iter().map(|(id, _)| view.next_release_of(id)));
             cache.release_epoch = view.release_epoch();
             cache.releases_valid = true;
         }
         let ledger = pool.ledger();
         if !cache.ledger_valid || cache.ledger_revision != ledger.revision() {
-            cache.ledger_tags.clear();
-            cache.ledger_amounts.clear();
-            for (tag, amount) in ledger.iter() {
-                cache.ledger_tags.push(tag);
-                cache.ledger_amounts.push(amount);
-            }
-            cache.ledger_total = ledger.total();
+            cache.load_ledger(ledger.iter());
             cache.ledger_revision = ledger.revision();
             cache.ledger_valid = true;
         }
@@ -1589,6 +1976,7 @@ impl Default for DemandAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stadvs_sim::rng::Rng;
     use stadvs_sim::{ActiveJob, Task, TaskSet};
 
     // Direct unit tests drive the analysis through a hand-built view via
@@ -1733,12 +2121,8 @@ mod tests {
         epoch: u64,
     ) {
         let cache = &mut analysis.cache;
-        cache.n_tasks = claim.len();
-        cache.claim = claim.to_vec();
-        cache.period = period.to_vec();
-        cache.drel = drel.to_vec();
-        cache.release = release.to_vec();
-        cache.next_deadline = release.iter().zip(drel).map(|(r, d)| r + d).collect();
+        cache.load_tasks((0..claim.len()).map(|i| (claim[i], period[i], drel[i])));
+        cache.load_releases(release.iter().copied());
         cache.release_epoch = epoch;
     }
 
@@ -1765,11 +2149,50 @@ mod tests {
         (live, chains)
     }
 
+    /// Moves release bases the ways the engine does, one task or a batch
+    /// per call: on-lattice slides (`release + period`, up to three),
+    /// ulp-off-lattice moves (`phase + k·period`, the engine's release
+    /// arithmetic), and sporadic gaps in `(T, 2T)`, which restart the
+    /// task's lattice.
+    fn move_bases(
+        rng: &mut Rng,
+        period: &[f64],
+        phase: &mut [f64],
+        index: &mut [u64],
+        basis: &mut [f64],
+    ) {
+        let n = period.len();
+        let batch = rng.below(4) == 0;
+        let first = rng.below(n as u64) as usize;
+        for i in 0..n {
+            if i != first && !(batch && rng.below(2) == 0) {
+                continue;
+            }
+            match rng.below(16) {
+                0..=5 => {
+                    for _ in 0..=rng.below(3) {
+                        basis[i] += period[i];
+                        index[i] += 1;
+                    }
+                }
+                6..=14 => {
+                    index[i] += 1 + rng.below(2);
+                    basis[i] = phase[i] + index[i] as f64 * period[i];
+                }
+                _ => {
+                    basis[i] += period[i] * rng.range_f64(1.0, 2.0);
+                    phase[i] = basis[i];
+                    index[i] = 0;
+                }
+            }
+        }
+    }
+
     /// Every repair of the cached sequence must leave exactly what a fresh
     /// build from the current release bases gives: the same live `(time,
     /// task, claim)` triples and chain states, bit for bit, with times
     /// non-decreasing over tombstones too (the block sweep binary-searches
-    /// them). The moves cover on-lattice slides (`release + period`),
+    /// them) and every block summary current. The moves cover on-lattice slides (`release + period`),
     /// ulp-off-lattice moves (`phase + k·period`, the engine's release
     /// arithmetic), sporadic gaps in `(T, 2T)`, multi-task batches, twin
     /// tasks whose events tie bit-for-bit, horizon growth, and runs of
@@ -1802,30 +2225,7 @@ mod tests {
             let mut horizon = 0.0;
             for epoch in 0..48u64 {
                 if epoch > 0 {
-                    let batch = rng.below(4) == 0;
-                    let first = rng.below(n as u64) as usize;
-                    for i in 0..n {
-                        if i != first && !(batch && rng.below(2) == 0) {
-                            continue;
-                        }
-                        match rng.below(16) {
-                            0..=5 => {
-                                for _ in 0..=rng.below(3) {
-                                    basis[i] += period[i];
-                                    index[i] += 1;
-                                }
-                            }
-                            6..=14 => {
-                                index[i] += 1 + rng.below(2);
-                                basis[i] = phase[i] + index[i] as f64 * period[i];
-                            }
-                            _ => {
-                                basis[i] += period[i] * rng.range_f64(1.0, 2.0);
-                                phase[i] = basis[i];
-                                index[i] = 0;
-                            }
-                        }
-                    }
+                    move_bases(rng, &period, &mut phase, &mut index, &mut basis);
                 }
                 let floor = (0..n).map(|i| basis[i] + drel[i]).fold(0.0, f64::max);
                 let growth = if rng.below(2) == 0 {
@@ -1836,6 +2236,7 @@ mod tests {
                 horizon = (horizon + growth).max(floor);
                 load_outlook(&mut analysis, &claim, &period, &drel, &basis, epoch);
                 analysis.ensure_seq(horizon);
+                analysis.check_seq();
 
                 let mut fresh = DemandAnalysis {
                     cache: analysis.cache.clone(),
@@ -1861,6 +2262,207 @@ mod tests {
             slides > 0 && restamps > 0 && splices > 0 && compactions > 0,
             "a repair path never ran: {slides} slides, {restamps} re-stamps, \
              {splices} splices, {compactions} compactions"
+        );
+    }
+
+    /// A time at or within `TIME_EPS` of a chain event of a random task:
+    /// the `k`-th event stepped as the cached sequence steps it, then left
+    /// as is or nudged either way by less than `TIME_EPS` (never below
+    /// `now`).
+    fn near_event(rng: &mut Rng, basis: &[f64], period: &[f64], drel: &[f64], now: f64) -> f64 {
+        let i = rng.below(basis.len() as u64) as usize;
+        let mut release = basis[i];
+        for _ in 0..rng.below(12) {
+            release += period[i];
+        }
+        let t = release + drel[i];
+        match rng.below(3) {
+            0 => t,
+            1 => t + rng.range_f64(0.0, TIME_EPS),
+            _ => (t - rng.range_f64(0.0, TIME_EPS)).max(now),
+        }
+    }
+
+    /// The fast sweep, taking whole blocks, must equal the reference sweep
+    /// bit for bit and visit no more events, dispatch after dispatch of a
+    /// sequence kept by every repair path (the moves of [`move_bases`],
+    /// horizon growth, compaction). Tasks span up to a 320:1 period
+    /// spread, with bit-tied twins and near twins inside `TIME_EPS`, so
+    /// groups straddle block boundaries; ready and ledger singletons sit
+    /// on sequence events, within `TIME_EPS` of them, or anywhere. In a
+    /// quarter of the cases the releases start `4·2^53·q` out and a ready
+    /// claim just under `2^53·q` is due first, so the running sum crosses
+    /// the exact range a few events in: blocks past it must be swept one
+    /// event at a time. Every block summary is checked against a fresh one
+    /// after every sweep, and blocks must be taken whole, and refused by
+    /// the range guard alone, somewhere in the run.
+    #[test]
+    fn block_sweep_matches_the_reference() {
+        let mut repairs = [0u64; 4];
+        let mut blocks = [0u64; 2];
+        stadvs_sim::rng::check("block_sweep_matches_the_reference", 96, |rng| {
+            let n = 1 + rng.below(6) as usize;
+            let crossing = rng.below(4) == 0;
+            let spread = if rng.below(2) == 0 { 1.0 } else { 20.0 };
+            let density = rng.range_f64(if crossing { 0.5 } else { 0.1 }, 1.0);
+            let (mut weight, mut period, mut drel, mut phase) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            for i in 0..n {
+                if i > 0 && rng.below(3) == 0 {
+                    // A bit-tied twin, or a near twin inside `TIME_EPS`.
+                    let j = rng.below(i as u64) as usize;
+                    let nudge = if rng.below(2) == 0 {
+                        0.0
+                    } else {
+                        rng.range_f64(0.0, 0.5 * TIME_EPS)
+                    };
+                    period.push(period[j]);
+                    drel.push(drel[j]);
+                    phase.push(phase[j] + nudge);
+                } else {
+                    let t = rng.range_f64(1.0, 16.0)
+                        / if spread > 1.0 {
+                            rng.range_f64(1.0, spread)
+                        } else {
+                            1.0
+                        };
+                    period.push(t);
+                    drel.push(t * rng.range_f64(0.5, 1.0));
+                    phase.push(rng.range_f64(0.0, t));
+                }
+                weight.push(rng.range_f64(0.05, 1.0));
+            }
+            // Claims at density `Σ claim_i/T_i = density ≤ 1`, the tail
+            // bound's premise.
+            let total: f64 = weight.iter().sum();
+            let claim: Vec<f64> = (0..n)
+                .map(|i| density * weight[i] / total * period[i])
+                .collect();
+            let max_period = period.iter().copied().fold(0.0, f64::max);
+            let grid = claim_grid(max_period);
+            let limit = grid * EXACT_SPAN;
+            if crossing {
+                for p in &mut phase {
+                    *p += 4.0 * limit;
+                }
+            }
+            let mut index = vec![0u64; n];
+            let mut basis = phase.clone();
+            let mut analysis = DemandAnalysis::new([0.25, 1.0, 4.0][rng.below(3) as usize]);
+            let mut now: f64 = 0.0;
+            for epoch in 0..24u64 {
+                if epoch > 0 {
+                    move_bases(rng, &period, &mut phase, &mut index, &mut basis);
+                }
+                load_outlook(&mut analysis, &claim, &period, &drel, &basis, epoch);
+                let earliest = basis.iter().copied().fold(f64::INFINITY, f64::min);
+                let first = analysis
+                    .cache
+                    .next_deadline
+                    .iter()
+                    .copied()
+                    .fold(f64::INFINITY, f64::min);
+                now = if crossing {
+                    now + rng.range_f64(0.0, max_period)
+                } else {
+                    now.max(earliest - rng.range_f64(0.0, max_period))
+                }
+                .min(earliest);
+
+                let mut ready = Vec::new();
+                for pos in 0..rng.below(5) as usize {
+                    let deadline = if rng.below(2) == 0 {
+                        near_event(rng, &basis, &period, &drel, now)
+                    } else {
+                        now + rng.range_f64(0.0, 2.0 * max_period)
+                    };
+                    let claim = on_grid(rng.range_f64(0.0, 0.5) * max_period, grid);
+                    ready.push(ReadyEvent {
+                        deadline,
+                        pos,
+                        claim,
+                    });
+                }
+                if crossing {
+                    // Just under the exact range, due before the first task
+                    // event; and a late job that stretches the window.
+                    let claim = on_grid(limit - rng.range_f64(0.5, 8.0) * max_period, grid);
+                    ready.push(ReadyEvent {
+                        deadline: (first - rng.range_f64(0.0, max_period)).max(now),
+                        pos: ready.len(),
+                        claim,
+                    });
+                    ready.push(ReadyEvent {
+                        deadline: first + rng.range_f64(2.0, 8.0) * max_period,
+                        pos: ready.len(),
+                        claim: on_grid(rng.range_f64(0.0, 0.5) * max_period, grid),
+                    });
+                }
+                let earliest_due = ready.iter().map(|e| e.deadline).min_by(f64::total_cmp);
+                let deadline = match (earliest_due, rng.below(4)) {
+                    (Some(d), 0 | 1) => d,
+                    (Some(_), 2) => ready[rng.below(ready.len() as u64) as usize].deadline,
+                    _ => now.max(first - max_period) + rng.range_f64(0.0, 4.0 * max_period),
+                };
+
+                // Ledger tags ascend and stay inside the horizon.
+                let cap = analysis.cache.first_deadlines.max(deadline);
+                let mut tags: Vec<f64> = (0..rng.below(4))
+                    .map(|_| {
+                        if rng.below(2) == 0 {
+                            near_event(rng, &basis, &period, &drel, now)
+                        } else {
+                            now + rng.range_f64(0.0, 2.0 * max_period)
+                        }
+                        .min(cap)
+                    })
+                    .collect();
+                tags.sort_by(f64::total_cmp);
+                tags.dedup_by(|a, b| a.to_bits() == b.to_bits());
+                let amounts: Vec<f64> = tags
+                    .iter()
+                    .map(|_| rng.range_f64(0.0, 0.3) * max_period)
+                    .collect();
+                analysis
+                    .cache
+                    .load_ledger(tags.iter().copied().zip(amounts.iter().copied()));
+
+                analysis.ready.clone_from(&ready);
+                let (slow, oracle_events) = analysis.sweep(now, deadline, false);
+                analysis.ready.clone_from(&ready);
+                let (fast, events) = analysis.sweep(now, deadline, true);
+                analysis.check_seq();
+                if fast.slack.to_bits() != slow.slack.to_bits()
+                    || fast.binding_claims.to_bits() != slow.binding_claims.to_bits()
+                {
+                    return Err(format!(
+                        "epoch {epoch}: fast sweep {fast:?} != reference {slow:?}"
+                    ));
+                }
+                if events > oracle_events {
+                    return Err(format!(
+                        "epoch {epoch}: fast sweep visited {events} events, reference {oracle_events}"
+                    ));
+                }
+            }
+            for (total, k) in repairs.iter_mut().zip(analysis.repair_counts) {
+                *total += k;
+            }
+            for (total, k) in blocks.iter_mut().zip(analysis.block_counts) {
+                *total += k;
+            }
+            Ok(())
+        });
+        let [slides, restamps, splices, compactions] = repairs;
+        assert!(
+            slides > 0 && restamps > 0 && splices > 0 && compactions > 0,
+            "a repair path never ran: {slides} slides, {restamps} re-stamps, \
+             {splices} splices, {compactions} compactions"
+        );
+        let [taken, guarded] = blocks;
+        assert!(
+            taken > 0 && guarded > 0,
+            "{taken} blocks taken whole, {guarded} refused by the range guard alone"
         );
     }
 

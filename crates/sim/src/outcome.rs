@@ -12,13 +12,16 @@ use crate::trace::Trace;
 /// per-dispatch slack analysis (zero for everything else).
 ///
 /// `events_swept / analyses` is the average number of checkpoint events the
-/// incremental analyzer actually visited per dispatch — the pruning-efficacy
-/// observable the bench gate and the differential tests track.
+/// incremental analyzer visited one by one per dispatch — the
+/// pruning-efficacy observable the bench gate and the differential tests
+/// track. Events the sweep adds as one block sum are not visited and do not
+/// count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AnalysisStats {
     /// Number of demand analyses performed over the run.
     pub analyses: u64,
-    /// Total checkpoint events visited across all analyses.
+    /// Total checkpoint events visited one by one across all analyses
+    /// (blocks taken whole do not count).
     pub events_swept: u64,
 }
 
