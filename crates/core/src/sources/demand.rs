@@ -27,6 +27,10 @@ const GRID_BITS: u64 = 41;
 /// every sum of them that stays below it.
 const EXACT_SPAN: f64 = 9_007_199_254_740_992.0;
 
+/// `2^49`: a release below `2^49` periods has at most one lattice index,
+/// and the division in [`Basis::of`] recovers it exactly (see there).
+const LATTICE_SPAN: f64 = 562_949_953_421_312.0;
+
 /// The claim grid `q` of a task set whose longest period is `max_period`.
 ///
 /// Every claim the analysis reads is a multiple of `q` ([`on_grid`]), so
@@ -45,6 +49,106 @@ fn claim_grid(max_period: f64) -> f64 {
 #[inline]
 fn on_grid(claim: f64, q: f64) -> f64 {
     (claim / q).ceil() * q
+}
+
+/// The engine's release expression, `anchor + index·period`
+/// (`Task::release_of` with the anchor as the phase).
+#[inline]
+#[expect(
+    clippy::as_conversions,
+    reason = "an index below 2^53 converts exactly, as the engine's does"
+)]
+fn lattice(anchor: f64, index: u64, period: f64) -> f64 {
+    anchor + index as f64 * period
+}
+
+/// The deadline of a chain event, `(anchor + index·period) + D`: the
+/// engine's `Task::deadline_of` with the anchor as the phase. Every chain
+/// event of the analysis, cached or streamed, is this expression.
+#[inline]
+fn chain_event(anchor: f64, index: u64, period: f64, drel: f64) -> f64 {
+    lattice(anchor, index, period) + drel
+}
+
+/// Where a task's deadline chain starts on the engine's release lattice:
+/// the task's next release is `lattice(anchor, index, period)` bit for
+/// bit, and event `j` of its chain is `chain_event(anchor, index + j, …)`.
+///
+/// A basis is a pure function of the view's next release, the task's phase
+/// and its period ([`Basis::of`]): `(phase, k)` when the release is
+/// `phase + k·period` bit for bit, `(release, 0)` otherwise (jitter,
+/// sporadic gaps). So a periodic release moves a chain along its own
+/// lattice — same anchor, larger index — and the analysis sees the release
+/// times the engine will produce.
+#[derive(Debug, Clone, Copy)]
+struct Basis {
+    /// The task's phase, the origin of its lattice.
+    phase: f64,
+    /// `phase` when the release lies on the lattice, else the release.
+    anchor: f64,
+    /// The release's lattice index; `0` off the lattice.
+    index: u64,
+}
+
+impl Basis {
+    /// The basis of a task with the given next release, phase and period.
+    ///
+    /// Below `release < 2^49·period` the lattice index is unique and the
+    /// rounded quotient finds it: with `m` the index and `u = 2^−53`, the
+    /// quotient `fl(fl(release − phase)/period)` is within `u·(4m +
+    /// phase/period)` of `m` to first order, under `5·2^49·u < 1/2`, and
+    /// lattice points a period apart are many ulps apart, so no other index
+    /// gives the same bits. Past that span, or when no index hits, the
+    /// release anchors its own chain.
+    #[expect(
+        clippy::as_conversions,
+        reason = "the rounded, non-negative quotient lies below 2^50"
+    )]
+    fn of(release: f64, phase: f64, period: f64) -> Basis {
+        if release < LATTICE_SPAN * period {
+            let k = ((release - phase) / period).round();
+            if k >= 0.0 {
+                if let Some(basis) = Basis::hit(release, phase, period, k as u64) {
+                    return basis;
+                }
+            }
+        }
+        Basis {
+            phase,
+            anchor: release,
+            index: 0,
+        }
+    }
+
+    /// [`Basis::of`] on the previous basis's phase, trying its index and
+    /// the one after it before the division: an index that hits inside the
+    /// span is the unique one, so the result is the same.
+    fn after(prev: Basis, release: f64, period: f64) -> Basis {
+        let phase = prev.phase;
+        if release < LATTICE_SPAN * period {
+            for index in [prev.index, prev.index.wrapping_add(1)] {
+                if let Some(basis) = Basis::hit(release, phase, period, index) {
+                    return basis;
+                }
+            }
+        }
+        Basis::of(release, phase, period)
+    }
+
+    /// The lattice basis `(phase, index)`, if it gives `release` bit for
+    /// bit.
+    fn hit(release: f64, phase: f64, period: f64, index: u64) -> Option<Basis> {
+        (lattice(phase, index, period).to_bits() == release.to_bits()).then_some(Basis {
+            phase,
+            anchor: phase,
+            index,
+        })
+    }
+
+    /// Whether two bases generate the same chain.
+    fn same_chain(self, other: Basis) -> bool {
+        self.anchor.to_bits() == other.anchor.to_bits() && self.index == other.index
+    }
 }
 
 /// Look-ahead slack analysis over the **canonical claims** of everything in
@@ -106,12 +210,14 @@ fn on_grid(claim: f64, q: f64) -> f64 {
 ///   invalidation key for the ready portion.
 /// * **the cached event sequence** — the merged periodic (task-stream)
 ///   events are kept between dispatches in exactly tournament-merge
-///   order and *repaired* when the release outlook moves: tombstoned
-///   slide drops on-lattice; off-lattice, the moved chain is re-stamped
-///   in its own slots when that keeps the order, and regenerated and
-///   spliced in otherwise (see `ensure_seq` and `repair_seq`). Every
-///   repair keeps the sequence's times non-decreasing, tombstones
-///   included. The per-dispatch sweep then merges only the few
+///   order and *repaired* when the release outlook moves. Every chain
+///   event is the engine's own release expression of the task's
+///   `Basis`, so a periodic release slides its chain along its lattice
+///   (tombstoned drops); a move off the lattice re-stamps the moved chain
+///   in its own slots when that keeps the order, and rebuilds the
+///   sequence otherwise (see `ensure_seq` and `repair_seq`). Every repair
+///   keeps the sequence's times non-decreasing, tombstones included. The
+///   per-dispatch sweep then merges only the few
 ///   ready/ledger singletons over this sequence (`sweep_overlay`), a
 ///   binary search and a plain loop per run of sequence events between
 ///   two singletons, instead of re-running the full tournament merge.
@@ -188,16 +294,13 @@ pub struct DemandAnalysis {
     /// the swept stream is exactly the compacted one. [`compact_seq`]
     /// (DemandAnalysis::compact_seq) reclaims them once `seq_stale` grows.
     seq_claim: Vec<f64>,
-    /// Double buffers for the splice repair (moves that reorder events).
-    seq_times_spare: Vec<f64>,
-    seq_task_spare: Vec<usize>,
-    seq_claim_spare: Vec<f64>,
     /// Per-task generator state at the **end** of the cached sequence —
     /// extending the horizon resumes these chains.
     chains: Vec<TaskChain>,
-    /// Release basis (bits) each task's cached chain was generated from;
-    /// a repair regenerates exactly the tasks whose basis moved.
-    seq_release: Vec<f64>,
+    /// The [`Basis`] each task's cached chain was generated from: a repair
+    /// slides the tasks whose basis moved along its lattice and
+    /// regenerates those whose anchor moved.
+    seq_basis: Vec<Basis>,
     seq_epoch: u64,
     seq_valid: bool,
     seq_horizon: f64,
@@ -209,16 +312,12 @@ pub struct DemandAnalysis {
     /// Scratch: the ready-job singletons, in registration order, sorted by
     /// `(deadline, position)` for the fast path.
     ready: Vec<ReadyEvent>,
-    /// Scratch: per-task changed flags for the splice repair.
-    changed: Vec<bool>,
-    /// Scratch: indices of the changed tasks (the splice's argmin only
-    /// competes these — untouched chains are pending beyond the old
-    /// coverage bound and cannot precede any kept event).
-    changed_idx: Vec<usize>,
-    /// Scratch: per-task lead-event drop counts for the slide fast path.
-    drops: Vec<u32>,
-    /// Scratch: regenerated `(time, task)` events of a re-stamp or splice.
-    new_events: Vec<(f64, usize)>,
+    /// Scratch: the tasks whose basis anchor moved, re-stamped in turn.
+    moved: Vec<usize>,
+    /// Scratch: per-task counts of the emitted events a slide drops.
+    drops: Vec<u64>,
+    /// Scratch: the regenerated event times of a re-stamp.
+    new_times: Vec<f64>,
     /// Scratch: sequence positions of the re-stamped task's live events.
     slots: Vec<usize>,
     analyses: u64,
@@ -237,20 +336,31 @@ pub struct DemandAnalysis {
 enum RepairPath {
     Slide,
     Restamp,
-    Splice,
+    Rebuild,
     Compact,
 }
 
 /// Generator state of one task's deadline chain in the cached sequence.
 ///
-/// Steps exactly like a task stream in [`DemandAnalysis::advance`]
-/// (`release += period; next = release + deadline_rel`), so resumed chain
-/// events are bit-identical to a from-scratch enumeration.
+/// Steps exactly like a task stream in [`DemandAnalysis::advance`]: the
+/// pending event of lattice index `index` lies at [`chain_event`] of the
+/// task's basis anchor, so resumed chain events are bit-identical to a
+/// from-scratch enumeration.
 #[derive(Debug, Clone, Copy)]
 struct TaskChain {
-    release: f64,
-    /// Next not-yet-emitted event time (`release + deadline_rel`).
+    /// Lattice index of the pending event.
+    index: u64,
+    /// Next not-yet-emitted event time, `chain_event(anchor, index, …)`.
     next: f64,
+}
+
+impl TaskChain {
+    /// Steps the chain to its next lattice event.
+    #[inline]
+    fn step(&mut self, anchor: f64, period: f64, drel: f64) {
+        self.index += 1;
+        self.next = chain_event(anchor, self.index, period, drel);
+    }
 }
 
 /// A ready-job singleton: deadline, registration position (the tie-break
@@ -362,8 +472,10 @@ struct DispatchCache {
     /// `q·Σ_i 1/T_i`, a bound on how much faster than the unrounded rates
     /// the grid claims accrue (see [`prune_safety`]).
     grid_drift: f64,
-    /// Per-task next release instant (refreshed per release epoch).
-    release: Vec<f64>,
+    /// Per-task [`Basis`] of the next release: the phase is loaded with
+    /// the task layer, the anchor and index per release epoch (the previous
+    /// epoch's index is the derivation's first guess).
+    basis: Vec<Basis>,
     /// Per-task next absolute deadline `release + drel`.
     next_deadline: Vec<f64>,
     /// `max_i next_deadline_i` — structural floor of the horizon.
@@ -381,17 +493,24 @@ struct DispatchCache {
 
 impl DispatchCache {
     /// Loads the task-descriptor layer from each task's `(claim, period,
-    /// relative deadline)`: the grid from the longest period, each claim
-    /// rounded up to it, and each unrounded claim's accrual rate.
-    fn load_tasks(&mut self, tasks: impl Iterator<Item = (f64, f64, f64)>) {
+    /// relative deadline, phase)`: the grid from the longest period, each
+    /// claim rounded up to it, each unrounded claim's accrual rate, and
+    /// each task's lattice (its release basis at index zero).
+    fn load_tasks(&mut self, tasks: impl Iterator<Item = (f64, f64, f64, f64)>) {
         self.claim.clear();
         self.rate.clear();
         self.period.clear();
         self.drel.clear();
-        for (claim, period, drel) in tasks {
+        self.basis.clear();
+        for (claim, period, drel, phase) in tasks {
             self.claim.push(claim);
             self.period.push(period);
             self.drel.push(drel);
+            self.basis.push(Basis {
+                phase,
+                anchor: phase,
+                index: 0,
+            });
         }
         self.n_tasks = self.claim.len();
         self.max_period = self.period.iter().copied().fold(0.0, f64::max);
@@ -408,15 +527,14 @@ impl DispatchCache {
 
     /// Loads the release outlook from each task's next release.
     fn load_releases(&mut self, releases: impl Iterator<Item = f64>) {
-        self.release.clear();
         self.next_deadline.clear();
         let mut first_deadlines = 0.0;
         let mut vmax = f64::NEG_INFINITY;
         for (i, release) in releases.enumerate() {
+            self.basis[i] = Basis::after(self.basis[i], release, self.period[i]);
             let next_deadline = release + self.drel[i];
             first_deadlines = f64::max(first_deadlines, next_deadline);
             vmax = f64::max(vmax, next_deadline - self.period[i]);
-            self.release.push(release);
             self.next_deadline.push(next_deadline);
         }
         self.first_deadlines = first_deadlines;
@@ -482,13 +600,15 @@ fn key_stream(key: u128) -> usize {
 /// Event generator state for one stream.
 ///
 /// Ready jobs and ledger entries are singletons; a task stream yields one
-/// event per in-window release, generated on demand by stepping `release`
-/// by the period — the same float accumulation a materialized enumeration
-/// performs, so event times are bit-identical.
+/// event per in-window release, generated on demand by stepping the
+/// lattice index of its [`Basis`] — each event is [`chain_event`], the
+/// expression the cached chains use, so event times are bit-identical.
 #[derive(Debug, Clone, Copy, Default)]
 struct StreamStep {
-    /// Current release instant (task streams only).
-    release: f64,
+    /// The basis anchor (task streams only).
+    anchor: f64,
+    /// Lattice index of the current event (task streams only).
+    index: u64,
     /// Release period for task streams; `0.0` marks a singleton.
     period: f64,
     /// Relative deadline (task streams only).
@@ -499,7 +619,8 @@ impl StreamStep {
     /// A singleton event source (ready-job deadline or ledger tag): one
     /// event, then exhausted.
     const SINGLETON: StreamStep = StreamStep {
-        release: 0.0,
+        anchor: 0.0,
+        index: 0,
         period: 0.0,
         deadline_rel: 0.0,
     };
@@ -885,21 +1006,17 @@ impl DemandAnalysis {
             seq_times: Vec::new(),
             seq_task: Vec::new(),
             seq_claim: Vec::new(),
-            seq_times_spare: Vec::new(),
-            seq_task_spare: Vec::new(),
-            seq_claim_spare: Vec::new(),
             chains: Vec::new(),
-            seq_release: Vec::new(),
+            seq_basis: Vec::new(),
             seq_epoch: 0,
             seq_valid: false,
             seq_horizon: 0.0,
             seq_stale: 0,
             blocks: Vec::new(),
             ready: Vec::new(),
-            changed: Vec::new(),
-            changed_idx: Vec::new(),
+            moved: Vec::new(),
             drops: Vec::new(),
-            new_events: Vec::new(),
+            new_times: Vec::new(),
             slots: Vec::new(),
             analyses: 0,
             events_swept: 0,
@@ -1209,10 +1326,12 @@ impl DemandAnalysis {
         for i in 0..n_tasks {
             let next_deadline = self.cache.next_deadline[i];
             if next_deadline <= horizon + TIME_EPS {
+                let basis = self.cache.basis[i];
                 self.claims[live] = self.cache.claim[i];
                 self.heads[live] = next_deadline;
                 self.steps[live] = StreamStep {
-                    release: self.cache.release[i],
+                    anchor: basis.anchor,
+                    index: basis.index,
                     period: self.cache.period[i],
                     deadline_rel: self.cache.drel[i],
                 };
@@ -1273,49 +1392,32 @@ impl DemandAnalysis {
     /// release epoch and covers `horizon`:
     ///
     /// * invalidated (pool reset, task set change) - full rebuild;
-    /// * release epoch advanced (job release) - per-task **repair**: only
-    ///   the chains whose release basis moved are regenerated and merged
-    ///   back with the untouched remainder in one streaming pass;
+    /// * release epoch advanced (job release) - per-task **repair**: a
+    ///   chain whose basis moved along its lattice drops its leading
+    ///   events, and only the chains whose anchor moved are regenerated
+    ///   (see [`repair_seq`](DemandAnalysis::repair_seq));
     /// * horizon slid forward - pure tail **extension**, resuming the
     ///   saved chain states.
     ///
-    /// Event times step exactly as [`advance`](DemandAnalysis::advance)
-    /// does, so the sequence is bit-identical to a from-scratch merge.
+    /// Every event is [`chain_event`] of its task's basis, as in
+    /// [`advance`](DemandAnalysis::advance), so the sequence is
+    /// bit-identical to a from-scratch merge.
     fn ensure_seq(&mut self, horizon: f64) {
         let n = self.cache.n_tasks;
         if !self.seq_valid || self.chains.len() != n {
-            self.chains.clear();
-            for i in 0..n {
-                self.chains.push(TaskChain {
-                    release: self.cache.release[i],
-                    next: self.cache.next_deadline[i],
-                });
-            }
-            self.seq_release.clear();
-            self.seq_release.extend_from_slice(&self.cache.release);
-            self.seq_times.clear();
-            self.seq_task.clear();
-            self.seq_claim.clear();
-            self.blocks.clear();
-            self.seq_stale = 0;
-            self.seq_horizon = horizon;
-            self.seq_epoch = self.cache.release_epoch;
-            self.extend_seq(horizon);
-            self.seq_valid = true;
+            self.rebuild_seq(horizon);
             // Size the repair scratch here, so that a run allocates it at
             // its first analysis, not at its first repair: no task has more
             // events than the sequence holds.
             let len = self.seq_times.len();
-            self.new_events.clear();
-            self.new_events.reserve(len);
+            self.new_times.clear();
+            self.new_times.reserve(len);
             self.slots.clear();
             self.slots.reserve(len);
             self.drops.clear();
             self.drops.reserve(n);
-            self.changed.clear();
-            self.changed.reserve(n);
-            self.changed_idx.clear();
-            self.changed_idx.reserve(n);
+            self.moved.clear();
+            self.moved.reserve(n);
         } else if self.seq_epoch != self.cache.release_epoch {
             self.repair_seq(horizon);
         } else if horizon > self.seq_horizon {
@@ -1326,12 +1428,42 @@ impl DemandAnalysis {
         self.check_seq();
     }
 
+    /// Builds the cached sequence afresh from the cached bases, covering
+    /// `horizon`.
+    fn rebuild_seq(&mut self, horizon: f64) {
+        let n = self.cache.n_tasks;
+        self.chains.clear();
+        for i in 0..n {
+            self.chains.push(TaskChain {
+                index: self.cache.basis[i].index,
+                next: self.cache.next_deadline[i],
+            });
+        }
+        self.seq_basis.clone_from(&self.cache.basis);
+        self.seq_times.clear();
+        self.seq_task.clear();
+        self.seq_claim.clear();
+        self.blocks.clear();
+        self.seq_stale = 0;
+        self.seq_horizon = horizon;
+        self.seq_epoch = self.cache.release_epoch;
+        self.extend_seq(horizon);
+        self.seq_valid = true;
+    }
+
     /// Self-check of the cached sequence's invariants: times
     /// non-decreasing with tombstones included, live events strictly
     /// increasing in `(time, task)` with their task's claim, the stale
-    /// count exact, every chain pending beyond the coverage bound, and
-    /// every block summary equal, bit for bit, to a fresh one. Runs after
-    /// every sequence update in debug builds.
+    /// count exact, every chain pending beyond the coverage bound at the
+    /// [`chain_event`] of its basis, every stored basis equal to a fresh
+    /// derivation from the cached release, and every block summary equal,
+    /// bit for bit, to a fresh one. Runs after every sequence update in
+    /// debug builds.
+    ///
+    /// The basis checks matter because the debug re-check in
+    /// [`analyze`](DemandAnalysis::analyze) reloads every cache layer at
+    /// every dispatch: a basis carried over stale would otherwise pass
+    /// every dev-profile comparison.
     #[cfg(any(test, debug_assertions))]
     fn check_seq(&self) {
         let bound = self.seq_horizon + TIME_EPS;
@@ -1364,6 +1496,37 @@ impl DemandAnalysis {
             self.chains.iter().all(|c| c.next > bound),
             "a chain's pending event lies inside the coverage bound"
         );
+        assert_eq!(
+            self.seq_basis.len(),
+            self.chains.len(),
+            "basis count drifted"
+        );
+        for (i, (chain, basis)) in self.chains.iter().zip(&self.seq_basis).enumerate() {
+            let (period, drel) = (self.cache.period[i], self.cache.drel[i]);
+            let pending = chain_event(basis.anchor, chain.index, period, drel);
+            assert_eq!(
+                chain.next.to_bits(),
+                pending.to_bits(),
+                "task {i}'s pending event is off its basis's lattice"
+            );
+            let cached = self.cache.basis[i];
+            // A sweep that skips the repair leaves the sequence an epoch
+            // behind the cache until the next one that sweeps.
+            assert!(
+                self.seq_epoch != self.cache.release_epoch || basis.same_chain(cached),
+                "task {i}'s chain basis is stale"
+            );
+            let release = lattice(cached.anchor, cached.index, period);
+            assert!(
+                Basis::of(release, cached.phase, period).same_chain(cached),
+                "task {i}'s basis differs from a fresh derivation"
+            );
+            assert_eq!(
+                (release + drel).to_bits(),
+                self.cache.next_deadline[i].to_bits(),
+                "task {i}'s basis is not its next release's"
+            );
+        }
         assert_eq!(
             self.blocks.len(),
             self.seq_times.len() / BLOCK,
@@ -1450,9 +1613,11 @@ impl DemandAnalysis {
             self.seq_times.push(best_t);
             self.seq_task.push(best);
             self.seq_claim.push(self.cache.claim[best]);
-            let c = &mut self.chains[best];
-            c.release += self.cache.period[best];
-            c.next = c.release + self.cache.drel[best];
+            self.chains[best].step(
+                self.seq_basis[best].anchor,
+                self.cache.period[best],
+                self.cache.drel[best],
+            );
         }
         self.summarize_from(self.blocks.len());
     }
@@ -1465,230 +1630,117 @@ impl DemandAnalysis {
     /// them — and its live events in strictly increasing `(time, task)`
     /// order, the tournament merge's.
     ///
-    /// **Slide fast path**: when every moved release basis advanced along
-    /// its chain's additive lattice (`release += period`, bit-checked),
-    /// the regenerated chain is the old one minus its leading events — all
-    /// later events are produced by the identical float operations on the
-    /// identical operands. The repair tombstones each slid task's first
-    /// `k` live events in place (no memmove; see the `seq_claim` field
-    /// doc), steps the saved chain state over any drops beyond the
-    /// emitted prefix, and compacts once enough tombstones pile up.
+    /// **Slides.** A task whose basis kept its anchor and advanced its
+    /// index moved along its own lattice, as every periodic release does:
+    /// its new chain is the old one minus the events before the new index,
+    /// every later event the same expression of the same operands. The
+    /// repair tombstones the task's emitted events among the dropped ones
+    /// in place (no memmove; see the `seq_claim` field doc); a new index
+    /// past the emitted prefix jumps the chain to it in one step.
     ///
-    /// **General path** (a basis moved off the chain's lattice). The
-    /// engine computes a release as `phase + index·period` while a chain
-    /// steps `release += period`, so periodic releases miss the slide by
-    /// an ulp as often as not; jitter and sporadic gaps move it further.
-    /// Each changed task is first re-stamped in place
-    /// ([`restamp`](DemandAnalysis::restamp)); from the first task that
-    /// cannot be, the rest are regenerated from their new bases as one
-    /// merged stream (argmin over those chains) and spliced past the kept
-    /// events in one two-way pass into the spare buffers (then swapped,
-    /// dropping tombstones for free). Untouched and re-stamped chains are
-    /// pending beyond the old coverage bound, so they cannot precede any
-    /// kept event and never enter the merge.
+    /// **Off-lattice moves** (a new anchor: jitter and sporadic gaps).
+    /// Each such task is re-stamped in place
+    /// ([`restamp`](DemandAnalysis::restamp)); when one cannot be, its new
+    /// events would reorder the sequence, which is then built afresh from
+    /// the cached bases.
     ///
     /// Every path also extends coverage to `horizon` when it moved past
     /// the cached one.
     fn repair_seq(&mut self, horizon: f64) {
         let n = self.cache.n_tasks;
-        // Slide detection: walk each moved basis forward along the old
-        // additive lattice and require a bit-exact hit.
-        // Generous: a slide step is one float add, and covering a long idle
-        // gap (many releases of a short-period task between dispatches) on
-        // the fast path is far cheaper than any merge repair.
-        const MAX_SLIDE: u32 = 512;
         self.drops.clear();
         self.drops.resize(n, 0);
-        let mut slide_ok = true;
-        let mut total_drops: u32 = 0;
-        self.changed.clear();
-        self.changed.resize(n, false);
-        self.changed_idx.clear();
+        self.moved.clear();
+        let mut slid = false;
+        let mut total_drops = 0;
         for i in 0..n {
-            // An identical basis (bit for bit) means an identical chain.
-            if self.cache.release[i].to_bits() == self.seq_release[i].to_bits() {
+            let (old, new) = (self.seq_basis[i], self.cache.basis[i]);
+            if old.same_chain(new) {
                 continue;
             }
-            self.changed[i] = true;
-            self.changed_idx.push(i);
-            if slide_ok {
-                let target_bits = self.cache.release[i].to_bits();
-                let mut r = self.seq_release[i];
-                let mut steps: u32 = 0;
-                loop {
-                    r += self.cache.period[i];
-                    steps += 1;
-                    if r.to_bits() == target_bits {
-                        self.drops[i] = steps;
-                        total_drops += steps;
-                        break;
-                    }
-                    if steps >= MAX_SLIDE || r > self.cache.release[i] {
-                        slide_ok = false;
-                        break;
-                    }
-                }
+            if old.anchor.to_bits() != new.anchor.to_bits() || new.index < old.index {
+                self.moved.push(i);
+                continue;
             }
+            slid = true;
+            // The chain's emitted events are its indices `old.index..`
+            // `chain.index`, all live.
+            let chain = &mut self.chains[i];
+            let drops = (new.index - old.index).min(chain.index.saturating_sub(old.index));
+            if new.index > chain.index {
+                *chain = TaskChain {
+                    index: new.index,
+                    next: self.cache.next_deadline[i],
+                };
+            }
+            self.drops[i] = drops;
+            total_drops += drops;
         }
-        self.seq_release.clear();
-        self.seq_release.extend_from_slice(&self.cache.release);
+        self.seq_basis.clone_from(&self.cache.basis);
         self.seq_epoch = self.cache.release_epoch;
-        if self.changed_idx.is_empty() {
-            if horizon > self.seq_horizon {
-                self.seq_horizon = horizon;
-                self.extend_seq(horizon);
-            }
-            return;
-        }
-        if slide_ok {
-            self.count_repair(RepairPath::Slide);
-            if total_drops == 1 {
-                // Overwhelmingly common: one task released one job. Its
-                // earliest remaining event (if emitted) leads the drop.
-                let task = self.changed_idx[0];
-                match self.seq_task.iter().position(|&t| t == task) {
-                    Some(idx) => {
-                        self.seq_task[idx] = usize::MAX;
-                        self.seq_claim[idx] = TOMBSTONE;
-                        self.seq_stale += 1;
-                        self.resummarize(idx / BLOCK);
-                    }
-                    None => {
-                        // Nothing emitted yet: skip the pending event.
-                        let c = &mut self.chains[task];
-                        c.release += self.cache.period[task];
-                        c.next = c.release + self.cache.drel[task];
-                    }
-                }
-            } else {
-                let mut pending = total_drops;
-                // The block of the latest tombstone, re-summarized once the
-                // walk leaves it.
-                let mut touched = None;
-                for p in 0..self.seq_task.len() {
-                    let t = self.seq_task[p];
-                    // `t < n` also filters earlier tombstones.
-                    if t < n && self.drops[t] > 0 {
-                        self.drops[t] -= 1;
-                        self.seq_task[p] = usize::MAX;
-                        self.seq_claim[p] = TOMBSTONE;
-                        self.seq_stale += 1;
-                        if let Some(b) = touched.filter(|&b| b != p / BLOCK) {
-                            self.resummarize(b);
-                        }
-                        touched = Some(p / BLOCK);
-                        pending -= 1;
-                        if pending == 0 {
-                            break;
-                        }
-                    }
-                }
-                if let Some(b) = touched {
-                    self.resummarize(b);
-                }
-                // Drops past the emitted prefix skip pending events.
-                for k in 0..self.changed_idx.len() {
-                    let i = self.changed_idx[k];
-                    for _ in 0..self.drops[i] {
-                        let c = &mut self.chains[i];
-                        c.release += self.cache.period[i];
-                        c.next = c.release + self.cache.drel[i];
-                    }
-                }
+        self.tombstone_drops(total_drops);
+        if self.moved.is_empty() {
+            if slid {
+                self.count_repair(RepairPath::Slide);
             }
             self.finish_in_place(horizon);
             return;
         }
         let old_bound = self.seq_horizon + TIME_EPS;
-        let mut restamped = 0;
-        while restamped < self.changed_idx.len()
-            && self.restamp(self.changed_idx[restamped], old_bound)
-        {
-            self.changed[self.changed_idx[restamped]] = false;
-            restamped += 1;
+        for k in 0..self.moved.len() {
+            if !self.restamp(self.moved[k], old_bound) {
+                // The moved chain reorders events: build afresh.
+                self.count_repair(RepairPath::Rebuild);
+                self.rebuild_seq(self.seq_horizon.max(horizon));
+                return;
+            }
         }
-        if restamped == self.changed_idx.len() {
-            self.count_repair(RepairPath::Restamp);
-            self.finish_in_place(horizon);
+        self.count_repair(RepairPath::Restamp);
+        self.finish_in_place(horizon);
+    }
+
+    /// Tombstones the leading `drops[i]` live events of every slid task,
+    /// `total` in all.
+    fn tombstone_drops(&mut self, total: u64) {
+        if total == 1 {
+            // Overwhelmingly common: one task released one job, and its
+            // earliest emitted event leads the drop.
+            if let Some(task) = self.drops.iter().position(|&d| d > 0) {
+                if let Some(p) = self.seq_task.iter().position(|&t| t == task) {
+                    self.seq_task[p] = usize::MAX;
+                    self.seq_claim[p] = TOMBSTONE;
+                    self.seq_stale += 1;
+                    self.resummarize(p / BLOCK);
+                }
+            }
             return;
         }
-        self.count_repair(RepairPath::Splice);
-        self.changed_idx.drain(..restamped);
-        // Splice: regenerate each remaining changed chain from its new
-        // basis up to the old coverage bound, sort the regenerated events
-        // once, and splice them into the kept events in a single two-way
-        // pass (then extend if the horizon also moved — the regenerated
-        // chains are already stepped past the bound, so the extension's
-        // argmin interleaves every chain correctly). Ties are only
-        // possible across distinct tasks and go to the lower task index,
-        // as the packed keys of the tournament merge would.
-        self.new_events.clear();
-        for &i in &self.changed_idx {
-            self.chains[i] = TaskChain {
-                release: self.cache.release[i],
-                next: self.cache.next_deadline[i],
-            };
-        }
-        // Emit the changed chains' merged stream (earliest first, ties to
-        // the lower task index — the strict `<` argmin provides both).
-        loop {
-            let mut best = usize::MAX;
-            let mut best_t = f64::INFINITY;
-            for &i in &self.changed_idx {
-                if self.chains[i].next < best_t {
-                    best_t = self.chains[i].next;
-                    best = i;
-                }
-            }
-            if best_t > old_bound {
+        let n = self.drops.len();
+        let mut pending = total;
+        // The block of the latest tombstone, re-summarized once the walk
+        // leaves it.
+        let mut touched = None;
+        for p in 0..self.seq_task.len() {
+            if pending == 0 {
                 break;
             }
-            self.new_events.push((best_t, best));
-            let c = &mut self.chains[best];
-            c.release += self.cache.period[best];
-            c.next = c.release + self.cache.drel[best];
-        }
-        self.seq_times_spare.clear();
-        self.seq_task_spare.clear();
-        self.seq_claim_spare.clear();
-        let mut q = 0usize;
-        for p in 0..self.seq_times.len() {
-            let old_task = self.seq_task[p];
-            if old_task == usize::MAX || self.changed[old_task] {
-                // Tombstone, or stale event of a regenerated chain. New
-                // events that would have sorted before it are emitted
-                // ahead of the next kept event instead — same order.
-                continue;
-            }
-            let old_t = self.seq_times[p];
-            while q < self.new_events.len() {
-                let (t, i) = self.new_events[q];
-                if t < old_t || (t.to_bits() == old_t.to_bits() && i < old_task) {
-                    self.seq_times_spare.push(t);
-                    self.seq_task_spare.push(i);
-                    self.seq_claim_spare.push(self.cache.claim[i]);
-                    q += 1;
-                } else {
-                    break;
+            let t = self.seq_task[p];
+            // `t < n` also filters earlier tombstones.
+            if t < n && self.drops[t] > 0 {
+                self.drops[t] -= 1;
+                self.seq_task[p] = usize::MAX;
+                self.seq_claim[p] = TOMBSTONE;
+                self.seq_stale += 1;
+                if let Some(b) = touched.filter(|&b| b != p / BLOCK) {
+                    self.resummarize(b);
                 }
+                touched = Some(p / BLOCK);
+                pending -= 1;
             }
-            self.seq_times_spare.push(old_t);
-            self.seq_task_spare.push(old_task);
-            self.seq_claim_spare.push(self.seq_claim[p]);
         }
-        for &(t, i) in &self.new_events[q..] {
-            self.seq_times_spare.push(t);
-            self.seq_task_spare.push(i);
-            self.seq_claim_spare.push(self.cache.claim[i]);
+        if let Some(b) = touched {
+            self.resummarize(b);
         }
-        std::mem::swap(&mut self.seq_times, &mut self.seq_times_spare);
-        std::mem::swap(&mut self.seq_task, &mut self.seq_task_spare);
-        std::mem::swap(&mut self.seq_claim, &mut self.seq_claim_spare);
-        self.seq_stale = 0; // the splice dropped every tombstone
-        self.blocks.clear(); // re-summarized by the extension below
-        let target = self.seq_horizon.max(horizon);
-        self.seq_horizon = target;
-        self.extend_seq(target);
     }
 
     /// Counts a repair path in unit-test builds.
@@ -1699,7 +1751,7 @@ impl DemandAnalysis {
             let k = match path {
                 RepairPath::Slide => 0,
                 RepairPath::Restamp => 1,
-                RepairPath::Splice => 2,
+                RepairPath::Rebuild => 2,
                 RepairPath::Compact => 3,
             };
             self.repair_counts[k] += 1;
@@ -1736,19 +1788,19 @@ impl DemandAnalysis {
     /// count as tombstones). Neighbours of the same task are re-stamped in
     /// order and increase by construction. Returns `false`, having changed
     /// nothing, when the check fails or the new chain has more events
-    /// than the old one kept — the caller then splices.
+    /// than the old one kept — the caller then rebuilds the sequence.
     fn restamp(&mut self, i: usize, bound: f64) -> bool {
         let period = self.cache.period[i];
         let drel = self.cache.drel[i];
+        let anchor = self.seq_basis[i].anchor;
         let mut chain = TaskChain {
-            release: self.cache.release[i],
+            index: self.seq_basis[i].index,
             next: self.cache.next_deadline[i],
         };
-        self.new_events.clear();
+        self.new_times.clear();
         while chain.next <= bound {
-            self.new_events.push((chain.next, i));
-            chain.release += period;
-            chain.next = chain.release + drel;
+            self.new_times.push(chain.next);
+            chain.step(anchor, period, drel);
         }
         self.slots.clear();
         self.slots.extend(
@@ -1759,19 +1811,19 @@ impl DemandAnalysis {
         );
         let times = &self.seq_times;
         let tasks = &self.seq_task;
-        let lead = match self.new_events.first() {
-            Some(&(first, _)) => {
+        let lead = match self.new_times.first() {
+            Some(&first) => {
                 let cut = first - 0.5 * period;
                 self.slots.partition_point(|&p| times[p] < cut)
             }
             None => self.slots.len(),
         };
-        let fresh = self.new_events.len();
+        let fresh = self.new_times.len();
         let Some(trail) = self.slots.len().checked_sub(lead + fresh) else {
             return false;
         };
         let kept = &self.slots[lead..lead + fresh];
-        for (j, (&slot, &(t, _))) in kept.iter().zip(&self.new_events).enumerate() {
+        for (j, (&slot, &t)) in kept.iter().zip(&self.new_times).enumerate() {
             // Left, to the nearest live event of another task. The task's
             // own slots left of its first re-stamped one are leading drops
             // (tombstones to be); any later one stops at its predecessor.
@@ -1815,7 +1867,7 @@ impl DemandAnalysis {
                 break;
             }
         }
-        for (&slot, &(t, _)) in kept.iter().zip(&self.new_events) {
+        for (&slot, &t) in kept.iter().zip(&self.new_times) {
             self.seq_times[slot] = t;
         }
         for &slot in self.slots[..lead].iter().chain(&self.slots[lead + fresh..]) {
@@ -1845,11 +1897,14 @@ impl DemandAnalysis {
         let n = tasks.len();
         let cache = &mut self.cache;
         if !cache.valid || cache.n_tasks != n {
-            cache.load_tasks(
-                tasks
-                    .iter()
-                    .map(|(id, task)| (pool.claim_of(id), task.period(), task.deadline())),
-            );
+            cache.load_tasks(tasks.iter().map(|(id, task)| {
+                (
+                    pool.claim_of(id),
+                    task.period(),
+                    task.deadline(),
+                    task.phase(),
+                )
+            }));
             cache.releases_valid = false;
             cache.ledger_valid = false;
             cache.valid = true;
@@ -1931,16 +1986,15 @@ impl DemandAnalysis {
     /// `tree[0]` (also returned) — one load per level, branchless
     /// (`u128` min/max compile to compare+select).
     ///
-    /// Task streams step to their next in-window release — the same float
-    /// accumulation (`release += period`) the materialized enumeration
-    /// performed, so event times are bit-identical; exhausted streams park
-    /// at `∞` and never win again.
+    /// Task streams step to their next in-window lattice event — the
+    /// [`chain_event`] expression the cached chains use, so event times are
+    /// bit-identical; exhausted streams park at `∞` and never win again.
     #[inline]
     fn advance(&mut self, w: usize, horizon: f64) -> u128 {
         let step = &mut self.steps[w];
         let time = if step.period > 0.0 {
-            step.release += step.period;
-            let next = step.release + step.deadline_rel;
+            step.index += 1;
+            let next = chain_event(step.anchor, step.index, step.period, step.deadline_rel);
             if next <= horizon + TIME_EPS {
                 next
             } else {
@@ -1991,7 +2045,8 @@ mod tests {
             analysis.claims[live] = claim;
             analysis.heads[live] = time + deadline_rel;
             analysis.steps[live] = StreamStep {
-                release: time,
+                anchor: time,
+                index: 0,
                 period,
                 deadline_rel,
             };
@@ -2040,14 +2095,12 @@ mod tests {
                 } else {
                     let period = 0.5 + rand(4) as f64 * 0.75;
                     let deadline_rel = rand(3) as f64 * 0.5;
-                    let mut release = time;
-                    loop {
-                        let deadline = release + deadline_rel;
+                    for k in 0.. {
+                        let deadline = chain_event(time, k, period, deadline_rel);
                         if deadline > horizon + TIME_EPS {
                             break;
                         }
                         reference.push((deadline, claim));
-                        release += period;
                     }
                     if time + deadline_rel <= horizon + TIME_EPS {
                         specs.push((time, claim, period, deadline_rel));
@@ -2111,23 +2164,25 @@ mod tests {
     }
 
     /// Points the analysis's task and release-outlook cache layers at
-    /// the given tasks, as `refresh_cache` would.
+    /// the given tasks (their phases and next releases), as
+    /// `refresh_cache` would.
     fn load_outlook(
         analysis: &mut DemandAnalysis,
         claim: &[f64],
         period: &[f64],
         drel: &[f64],
+        phase: &[f64],
         release: &[f64],
         epoch: u64,
     ) {
         let cache = &mut analysis.cache;
-        cache.load_tasks((0..claim.len()).map(|i| (claim[i], period[i], drel[i])));
+        cache.load_tasks((0..claim.len()).map(|i| (claim[i], period[i], drel[i], phase[i])));
         cache.load_releases(release.iter().copied());
         cache.release_epoch = epoch;
     }
 
     /// The live `(time, task, claim)` triples of the cached sequence, as
-    /// bits, and each chain's pending `(release, next)` state.
+    /// bits, and each chain's pending `(index, next)` state.
     type SeqBits = (Vec<(u64, usize, u64)>, Vec<(u64, u64)>);
 
     fn seq_bits(analysis: &DemandAnalysis) -> SeqBits {
@@ -2144,22 +2199,24 @@ mod tests {
         let chains = analysis
             .chains
             .iter()
-            .map(|c| (c.release.to_bits(), c.next.to_bits()))
+            .map(|c| (c.index, c.next.to_bits()))
             .collect();
         (live, chains)
     }
 
-    /// Moves release bases the ways the engine does, one task or a batch
-    /// per call: on-lattice slides (`release + period`, up to three),
-    /// ulp-off-lattice moves (`phase + k·period`, the engine's release
-    /// arithmetic), and sporadic gaps in `(T, 2T)`, which restart the
-    /// task's lattice.
+    /// Moves next releases the ways the engine and the fault channels
+    /// do, one task or a batch per call: lattice moves `origin +
+    /// k·period` (the engine's release arithmetic), additive steps
+    /// (`release + period`, up to three, on the lattice or an ulp off it),
+    /// and sporadic gaps in `(T, 2T)`, which restart the generator at a new
+    /// origin. Until then the origin is the task's phase, so lattice moves
+    /// slide; from then on they lie off the task's lattice.
     fn move_bases(
         rng: &mut Rng,
         period: &[f64],
-        phase: &mut [f64],
+        origin: &mut [f64],
         index: &mut [u64],
-        basis: &mut [f64],
+        release: &mut [f64],
     ) {
         let n = period.len();
         let batch = rng.below(4) == 0;
@@ -2171,17 +2228,17 @@ mod tests {
             match rng.below(16) {
                 0..=5 => {
                     for _ in 0..=rng.below(3) {
-                        basis[i] += period[i];
+                        release[i] += period[i];
                         index[i] += 1;
                     }
                 }
                 6..=14 => {
                     index[i] += 1 + rng.below(2);
-                    basis[i] = phase[i] + index[i] as f64 * period[i];
+                    release[i] = origin[i] + index[i] as f64 * period[i];
                 }
                 _ => {
-                    basis[i] += period[i] * rng.range_f64(1.0, 2.0);
-                    phase[i] = basis[i];
+                    release[i] += period[i] * rng.range_f64(1.0, 2.0);
+                    origin[i] = release[i];
                     index[i] = 0;
                 }
             }
@@ -2192,10 +2249,11 @@ mod tests {
     /// build from the current release bases gives: the same live `(time,
     /// task, claim)` triples and chain states, bit for bit, with times
     /// non-decreasing over tombstones too (the block sweep binary-searches
-    /// them) and every block summary current. The moves cover on-lattice slides (`release + period`),
-    /// ulp-off-lattice moves (`phase + k·period`, the engine's release
-    /// arithmetic), sporadic gaps in `(T, 2T)`, multi-task batches, twin
-    /// tasks whose events tie bit-for-bit, horizon growth, and runs of
+    /// them) and every block summary current. The moves cover lattice
+    /// slides (`phase + k·period`, the engine's release arithmetic),
+    /// additive steps that land an ulp off the lattice, sporadic gaps in
+    /// `(T, 2T)` and the off-lattice moves after them, multi-task batches,
+    /// twin tasks whose events tie bit-for-bit, horizon growth, and runs of
     /// drops long enough to compact; every repair path must run.
     #[test]
     fn repaired_sequence_matches_a_fresh_build() {
@@ -2220,21 +2278,29 @@ mod tests {
             }
             let max_period = period.iter().copied().fold(0.0, f64::max);
             let mut index = vec![0u64; n];
-            let mut basis = phase.clone();
+            let (mut origin, mut release) = (phase.clone(), phase.clone());
             let mut analysis = DemandAnalysis::default();
             let mut horizon = 0.0;
             for epoch in 0..48u64 {
                 if epoch > 0 {
-                    move_bases(rng, &period, &mut phase, &mut index, &mut basis);
+                    move_bases(rng, &period, &mut origin, &mut index, &mut release);
                 }
-                let floor = (0..n).map(|i| basis[i] + drel[i]).fold(0.0, f64::max);
+                let floor = (0..n).map(|i| release[i] + drel[i]).fold(0.0, f64::max);
                 let growth = if rng.below(2) == 0 {
                     0.0
                 } else {
                     rng.range_f64(0.0, max_period)
                 };
                 horizon = (horizon + growth).max(floor);
-                load_outlook(&mut analysis, &claim, &period, &drel, &basis, epoch);
+                load_outlook(
+                    &mut analysis,
+                    &claim,
+                    &period,
+                    &drel,
+                    &phase,
+                    &release,
+                    epoch,
+                );
                 analysis.ensure_seq(horizon);
                 analysis.check_seq();
 
@@ -2257,25 +2323,139 @@ mod tests {
             }
             Ok(())
         });
-        let [slides, restamps, splices, compactions] = counts;
+        let [slides, restamps, rebuilds, compactions] = counts;
         assert!(
-            slides > 0 && restamps > 0 && splices > 0 && compactions > 0,
+            slides > 0 && restamps > 0 && rebuilds > 0 && compactions > 0,
             "a repair path never ran: {slides} slides, {restamps} re-stamps, \
-             {splices} splices, {compactions} compactions"
+             {rebuilds} rebuilds, {compactions} compactions"
+        );
+    }
+
+    /// Periodic releases, computed as the engine computes them
+    /// (`Task::release_of`), always repair as slides: tasks with non-dyadic
+    /// periods and non-zero phases, some of them bit-tied twins, release
+    /// in time order one at a time, in batches, or across an idle gap long
+    /// enough for the shortest period to release more than 512 times, with
+    /// horizon growth and compaction. Every repair must equal a fresh build
+    /// bit for bit, and none may re-stamp or rebuild.
+    #[test]
+    fn periodic_moves_always_slide() {
+        const PERIODS: [f64; 6] = [0.1, 1.0 / 3.0, 0.7, 1.1, 2.3, 0.3];
+        let (mut counts, mut gaps) = ([0u64; 4], 0u64);
+        stadvs_sim::rng::check("periodic_moves_always_slide", 128, |rng| {
+            let n = 1 + rng.below(6) as usize;
+            let mut tasks: Vec<Task> = Vec::new();
+            for i in 0..n {
+                let task = if i > 0 && rng.below(4) == 0 {
+                    tasks[rng.below(i as u64) as usize].clone()
+                } else {
+                    let period =
+                        PERIODS[rng.below(6) as usize] * [1.0, 3.0, 10.0][rng.below(3) as usize];
+                    let deadline = period * rng.range_f64(0.5, 1.0);
+                    Task::with_deadline(0.1 * deadline, period, deadline)
+                        .and_then(|t| t.with_phase(rng.range_f64(0.01, 3.0) * period))
+                        .map_err(|e| e.to_string())?
+                };
+                tasks.push(task);
+            }
+            let claim: Vec<f64> = (0..n).map(|_| rng.range_f64(0.01, 1.0)).collect();
+            let period: Vec<f64> = tasks.iter().map(Task::period).collect();
+            let drel: Vec<f64> = tasks.iter().map(Task::deadline).collect();
+            let phase: Vec<f64> = tasks.iter().map(Task::phase).collect();
+            let max_period = period.iter().copied().fold(0.0, f64::max);
+            let min_period = period.iter().copied().fold(f64::INFINITY, f64::min);
+            let mut index = vec![0u64; n];
+            let mut release: Vec<f64> = tasks.iter().map(|t| t.release_of(0)).collect();
+            // Releases the earliest pending job (ties to the lower task).
+            let release_next = |index: &mut [u64], release: &mut [f64]| {
+                let i = (0..n)
+                    .min_by(|&a, &b| release[a].total_cmp(&release[b]))
+                    .unwrap_or(0);
+                index[i] += 1;
+                release[i] = tasks[i].release_of(index[i]);
+                release[i]
+            };
+            let mut analysis = DemandAnalysis::default();
+            let mut horizon = 0.0;
+            for epoch in 0..48u64 {
+                if epoch > 0 {
+                    match rng.below(16) {
+                        0..=7 => {
+                            release_next(&mut index, &mut release);
+                        }
+                        8..=14 => {
+                            for _ in 0..2 + rng.below(5) {
+                                release_next(&mut index, &mut release);
+                            }
+                        }
+                        _ => {
+                            // An idle gap: every job due in it is released.
+                            gaps += 1;
+                            let earliest = release.iter().copied().fold(f64::INFINITY, f64::min);
+                            let end = earliest + (513 + rng.below(200)) as f64 * min_period;
+                            while release.iter().any(|&r| r <= end) {
+                                release_next(&mut index, &mut release);
+                            }
+                        }
+                    }
+                }
+                let floor = (0..n).map(|i| release[i] + drel[i]).fold(0.0, f64::max);
+                let growth = if rng.below(2) == 0 {
+                    0.0
+                } else {
+                    rng.range_f64(0.0, max_period)
+                };
+                horizon = (horizon + growth).max(floor);
+                load_outlook(
+                    &mut analysis,
+                    &claim,
+                    &period,
+                    &drel,
+                    &phase,
+                    &release,
+                    epoch,
+                );
+                analysis.ensure_seq(horizon);
+                analysis.check_seq();
+
+                let mut fresh = DemandAnalysis {
+                    cache: analysis.cache.clone(),
+                    ..DemandAnalysis::default()
+                };
+                fresh.ensure_seq(analysis.seq_horizon);
+                if seq_bits(&analysis) != seq_bits(&fresh) {
+                    return Err(format!(
+                        "epoch {epoch}: repaired sequence differs from a fresh build"
+                    ));
+                }
+                let [_, restamps, rebuilds, _] = analysis.repair_counts;
+                if restamps + rebuilds > 0 {
+                    return Err(format!(
+                        "epoch {epoch}: a periodic move re-stamped ({restamps}) or rebuilt ({rebuilds})"
+                    ));
+                }
+            }
+            for (total, k) in counts.iter_mut().zip(analysis.repair_counts) {
+                *total += k;
+            }
+            Ok(())
+        });
+        let [slides, _, _, compactions] = counts;
+        assert!(
+            slides > 0 && compactions > 0 && gaps > 0,
+            "{slides} slides, {compactions} compactions, {gaps} idle gaps"
         );
     }
 
     /// A time at or within `TIME_EPS` of a chain event of a random task:
-    /// the `k`-th event stepped as the cached sequence steps it, then left
-    /// as is or nudged either way by less than `TIME_EPS` (never below
-    /// `now`).
-    fn near_event(rng: &mut Rng, basis: &[f64], period: &[f64], drel: &[f64], now: f64) -> f64 {
-        let i = rng.below(basis.len() as u64) as usize;
-        let mut release = basis[i];
-        for _ in 0..rng.below(12) {
-            release += period[i];
-        }
-        let t = release + drel[i];
+    /// the `k`-th event of its cached basis, as the cached sequence
+    /// generates it, then left as is or nudged either way by less than
+    /// `TIME_EPS` (never below `now`).
+    fn near_event(rng: &mut Rng, cache: &DispatchCache, now: f64) -> f64 {
+        let i = rng.below(cache.n_tasks as u64) as usize;
+        let basis = cache.basis[i];
+        let k = basis.index + rng.below(12);
+        let t = chain_event(basis.anchor, k, cache.period[i], cache.drel[i]);
         match rng.below(3) {
             0 => t,
             1 => t + rng.range_f64(0.0, TIME_EPS),
@@ -2347,15 +2527,23 @@ mod tests {
                 }
             }
             let mut index = vec![0u64; n];
-            let mut basis = phase.clone();
+            let (mut origin, mut release) = (phase.clone(), phase.clone());
             let mut analysis = DemandAnalysis::new([0.25, 1.0, 4.0][rng.below(3) as usize]);
             let mut now: f64 = 0.0;
             for epoch in 0..24u64 {
                 if epoch > 0 {
-                    move_bases(rng, &period, &mut phase, &mut index, &mut basis);
+                    move_bases(rng, &period, &mut origin, &mut index, &mut release);
                 }
-                load_outlook(&mut analysis, &claim, &period, &drel, &basis, epoch);
-                let earliest = basis.iter().copied().fold(f64::INFINITY, f64::min);
+                load_outlook(
+                    &mut analysis,
+                    &claim,
+                    &period,
+                    &drel,
+                    &phase,
+                    &release,
+                    epoch,
+                );
+                let earliest = release.iter().copied().fold(f64::INFINITY, f64::min);
                 let first = analysis
                     .cache
                     .next_deadline
@@ -2372,7 +2560,7 @@ mod tests {
                 let mut ready = Vec::new();
                 for pos in 0..rng.below(5) as usize {
                     let deadline = if rng.below(2) == 0 {
-                        near_event(rng, &basis, &period, &drel, now)
+                        near_event(rng, &analysis.cache, now)
                     } else {
                         now + rng.range_f64(0.0, 2.0 * max_period)
                     };
@@ -2410,7 +2598,7 @@ mod tests {
                 let mut tags: Vec<f64> = (0..rng.below(4))
                     .map(|_| {
                         if rng.below(2) == 0 {
-                            near_event(rng, &basis, &period, &drel, now)
+                            near_event(rng, &analysis.cache, now)
                         } else {
                             now + rng.range_f64(0.0, 2.0 * max_period)
                         }
@@ -2453,11 +2641,11 @@ mod tests {
             }
             Ok(())
         });
-        let [slides, restamps, splices, compactions] = repairs;
+        let [slides, restamps, rebuilds, compactions] = repairs;
         assert!(
-            slides > 0 && restamps > 0 && splices > 0 && compactions > 0,
+            slides > 0 && restamps > 0 && rebuilds > 0 && compactions > 0,
             "a repair path never ran: {slides} slides, {restamps} re-stamps, \
-             {splices} splices, {compactions} compactions"
+             {rebuilds} rebuilds, {compactions} compactions"
         );
         let [taken, guarded] = blocks;
         assert!(
